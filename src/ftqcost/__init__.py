@@ -43,7 +43,6 @@ from .fermi_hubbard import (
     trotter_steps,
 )
 from .qec import (
-    GateTimingModel,
     LogicalVolume,
     PhysicalAssumptions,
     choose_distance,
@@ -65,7 +64,6 @@ __all__ = [
     "FHInstance",
     "FactoryFleet",
     "FactorySpec",
-    "GateTimingModel",
     "InvalidDistanceError",
     "LogicalVolume",
     "MagicStarvedError",

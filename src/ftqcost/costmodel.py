@@ -14,8 +14,7 @@ from typing import Callable
 from .errors import MagicStarvedError, UndefinedRatioError
 from .factories import FactoryFleet
 from .qec import (
-    DEFAULT_TIMING,
-    GateTimingModel,
+    CNOT_TIMESTEPS,
     PhysicalAssumptions,
     patch_physical_qubits,
     require_valid_distance,
@@ -98,15 +97,10 @@ class CostBreakdown:
     volume_patch_rounds: float
 
 
-def _tau_c(d: int, assume: PhysicalAssumptions, timing: GateTimingModel) -> float:
-    return timing.tau_c(d, assume.t_se)
-
-
 def clifford_cost(
     profile: CircuitProfile,
     d: int,
     assume: PhysicalAssumptions,
-    timing: GateTimingModel = DEFAULT_TIMING,
 ) -> CostBreakdown:
     """Space and time for a Clifford-only circuit.
 
@@ -119,7 +113,7 @@ def clifford_cost(
     r = profile.routing_patches()
     teleport = 2 * (profile.m_layers - 1) * profile.p_clifford
     patches = profile.q_data + r + teleport
-    tau_c = _tau_c(d, assume, timing)
+    tau_c = CNOT_TIMESTEPS * d * assume.t_se
     time = profile.n_clifford * tau_c / (profile.m_layers * profile.p_clifford)
     return CostBreakdown(
         space_physical=q * patches,
@@ -142,7 +136,6 @@ def general_cost(
     fleet: FactoryFleet,
     d: int,
     assume: PhysicalAssumptions,
-    timing: GateTimingModel = DEFAULT_TIMING,
 ) -> CostBreakdown:
     """Space and time for a circuit with non-Clifford gates.
 
@@ -154,7 +147,7 @@ def general_cost(
     fleet's time to deliver P_nc magic states.
     """
     if profile.n_non_clifford == 0:
-        return clifford_cost(profile, d, assume, timing)
+        return clifford_cost(profile, d, assume)
     require_valid_distance(d)
     if fleet.achieved_rate <= 0:
         raise MagicStarvedError(
@@ -162,7 +155,7 @@ def general_cost(
         )
     q = patch_physical_qubits(d)
     r = profile.routing_patches()
-    tau_c = _tau_c(d, assume, timing)
+    tau_c = CNOT_TIMESTEPS * d * assume.t_se
     tau_nc = assume.tau_r if profile.k_storage > 0 else 2 * tau_c + assume.tau_r
     tau_m = profile.p_non_clifford / fleet.achieved_rate * assume.t_se
 
@@ -197,7 +190,6 @@ def pbc_ratio(
     profile: CircuitProfile,
     d: int,
     assume: PhysicalAssumptions,
-    timing: GateTimingModel = DEFAULT_TIMING,
 ) -> float:
     """Run-time ratio T_PBC / T of compiling the circuit to serial PBC.
 
@@ -209,7 +201,7 @@ def pbc_ratio(
     if profile.m_layers != 1 or profile.k_storage != 0:
         raise ValueError("pbc_ratio assumes M=1 and k=0")
     require_valid_distance(d)
-    tau_c = _tau_c(d, assume, timing)
+    tau_c = CNOT_TIMESTEPS * d * assume.t_se
     tau_nc = 2 * tau_c + assume.tau_r
     c_star = (profile.n_clifford * tau_c / profile.p_clifford) / (
         profile.n_non_clifford * tau_nc / profile.p_non_clifford

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Any, Callable
 
+from .costmodel import GATE_LIMITED, MAGIC_LIMITED
 from .factories import FactorySpec, t_budget_check
 from .fermi_hubbard import (
     DEFAULT_F_R,
@@ -31,9 +33,6 @@ from .qec import (
     patch_physical_qubits,
     wall_time,
 )
-
-GATE_LIMITED = "gate-limited"
-MAGIC_LIMITED = "magic-limited"
 
 
 @dataclass(frozen=True)
@@ -64,20 +63,46 @@ class ResourceEstimate:
     warnings: tuple[str, ...] = ()
 
 
-def _volume_for(
-    summary: CompilationSummary,
-    spec: FactorySpec,
-    d: int,
-    f_r: float,
-) -> tuple[LogicalVolume, SchemeLayout]:
-    layout = layout_at(summary, spec, d, f_r=f_r)
-    return (
-        LogicalVolume(
+def _fit(
+    assume: PhysicalAssumptions, layout_for: Callable[[int], SchemeLayout],
+    timestep_depth: float, reaction_depth: float,
+    data_aux_patches: float, routing_patches: float, e_qec: float, d_max: int,
+    **fields: Any,
+) -> ResourceEstimate:
+    """Smallest distance meeting the failure budget, and the totals there.
+
+    layout_for(d) gives the protected patches and the fleet at candidate d;
+    the depth is timestep_depth timesteps of d rounds plus reaction_depth
+    reaction delays. Patches beyond data/aux and routing count as routing;
+    ``fields`` fill the rest of the estimate.
+    """
+
+    def sized(d: int) -> tuple[LogicalVolume, SchemeLayout]:
+        layout = layout_for(d)
+        volume = LogicalVolume(
             patches=layout.protected_patches,
-            rounds=summary.timestep_depth * d,
-            reactions=summary.reaction_depth,
-        ),
-        layout,
+            rounds=timestep_depth * d,
+            reactions=reaction_depth,
+        )
+        return volume, layout
+
+    d = choose_distance(assume, lambda d: sized(d)[0], budget_e=e_qec, d_max=d_max)
+    vol, layout = sized(d)
+    q = patch_physical_qubits(d)
+    extra = layout.protected_patches - data_aux_patches - routing_patches
+    return ResourceEstimate(
+        d=d,
+        physical_qubits_total=layout.protected_patches * q + layout.factory_qubits,
+        physical_qubits_by_role={
+            "data_aux": data_aux_patches * q,
+            "routing": (routing_patches + extra) * q,
+            "factories": float(layout.factory_qubits),
+        },
+        wall_time_seconds=wall_time(vol, assume),
+        spacetime_volume=vol.patch_rounds(assume.reaction_rounds),
+        factory_count=layout.factory_count,
+        bottleneck=GATE_LIMITED,
+        **fields,
     )
 
 
@@ -104,27 +129,6 @@ def estimate(
     summary, budget = compile_scheme(
         scheme, inst, m=options.hwp_m, log_base=options.log_base
     )
-
-    def volume_at(d: int) -> LogicalVolume:
-        return _volume_for(summary, spec, d, options.f_r)[0]
-
-    d = choose_distance(assume, volume_at, budget_e=options.e_qec, d_max=options.d_max)
-    vol, layout = _volume_for(summary, spec, d, options.f_r)
-
-    q = patch_physical_qubits(d)
-    protected_qubits = layout.protected_patches * q
-    time = wall_time(vol, assume)
-
-    # Sustained fleet throughput versus the gate-level schedule decides the
-    # bottleneck; per-scheme layouts are provisioned to avoid starvation.
-    bottleneck = GATE_LIMITED
-    if layout.factory_count > 0:
-        rate_per_second = (
-            layout.factory_count * spec.n_out / (spec.tau_f_rounds * assume.t_se)
-        )
-        if summary.t_count_total / rate_per_second > time * (1 + 1e-12):
-            bottleneck = MAGIC_LIMITED
-
     check = t_budget_check(summary.t_count_total, spec, budget=options.t_gate_budget)
     if not check.passed:
         warnings.append(
@@ -133,27 +137,26 @@ def estimate(
             f"a factory with infidelity <= {check.required_infidelity:.3g} is required"
         )
 
-    data_aux_patches = summary.data_patches + summary.aux_patches
-    extra = layout.protected_patches - data_aux_patches - summary.routing_patches
-    by_role = {
-        "data_aux": data_aux_patches * q,
-        "routing": (summary.routing_patches + extra) * q,
-        "factories": float(layout.factory_qubits),
-    }
-    return ResourceEstimate(
-        scheme=scheme,
-        d=d,
-        physical_qubits_total=protected_qubits + layout.factory_qubits,
-        physical_qubits_by_role=by_role,
-        wall_time_seconds=time,
-        spacetime_volume=vol.patch_rounds(assume.reaction_rounds),
-        factory_count=layout.factory_count,
-        t_count_total=summary.t_count_total,
-        bottleneck=bottleneck,
-        budget_ledger=budget,
-        summary=summary,
-        warnings=tuple(warnings),
+    # The knobs actually used, not allocate_budget's defaults, go in the ledger.
+    ledger = replace(budget, e_qec=options.e_qec, t_gate_budget=options.t_gate_budget)
+    est = _fit(
+        assume, lambda d: layout_at(summary, spec, d, f_r=options.f_r),
+        summary.timestep_depth, summary.reaction_depth,
+        summary.data_patches + summary.aux_patches, summary.routing_patches,
+        options.e_qec, options.d_max,
+        scheme=scheme, t_count_total=summary.t_count_total, budget_ledger=ledger,
+        summary=summary, warnings=tuple(warnings),
     )
+
+    # Sustained fleet throughput versus the gate-level schedule decides the
+    # bottleneck; per-scheme layouts are provisioned to avoid starvation.
+    if est.factory_count > 0:
+        rate_per_second = (
+            est.factory_count * spec.n_out / (spec.tau_f_rounds * assume.t_se)
+        )
+        if est.t_count_total / rate_per_second > est.wall_time_seconds * (1 + 1e-12):
+            est = replace(est, bottleneck=MAGIC_LIMITED)
+    return est
 
 
 def simple_estimate(
@@ -173,28 +176,11 @@ def simple_estimate(
         raise ValueError("q_logical must be at least 1")
     if gate_count < 1:
         raise ValueError("gate_count must be at least 1")
-    patches = routing_factor * q_logical
-
-    def volume_at(d: int) -> LogicalVolume:
-        return LogicalVolume(patches=patches, rounds=gate_count * d)
-
-    d = choose_distance(assume, volume_at, budget_e=e_qec, d_max=d_max)
-    rounds = gate_count * d
-    q = patch_physical_qubits(d)
-    return ResourceEstimate(
-        scheme="simple",
-        d=d,
-        physical_qubits_total=patches * q,
-        physical_qubits_by_role={
-            "data_aux": q_logical * q,
-            "routing": (patches - q_logical) * q,
-            "factories": 0.0,
-        },
-        wall_time_seconds=rounds * assume.t_se,
-        spacetime_volume=patches * rounds,
-        factory_count=0,
-        t_count_total=gate_count,
-        bottleneck=GATE_LIMITED,
+    layout = SchemeLayout(routing_factor * q_logical, 0, 0)
+    return _fit(
+        assume, lambda d: layout, timestep_depth=gate_count, reaction_depth=0.0,
+        data_aux_patches=q_logical, routing_patches=0, e_qec=e_qec, d_max=d_max,
+        scheme="simple", t_count_total=gate_count,
     )
 
 

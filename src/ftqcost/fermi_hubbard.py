@@ -2,9 +2,9 @@
 
 Trotter step-count bound, the three plaquette-Trotter (PLAQ) layouts
 (serial, row-parallel, fully parallel), and the QSP/qubitization route via
-PREPARE/SELECT/SWAPUP*. Each scheme emits a CompilationSummary consumed by
-the end-to-end estimator; distance-dependent layout (protected patches and
-factory fleet) is resolved separately by layout_at.
+PREPARE/SELECT/SWAPUP*. Each scheme is one Scheme record in REGISTRY: its
+rotation load, its CompilationSummary at a given sigma, its distance-dependent
+layout (protected patches and factory fleet), and its report flags.
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import TYPE_CHECKING, Any, Callable, Literal
 
 from .costmodel import fast_block_patches
 from .factories import FactorySpec, provision
 from .subroutines import T_GATE, SubroutineCost, synthesis_sigma
 
-SCHEMES = ("plaq_serial", "plaq_L", "plaq_L2", "qsp")
+if TYPE_CHECKING:
+    from .estimator import EstimateOptions
 
 LogBase = Literal["natural", "base2"]
 
@@ -69,9 +70,7 @@ class ErrorBudget:
     t_gate_budget: float = 0.05
 
 
-def allocate_budget(
-    eps_total: float, rotation_count: float, e_qec: float = 0.05
-) -> ErrorBudget:
+def allocate_budget(eps_total: float, rotation_count: float) -> ErrorBudget:
     """99%/1% split between algorithmic and synthesis error."""
     if not (0 < eps_total < 1):
         raise ValueError("eps_total must lie in (0, 1)")
@@ -84,7 +83,6 @@ def allocate_budget(
         eps_algorithm=eps_alg,
         eps_synthesis=eps_syn,
         eps_s_per_rotation=eps_syn / rotation_count,
-        e_qec=e_qec,
     )
 
 
@@ -179,47 +177,35 @@ class CompilationSummary:
     sigma: int
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
+        if self.scheme not in REGISTRY:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.t_count_total < self.peak_parallel_t:
             raise ValueError("t_count_total must be at least peak_parallel_t")
 
 
-def rotation_count(
-    scheme: str,
-    inst: FHInstance,
-    m: int | None = None,
-    log_base: LogBase = "natural",
-) -> float:
-    """Arbitrary-angle rotations the scheme will synthesize.
+@dataclass(frozen=True)
+class SchemeLayout:
+    """Distance-dependent physical layout of one compiled scheme."""
 
-    Needed before sigma can be chosen, so it is independent of sigma.
-    """
-    eps_alg = ALGORITHM_BUDGET_SHARE * inst.eps_total
-    if scheme == "plaq_serial":
-        m = _hwp_m(inst, m)
-        r = trotter_steps(inst, eps_alg)
-        return r * 4 * (inst.l_side**2 / m) * math.log2(m)
-    if scheme in ("plaq_L", "plaq_L2"):
-        r = trotter_steps(inst, eps_alg)
-        return r * 4 * inst.l_side**2
-    if scheme == "qsp":
-        queries = qsp_queries(qsp_alpha(inst), inst.t_evol, eps_alg, log_base)
-        # 6 rotations per PREPARE, two PREPAREs per query, one phase rotation.
-        return queries * 13
-    raise ValueError(f"unknown scheme {scheme!r}")
+    protected_patches: float
+    factory_count: int
+    factory_qubits: int
 
 
-def sigma_for(
-    scheme: str,
-    inst: FHInstance,
-    m: int | None = None,
-    log_base: LogBase = "natural",
-) -> tuple[int, ErrorBudget]:
-    """Synthesis T count and budget ledger for the scheme's rotation load."""
-    rotations = rotation_count(scheme, inst, m=m, log_base=log_base)
-    budget = allocate_budget(inst.eps_total, rotations)
-    return synthesis_sigma(budget.eps_s_per_rotation), budget
+Load = tuple[float, float]
+"""Trotter steps (or QSP queries), and the rotations they synthesize."""
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """A compilation scheme: its rotation load, computed once before sigma is
+    chosen; its compilation at sigma from that load; its layout at distance d;
+    and the knobs the report echoes for it."""
+
+    load: Callable[[FHInstance, int | None, LogBase], Load]
+    compile: Callable[[FHInstance, int, Load, int | None], CompilationSummary]
+    layout: Callable[[CompilationSummary, FactorySpec, int, float], SchemeLayout]
+    report_flags: Callable[[FHInstance, EstimateOptions], dict[str, Any]] = lambda *_: {}
 
 
 def _hwp_m(inst: FHInstance, m: int | None) -> int:
@@ -232,14 +218,34 @@ def _hwp_m(inst: FHInstance, m: int | None) -> int:
     return m
 
 
-def plaq_serial(inst: FHInstance, sigma: int, m: int | None = None) -> CompilationSummary:
+def _serial_load(inst: FHInstance, m: int | None, log_base: LogBase) -> Load:
+    m = _hwp_m(inst, m)
+    r = trotter_steps(inst, ALGORITHM_BUDGET_SHARE * inst.eps_total)
+    return r, r * 4 * (inst.l_side**2 / m) * math.log2(m)
+
+
+def _plaquette_load(inst: FHInstance, m: int | None, log_base: LogBase) -> Load:
+    r = trotter_steps(inst, ALGORITHM_BUDGET_SHARE * inst.eps_total)
+    return r, r * 4 * inst.l_side**2
+
+
+def _qsp_load(inst: FHInstance, m: int | None, log_base: LogBase) -> Load:
+    eps_alg = ALGORITHM_BUDGET_SHARE * inst.eps_total
+    queries = qsp_queries(qsp_alpha(inst), inst.t_evol, eps_alg, log_base)
+    # 6 rotations per PREPARE, two PREPAREs per query, one phase rotation.
+    return queries, queries * 13
+
+
+def _serial(
+    inst: FHInstance, sigma: int, load: Load, m: int | None
+) -> CompilationSummary:
     """Serial PLAQ compilation with Hamming-weight phasing on m ancillas.
 
     One pi/8 rotation per logical timestep in a fast-block layout.
     """
+    r, rotations = load
     m = _hwp_m(inst, m)
     l2 = inst.l_side**2
-    r = trotter_steps(inst, ALGORITHM_BUDGET_SHARE * inst.eps_total)
     per_step_t = 4 * l2 * (7 + math.log2(m) * sigma / m)
     total_t = r * per_step_t
     # One Hamming-weight register of m ancillas per spin sector.
@@ -256,18 +262,20 @@ def plaq_serial(inst: FHInstance, sigma: int, m: int | None = None) -> Compilati
         t_count_total=total_t,
         peak_parallel_t=1,
         consumption_rate=1.0,
-        rotation_count=r * 4 * (l2 / m) * math.log2(m),
+        rotation_count=rotations,
         sigma=sigma,
     )
 
 
-def plaq_l_parallel(inst: FHInstance, sigma: int) -> CompilationSummary:
+def _row_parallel(
+    inst: FHInstance, sigma: int, load: Load, m: int | None
+) -> CompilationSummary:
     """Row-parallel PLAQ: depth L(2 sigma + 82) per Trotter step.
 
     Consumes 2L magic states per d rounds; 3 routing patches per data patch.
     """
+    r, rotations = load
     l = inst.l_side
-    r = trotter_steps(inst, ALGORITHM_BUDGET_SHARE * inst.eps_total)
     per_step_t = l**2 * (12 + 4 * sigma)
     return CompilationSummary(
         scheme="plaq_L",
@@ -280,21 +288,28 @@ def plaq_l_parallel(inst: FHInstance, sigma: int) -> CompilationSummary:
         t_count_total=r * per_step_t,
         peak_parallel_t=2 * l,
         consumption_rate=2 * l,
-        rotation_count=r * 4 * l**2,
+        rotation_count=rotations,
         sigma=sigma,
     )
 
 
-def plaq_l2_parallel(inst: FHInstance, sigma: int) -> CompilationSummary:
+def _full_parallel_step(sigma: int) -> tuple[int, int]:
+    """Timesteps of one fully parallel Trotter step, and magic states per site."""
+    return 6 * sigma + 354, 12 + 4 * sigma
+
+
+def _full_parallel(
+    inst: FHInstance, sigma: int, load: Load, m: int | None
+) -> CompilationSummary:
     """Fully parallel PLAQ: depth 6 sigma + 354 per Trotter step.
 
     Local fermion-to-qubit mapping at 1.5 patches per mode (3L^2 data+aux)
     and two factories per four-site unit cell (L^2 factories in total).
     """
+    r, rotations = load
     l = inst.l_side
-    r = trotter_steps(inst, ALGORITHM_BUDGET_SHARE * inst.eps_total)
-    per_step_t = l**2 * (12 + 4 * sigma)
-    depth_per_step = 6 * sigma + 354
+    depth_per_step, states_per_site = _full_parallel_step(sigma)
+    per_step_t = l**2 * states_per_site
     return CompilationSummary(
         scheme="plaq_L2",
         l_side=l,
@@ -305,26 +320,22 @@ def plaq_l2_parallel(inst: FHInstance, sigma: int) -> CompilationSummary:
         reaction_depth=r * 6 * (8 + sigma),
         t_count_total=r * per_step_t,
         peak_parallel_t=l**2,
-        consumption_rate=l**2 * (12 + 4 * sigma) / depth_per_step,
-        rotation_count=r * 4 * l**2,
+        consumption_rate=per_step_t / depth_per_step,
+        rotation_count=rotations,
         sigma=sigma,
     )
 
 
-def qsp_compile(
-    inst: FHInstance, sigma: int, log_base: LogBase = "natural"
-) -> CompilationSummary:
+def _qsp(inst: FHInstance, sigma: int, load: Load, m: int | None) -> CompilationSummary:
     """QSP/qubitization compilation with the throttled SELECT schedule.
 
     Per query: one SELECT, two sequential PREPAREs, one phase rotation.
     Throttling caps peak parallel magic-state demand at N/4.
     """
+    queries, rotations = load
     l = inst.l_side
     n = inst.n_modes
     lg_n = math.ceil(math.log2(n))
-    queries = qsp_queries(
-        qsp_alpha(inst), inst.t_evol, ALGORITHM_BUDGET_SHARE * inst.eps_total, log_base
-    )
     prep = prepare_cost(l, sigma)
     t_per_query = select_cost(n).count + 2 * prep.count + sigma
     depth_per_query = (
@@ -347,37 +358,9 @@ def qsp_compile(
         t_count_total=queries * t_per_query,
         peak_parallel_t=n / 4,
         consumption_rate=n / 12,
-        rotation_count=queries * 13,
+        rotation_count=rotations,
         sigma=sigma,
     )
-
-
-def compile_scheme(
-    scheme: str,
-    inst: FHInstance,
-    m: int | None = None,
-    log_base: LogBase = "natural",
-) -> tuple[CompilationSummary, ErrorBudget]:
-    """Budget allocation, sigma selection, and compilation in one call."""
-    sigma, budget = sigma_for(scheme, inst, m=m, log_base=log_base)
-    if scheme == "plaq_serial":
-        return plaq_serial(inst, sigma, m=m), budget
-    if scheme == "plaq_L":
-        return plaq_l_parallel(inst, sigma), budget
-    if scheme == "plaq_L2":
-        return plaq_l2_parallel(inst, sigma), budget
-    if scheme == "qsp":
-        return qsp_compile(inst, sigma, log_base=log_base), budget
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-@dataclass(frozen=True)
-class SchemeLayout:
-    """Distance-dependent physical layout of one compiled scheme."""
-
-    protected_patches: float
-    factory_count: int
-    factory_qubits: int
 
 
 def tau_m_rounds(sigma: int, d: int) -> Fraction:
@@ -387,41 +370,132 @@ def tau_m_rounds(sigma: int, d: int) -> Fraction:
     (12 + 4 sigma) magic states per data-plane site column, so states are
     needed every (6 sigma + 354)/(12 + 4 sigma) timesteps of d rounds each.
     """
-    return Fraction(6 * sigma + 354, 12 + 4 * sigma) * d
+    return Fraction(*_full_parallel_step(sigma)) * d
+
+
+def _base_patches(summary: CompilationSummary) -> int:
+    return summary.data_patches + summary.routing_patches + summary.aux_patches
+
+
+def _tau_f(spec: FactorySpec) -> Fraction:
+    return Fraction(spec.tau_f_rounds).limit_denominator(10**9)
+
+
+def _dedicated_fleet(
+    summary: CompilationSummary, spec: FactorySpec, d: int, f_r: float
+) -> SchemeLayout:
+    fleet = provision(spec, Fraction(round(summary.consumption_rate), d))
+    return SchemeLayout(_base_patches(summary), fleet.count, fleet.physical_qubits)
+
+
+def _shared_factories(
+    summary: CompilationSummary, spec: FactorySpec, d: int, f_r: float
+) -> SchemeLayout:
+    """L^2 factories whose area doubles as routing for a share f_r of the time."""
+    tau_m = tau_m_rounds(summary.sigma, d)
+    if tau_m <= 0:
+        raise ValueError("invalid consumption schedule: tau_m must be positive")
+    l2 = summary.l_side**2
+    batches = math.ceil(_tau_f(spec) / tau_m)
+    shared = math.ceil(Fraction(spec.q_f, 2 * d**2) * batches)
+    protected = _base_patches(summary) + f_r * l2 * shared
+    return SchemeLayout(protected, l2, l2 * spec.q_f)
+
+
+def _factory_blocks(
+    summary: CompilationSummary, spec: FactorySpec, d: int, f_r: float
+) -> SchemeLayout:
+    """Factories per four data patches, each block owed a state every 3d rounds."""
+    blocks = math.ceil(summary.data_patches / 4)
+    count = blocks * math.ceil(_tau_f(spec) / (3 * d * spec.n_out))
+    return SchemeLayout(_base_patches(summary), count, count * spec.q_f)
+
+
+def _hwp_flags(inst: FHInstance, options: EstimateOptions) -> dict[str, Any]:
+    return {
+        "hwp_m": _hwp_m(inst, options.hwp_m),
+        "hwp_m_default_is_L_squared": options.hwp_m is None,
+    }
+
+
+def _f_r_flags(inst: FHInstance, options: EstimateOptions) -> dict[str, Any]:
+    return {
+        "f_r": options.f_r,
+        "f_r_inferred": True,
+        "tau_m_rule": "interval between non-Clifford layers in timesteps, times d rounds",
+    }
+
+
+REGISTRY: dict[str, Scheme] = {
+    "plaq_serial": Scheme(_serial_load, _serial, _dedicated_fleet, _hwp_flags),
+    "plaq_L": Scheme(_plaquette_load, _row_parallel, _dedicated_fleet),
+    "plaq_L2": Scheme(_plaquette_load, _full_parallel, _shared_factories, _f_r_flags),
+    "qsp": Scheme(_qsp_load, _qsp, _factory_blocks),
+}
+"""Every compilation scheme by name; adding a scheme means adding a record here."""
+
+SCHEMES = tuple(REGISTRY)
+
+
+def scheme_record(scheme: str) -> Scheme:
+    try:
+        return REGISTRY[scheme]
+    except KeyError:
+        raise ValueError(f"unknown scheme {scheme!r}") from None
+
+
+def rotation_count(
+    scheme: str, inst: FHInstance, m: int | None = None, log_base: LogBase = "natural"
+) -> float:
+    """Arbitrary-angle rotations the scheme will synthesize (independent of sigma)."""
+    return scheme_record(scheme).load(inst, m, log_base)[1]
+
+
+def sigma_for(
+    scheme: str, inst: FHInstance, m: int | None = None, log_base: LogBase = "natural"
+) -> tuple[int, ErrorBudget]:
+    """Synthesis T count and budget ledger for the scheme's rotation load."""
+    summary, budget = compile_scheme(scheme, inst, m, log_base)
+    return summary.sigma, budget
+
+
+def compile_scheme(
+    scheme: str, inst: FHInstance, m: int | None = None, log_base: LogBase = "natural"
+) -> tuple[CompilationSummary, ErrorBudget]:
+    """Budget allocation, sigma selection, and compilation in one call."""
+    record = scheme_record(scheme)
+    load = record.load(inst, m, log_base)
+    budget = allocate_budget(inst.eps_total, load[1])
+    sigma = synthesis_sigma(budget.eps_s_per_rotation)
+    return record.compile(inst, sigma, load, m), budget
+
+
+def plaq_serial(inst: FHInstance, sigma: int, m: int | None = None) -> CompilationSummary:
+    """plaq_serial at a given sigma, on m Hamming-weight ancillas (default L^2)."""
+    return _serial(inst, sigma, _serial_load(inst, m, "natural"), m)
+
+
+def plaq_l_parallel(inst: FHInstance, sigma: int) -> CompilationSummary:
+    """plaq_L at a given sigma."""
+    return _row_parallel(inst, sigma, _plaquette_load(inst, None, "natural"), None)
+
+
+def plaq_l2_parallel(inst: FHInstance, sigma: int) -> CompilationSummary:
+    """plaq_L2 at a given sigma."""
+    return _full_parallel(inst, sigma, _plaquette_load(inst, None, "natural"), None)
+
+
+def qsp_compile(
+    inst: FHInstance, sigma: int, log_base: LogBase = "natural"
+) -> CompilationSummary:
+    """qsp at a given sigma."""
+    return _qsp(inst, sigma, _qsp_load(inst, None, log_base), None)
 
 
 def layout_at(
-    summary: CompilationSummary,
-    spec: FactorySpec,
-    d: int,
-    f_r: float = DEFAULT_F_R,
+    summary: CompilationSummary, spec: FactorySpec, d: int, f_r: float = DEFAULT_F_R
 ) -> SchemeLayout:
     """Protected patches and factory fleet at code distance d."""
     if not (0 <= f_r <= 1):
         raise ValueError("f_r must lie in [0, 1]")
-    base_patches = summary.data_patches + summary.routing_patches + summary.aux_patches
-    l2 = summary.l_side**2
-
-    if summary.scheme in ("plaq_serial", "plaq_L"):
-        rate = Fraction(round(summary.consumption_rate), d)
-        fleet = provision(spec, rate)
-        return SchemeLayout(base_patches, fleet.count, fleet.physical_qubits)
-
-    if summary.scheme == "plaq_L2":
-        tau_m = tau_m_rounds(summary.sigma, d)
-        if tau_m <= 0:
-            raise ValueError("invalid consumption schedule: tau_m must be positive")
-        tau_f = Fraction(spec.tau_f_rounds).limit_denominator(10**9)
-        batches = math.ceil(tau_f / tau_m)
-        shared = math.ceil(Fraction(spec.q_f, 2 * d**2) * batches)
-        protected = base_patches + f_r * l2 * shared
-        return SchemeLayout(protected, l2, l2 * spec.q_f)
-
-    if summary.scheme == "qsp":
-        blocks = math.ceil(summary.data_patches / 4)
-        tau_f = Fraction(spec.tau_f_rounds).limit_denominator(10**9)
-        per_block = math.ceil(tau_f / (3 * d * spec.n_out))
-        count = blocks * per_block
-        return SchemeLayout(base_patches, count, count * spec.q_f)
-
-    raise ValueError(f"unknown scheme {summary.scheme!r}")
+    return scheme_record(summary.scheme).layout(summary, spec, d, f_r)

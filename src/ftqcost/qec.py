@@ -8,8 +8,8 @@ timestep is ``d`` SE rounds, where ``d`` is the code distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 from .errors import BudgetInfeasibleError, InvalidDistanceError
 
@@ -55,50 +55,8 @@ class PhysicalAssumptions:
         return max(1, math.ceil(ratio * (1 - 1e-12)))
 
 
-@dataclass(frozen=True)
-class GateTiming:
-    timesteps: int
-    reactions: int
-
-    def __post_init__(self) -> None:
-        if self.timesteps < 0 or self.reactions < 0:
-            raise ValueError("gate timing entries must be nonnegative")
-
-
-@dataclass(frozen=True)
-class GateTimingModel:
-    """Per-gate durations in logical timesteps (d SE rounds each) and reaction units."""
-
-    gates: Mapping[str, GateTiming] = field(
-        default_factory=lambda: dict(_DEFAULT_GATE_TABLE)
-    )
-
-    def timing(self, kind: str) -> GateTiming:
-        try:
-            return self.gates[kind]
-        except KeyError:
-            raise KeyError(f"unknown gate kind {kind!r}") from None
-
-    def timesteps(self, kind: str) -> int:
-        return self.timing(kind).timesteps
-
-    def reactions(self, kind: str) -> int:
-        return self.timing(kind).reactions
-
-    def tau_c(self, d: int, t_se: float) -> float:
-        """Logical Clifford gate time in seconds (CNOT row of the table)."""
-        return self.timesteps("cnot") * d * t_se
-
-
-_DEFAULT_GATE_TABLE: dict[str, GateTiming] = {
-    "cnot": GateTiming(2, 0),  # also CZ / multitarget variants
-    "s": GateTiming(1, 0),
-    "t_teleport": GateTiming(1, 1),
-    "auto_corrected_pi8": GateTiming(2, 1),
-    "clifford_1q": GateTiming(2, 0),
-}
-
-DEFAULT_TIMING = GateTimingModel()
+CNOT_TIMESTEPS = 2
+"""Logical timesteps (d SE rounds each) of a CNOT, the Clifford gate time tau_c."""
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Any
 
 from .config import RunConfig
 from .estimator import ResourceEstimate, SensitivityBand, compare, estimate, sensitivity
+from .fermi_hubbard import scheme_record
 
 SCHEMA_VERSION = "1.0"
 
@@ -90,19 +91,7 @@ def _assumptions(config: RunConfig) -> dict[str, Any]:
         "log_base_qsp_queries": config.options.log_base,
         "log_base_inferred": True,
     }
-    if config.scheme == "plaq_serial":
-        flags["hwp_m"] = (
-            config.options.hwp_m
-            if config.options.hwp_m is not None
-            else config.inst.l_side**2
-        )
-        flags["hwp_m_default_is_L_squared"] = config.options.hwp_m is None
-    if config.scheme == "plaq_L2":
-        flags["f_r"] = config.options.f_r
-        flags["f_r_inferred"] = True
-        flags["tau_m_rule"] = (
-            "interval between non-Clifford layers in timesteps, times d rounds"
-        )
+    flags.update(scheme_record(config.scheme).report_flags(config.inst, config.options))
     if config.cultivation:
         flags["cultivation_infidelity_unchanged"] = True
     return flags

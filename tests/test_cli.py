@@ -124,6 +124,20 @@ class TestEstimateCommand:
         assert report["assumptions"]["f_r"] == 0.5
         assert "tau_m_rule" in report["assumptions"]
 
+    def test_budget_ledger_echoes_qec_overrides(self, bundled_config, capsys):
+        code, out, _ = run(
+            capsys, "estimate", bundled_config, "--format", "json",
+            "--set", "qec.E=0.01", "--set", "qec.t_gate_budget=0.2",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["assumptions"]["e_qec"] == 0.01
+        for est in (report["estimates"][0], *(
+            report["sensitivity"][k] for k in ("nominal", "low", "high")
+        )):
+            assert est["budget_ledger"]["e_qec"] == 0.01
+            assert est["budget_ledger"]["t_gate_budget"] == 0.2
+
 
 class TestCompareCommand:
     def test_all_schemes(self, bundled_config, capsys):

@@ -71,8 +71,8 @@ class TestEstimatePipeline:
         assert a == b
 
     def test_distance_fixed_point(self):
-        from ftqcost.estimator import _volume_for
-        from ftqcost.fermi_hubbard import compile_scheme
+        from ftqcost.fermi_hubbard import compile_scheme, layout_at
+        from ftqcost.qec import LogicalVolume
 
         inst = bench_instance()
         for p in (1e-3, 1e-4):
@@ -83,7 +83,11 @@ class TestEstimatePipeline:
             if est.d > 3:
                 summary, _ = compile_scheme("plaq_L2", inst)
                 prev = est.d - 2
-                vol_prev, _ = _volume_for(summary, spec, prev, 0.5)
+                vol_prev = LogicalVolume(
+                    patches=layout_at(summary, spec, prev, 0.5).protected_patches,
+                    rounds=summary.timestep_depth * prev,
+                    reactions=summary.reaction_depth,
+                )
                 assert vol_prev.patch_rounds(
                     a.reaction_rounds
                 ) * logical_error_rate(a, prev) > 0.05

@@ -1,0 +1,120 @@
+"""Byte-for-byte regression of CLI reports against committed golden outputs.
+
+Each case runs ``ftqcost.cli.main`` in-process and compares the written
+file with ``tests/data/golden/<case>.json``. The goldens pin every number
+of the four-scheme comparison, the per-scheme sensitivity bands, the
+non-default ``m`` and ``log_base`` paths and the table-1 rows; refresh them
+only for an intentional, documented change of output.
+"""
+
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+import ftqcost.fermi_hubbard as fh
+from ftqcost.cli import main
+from ftqcost.factories import factory_by_name
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+BUNDLED = str(resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg"))
+SCHEME_NAMES = ("plaq_serial", "plaq_L", "plaq_L2", "qsp")
+TABLE1_ROWS = (
+    ("spin", 100, "1e5"),
+    ("molecule", 1000, "1e9"),
+    ("options", 10000, "1e10"),
+    ("ec256", 1000, "4e7"),
+)
+
+
+def _report(*overrides):
+    args = [BUNDLED, "--format", "json"]
+    for item in overrides:
+        args += ["--set", item]
+    return args
+
+
+CASES = {
+    "compare": ["compare", *_report()],
+    "compare_p1e-4": [
+        "compare",
+        *_report("physical.p=1e-4", "factory.name=15to1x20to4-p4"),
+    ],
+    **{
+        f"estimate_{s}": ["estimate", *_report(f"algorithm.scheme={s}")]
+        for s in SCHEME_NAMES
+    },
+    "estimate_plaq_serial_m16": [
+        "estimate",
+        *_report("algorithm.scheme=plaq_serial", "algorithm.m=16"),
+    ],
+    "estimate_qsp_base2": [
+        "estimate",
+        *_report("algorithm.scheme=qsp", "algorithm.log_base=base2"),
+    ],
+    **{
+        f"table1_{name}": ["table1", "--logical", str(q), "--gates", g, "--format", "json"]
+        for name, q, g in TABLE1_ROWS
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_golden(case, tmp_path, monkeypatch):
+    monkeypatch.delenv("FTQCOST_DEFAULTS", raising=False)
+    out = tmp_path / f"{case}.json"
+    assert main([*CASES[case], "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()
+
+
+def bench_instance():
+    return fh.FHInstance(l_side=30, t_hop=1.0, u_onsite=8.0, t_evol=300, eps_total=0.01)
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_trotter_steps_once_per_compile(scheme, monkeypatch):
+    calls = []
+    real = fh.trotter_steps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fh, "trotter_steps", counting)
+    fh.compile_scheme(scheme, bench_instance())
+    assert len(calls) == (0 if scheme == "qsp" else 1)
+
+
+class TestUnknownScheme:
+    MESSAGE = "unknown scheme 'bogus'"
+
+    def test_compile_scheme(self):
+        with pytest.raises(ValueError) as info:
+            fh.compile_scheme("bogus", bench_instance())
+        assert str(info.value) == self.MESSAGE
+
+    def test_rotation_count(self):
+        with pytest.raises(ValueError) as info:
+            fh.rotation_count("bogus", bench_instance())
+        assert str(info.value) == self.MESSAGE
+
+    def test_layout_at(self):
+        summary, _ = fh.compile_scheme("plaq_L", bench_instance())
+        # CompilationSummary refuses unknown names, so relabel a valid one.
+        object.__setattr__(summary, "scheme", "bogus")
+        with pytest.raises(ValueError) as info:
+            fh.layout_at(summary, factory_by_name("15to1x15to1-p3"), 15)
+        assert str(info.value) == self.MESSAGE
+
+    def test_config_scheme_exit_2(self, capsys):
+        code = main(["estimate", *_report("algorithm.scheme=bogus")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: algorithm.scheme: expected one of "
+            "('plaq_serial', 'plaq_L', 'plaq_L2', 'qsp'), got 'bogus'\n"
+        )
+
+    def test_table1_path_is_not_a_scheme(self):
+        assert fh.SCHEMES == SCHEME_NAMES
+        assert main(["compare", *_report(), "--schemes", "simple"]) == 2
+        assert main(["estimate", *_report("algorithm.scheme=simple")]) == 2

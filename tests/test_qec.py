@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ftqcost.costmodel import CircuitProfile, clifford_cost
 from ftqcost.errors import BudgetInfeasibleError, InvalidDistanceError
 from ftqcost.qec import (
-    DEFAULT_TIMING,
-    GateTiming,
+    CNOT_TIMESTEPS,
     LogicalVolume,
     PhysicalAssumptions,
     choose_distance,
@@ -141,23 +141,14 @@ class TestChooseDistance:
 
 
 class TestGateTimings:
-    def test_default_table(self):
-        expected = {
-            "cnot": (2, 0),
-            "s": (1, 0),
-            "t_teleport": (1, 1),
-            "auto_corrected_pi8": (2, 1),
-            "clifford_1q": (2, 0),
-        }
-        for kind, (ts, rx) in expected.items():
-            assert DEFAULT_TIMING.timing(kind) == GateTiming(ts, rx)
-
     def test_tau_c_is_two_timesteps(self):
-        assert DEFAULT_TIMING.tau_c(17, 1e-6) == pytest.approx(34e-6)
-
-    def test_unknown_gate(self):
-        with pytest.raises(KeyError):
-            DEFAULT_TIMING.timing("toffoli")
+        # One Clifford on one layer takes exactly tau_c = 2 d t_se.
+        profile = CircuitProfile(
+            q_data=1, n_clifford=1, n_non_clifford=0, p_clifford=1, p_non_clifford=1
+        )
+        assert CNOT_TIMESTEPS == 2
+        cost = clifford_cost(profile, 17, assume(t_se=1e-6))
+        assert cost.time_seconds == pytest.approx(2 * 17 * 1e-6)
 
 
 class TestPhysicalAssumptions:
