@@ -26,7 +26,7 @@ from .config import (
     read_sections,
 )
 from .errors import BudgetInfeasibleError, ConfigError, MagicStarvedError
-from .estimator import simple_estimate
+from .estimator import EstimateOptions, simple_estimate
 from .fermi_hubbard import SCHEMES
 from .qec import PhysicalAssumptions
 
@@ -76,8 +76,13 @@ def _parser() -> argparse.ArgumentParser:
     t1.add_argument("--logical", type=int, required=True, help="logical qubit count Q")
     t1.add_argument("--gates", type=float, required=True, help="T/Toffoli gate count G")
     t1.add_argument("--p", type=float, default=1e-3, help="physical error rate")
-    t1.add_argument("--e", type=float, default=0.05, help="failure budget E")
-    t1.add_argument("--t-se", type=float, default=1e-6, help="SE round time, seconds")
+    t1.add_argument(
+        "--e", type=float, default=EstimateOptions.e_qec, help="failure budget E"
+    )
+    t1.add_argument(
+        "--t-se", type=float, default=PhysicalAssumptions.t_se,
+        help="SE round time, seconds",
+    )
     t1.add_argument("--format", choices=("table", "json"), default="table")
     t1.add_argument("--output", default=None)
     return parser

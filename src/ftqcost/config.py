@@ -11,7 +11,8 @@ Configs are INI files with sections mirroring the run pipeline:
 
 Every value is validated against the owning module's preconditions before
 any computation runs; violations are reported together with dotted field
-paths. In sweep mode, comma-separated values in at most three fields expand
+paths. An absent optional field takes the default of the dataclass field it
+feeds. In sweep mode, comma-separated values in at most three fields expand
 to a cartesian grid.
 """
 
@@ -19,46 +20,41 @@ from __future__ import annotations
 
 import configparser
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Any
+from operator import attrgetter
+from typing import Any, get_args
 
 from .errors import ConfigError
 from .estimator import EstimateOptions
 from .factories import FactorySpec, cultivation_variant, factory_by_name
-from .fermi_hubbard import SCHEMES, FHInstance
+from .fermi_hubbard import SCHEMES, FHInstance, LogBase
 from .qec import PhysicalAssumptions
 
 Sections = dict[str, dict[str, str]]
 
-_REQUIRED = {
-    "physical": ("p",),
-    "algorithm": ("scheme", "L", "T_evol", "eps_total"),
-}
-
-_KNOWN_FIELDS = {
-    "physical": {"p", "p_star", "prefactor_a", "t_se", "tau_r"},
+# Every config field, by section, with the RunConfig attribute it resolves
+# to. The known fields, the absent ones and the echoed inputs are read here.
+_FIELDS = {
+    "physical": {
+        "p": "assume.p", "p_star": "assume.p_star", "prefactor_a": "assume.prefactor_a",
+        "t_se": "assume.t_se", "tau_r": "assume.tau_r",
+    },
     "algorithm": {
-        "scheme",
-        "L",
-        "t_hop",
-        "U",
-        "T_evol",
-        "eps_total",
-        "m",
-        "f_r",
-        "log_base",
+        "scheme": "scheme", "L": "inst.l_side", "t_hop": "inst.t_hop",
+        "U": "inst.u_onsite", "T_evol": "inst.t_evol", "eps_total": "inst.eps_total",
+        "m": "options.hwp_m", "f_r": "options.f_r", "log_base": "options.log_base",
     },
     "factory": {
-        "name",
-        "q_f",
-        "tau_f_rounds",
-        "n_out",
-        "out_infidelity",
-        "valid_p",
-        "cultivation",
+        "name": "spec.name", "q_f": "spec.q_f", "tau_f_rounds": "spec.tau_f_rounds",
+        "n_out": "spec.n_out", "out_infidelity": "spec.out_infidelity",
+        "valid_p": "spec.valid_p", "cultivation": "cultivation",
     },
-    "qec": {"E", "d_max", "t_gate_budget"},
-    "output": {"format", "path"},
+    "qec": {
+        "E": "options.e_qec", "d_max": "options.d_max",
+        "t_gate_budget": "options.t_gate_budget",
+    },
+    "output": {"format": "output_format", "path": "output_path"},
 }
 
 OUTPUT_FORMATS = ("table", "json", "csv")
@@ -70,7 +66,8 @@ class RunConfig:
 
     ``spec`` is the base factory design; the cultivation what-if, when
     requested, is applied on use via ``effective_spec`` so that echoed
-    inputs round-trip without double-applying the scaling.
+    inputs round-trip without double-applying the scaling. ``absent`` holds
+    the dotted paths of the fields the input did not give.
     """
 
     assume: PhysicalAssumptions
@@ -81,6 +78,7 @@ class RunConfig:
     options: EstimateOptions
     output_format: str
     output_path: str | None
+    absent: frozenset[str]
 
     @property
     def effective_spec(self) -> FactorySpec:
@@ -89,42 +87,8 @@ class RunConfig:
     def resolved_inputs(self) -> dict[str, Any]:
         """Echo of every input after defaulting, suitable for re-ingestion."""
         return {
-            "physical": {
-                "p": self.assume.p,
-                "p_star": self.assume.p_star,
-                "prefactor_a": self.assume.prefactor_a,
-                "t_se": self.assume.t_se,
-                "tau_r": self.assume.tau_r,
-            },
-            "algorithm": {
-                "scheme": self.scheme,
-                "L": self.inst.l_side,
-                "t_hop": self.inst.t_hop,
-                "U": self.inst.u_onsite,
-                "T_evol": self.inst.t_evol,
-                "eps_total": self.inst.eps_total,
-                "m": self.options.hwp_m,
-                "f_r": self.options.f_r,
-                "log_base": self.options.log_base,
-            },
-            "factory": {
-                "name": self.spec.name,
-                "q_f": self.spec.q_f,
-                "tau_f_rounds": self.spec.tau_f_rounds,
-                "n_out": self.spec.n_out,
-                "out_infidelity": self.spec.out_infidelity,
-                "valid_p": self.spec.valid_p,
-                "cultivation": self.cultivation,
-            },
-            "qec": {
-                "E": self.options.e_qec,
-                "d_max": self.options.d_max,
-                "t_gate_budget": self.options.t_gate_budget,
-            },
-            "output": {
-                "format": self.output_format,
-                "path": self.output_path,
-            },
+            section: {key: attrgetter(path)(self) for key, path in fields.items()}
+            for section, fields in _FIELDS.items()
         }
 
 
@@ -155,13 +119,13 @@ class _Builder:
             return default
         try:
             return cast(raw)
-        except (ValueError, ArgumentTypeError) as exc:
+        except ValueError as exc:
             self.problems.append(f"{section}.{key}: {exc}")
             return default
 
     def check_unknown(self) -> None:
         for section, fields in self.sections.items():
-            known = _KNOWN_FIELDS.get(section)
+            known = _FIELDS.get(section)
             if known is None:
                 self.problems.append(f"{section}: unknown section")
                 continue
@@ -170,15 +134,19 @@ class _Builder:
                     self.problems.append(f"{section}.{key}: unknown field")
 
     def construct(self, path: str, factory, /, **kwargs):
+        """Build ``factory`` from kwargs; a None kwarg takes the field default."""
         try:
-            return factory(**kwargs)
+            return factory(**{k: v for k, v in kwargs.items() if v is not None})
         except ValueError as exc:
             self.problems.append(f"{path}: {exc}")
             return None
 
 
-class ArgumentTypeError(ValueError):
-    pass
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _bool(raw: str) -> bool:
@@ -187,14 +155,14 @@ def _bool(raw: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ArgumentTypeError(f"expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def _choice(options: tuple[str, ...]):
     def cast(raw: str) -> str:
         value = raw.strip()
         if value not in options:
-            raise ArgumentTypeError(f"expected one of {options}, got {raw!r}")
+            raise ValueError(f"expected one of {options}, got {raw!r}")
         return value
 
     return cast
@@ -211,20 +179,20 @@ def build_config(sections: Sections) -> RunConfig:
     assume = b.construct(
         "physical",
         PhysicalAssumptions,
-        p=b.get("physical", "p", float, required=True, default=1e-3),
-        p_star=b.get("physical", "p_star", float, default=0.01),
-        prefactor_a=b.get("physical", "prefactor_a", float, default=0.1),
-        t_se=b.get("physical", "t_se", float, default=1e-6),
-        tau_r=b.get("physical", "tau_r", float, default=1e-6),
+        p=b.get("physical", "p", _finite, required=True, default=1e-3),
+        p_star=b.get("physical", "p_star", _finite),
+        prefactor_a=b.get("physical", "prefactor_a", _finite),
+        t_se=b.get("physical", "t_se", _finite),
+        tau_r=b.get("physical", "tau_r", _finite),
     )
     inst = b.construct(
         "algorithm",
         FHInstance,
         l_side=b.get("algorithm", "L", int, required=True, default=2),
-        t_hop=b.get("algorithm", "t_hop", float, default=1.0),
-        u_onsite=b.get("algorithm", "U", float, default=8.0),
-        t_evol=b.get("algorithm", "T_evol", float, required=True, default=1.0),
-        eps_total=b.get("algorithm", "eps_total", float, required=True, default=0.01),
+        t_hop=b.get("algorithm", "t_hop", _finite, default=1.0),
+        u_onsite=b.get("algorithm", "U", _finite, default=8.0),
+        t_evol=b.get("algorithm", "T_evol", _finite, required=True, default=1.0),
+        eps_total=b.get("algorithm", "eps_total", _finite, required=True, default=0.01),
     )
     scheme = b.get(
         "algorithm", "scheme", _choice(SCHEMES), required=True, default=SCHEMES[0]
@@ -246,13 +214,13 @@ def build_config(sections: Sections) -> RunConfig:
                 name="custom",
                 q_f=b.get("factory", "q_f", int, required=True, default=1),
                 tau_f_rounds=b.get(
-                    "factory", "tau_f_rounds", float, required=True, default=1.0
+                    "factory", "tau_f_rounds", _finite, required=True, default=1.0
                 ),
                 n_out=b.get("factory", "n_out", int, default=1),
                 out_infidelity=b.get(
-                    "factory", "out_infidelity", float, required=True, default=0.5
+                    "factory", "out_infidelity", _finite, required=True, default=0.5
                 ),
-                valid_p=b.get("factory", "valid_p", float, default=1e-3),
+                valid_p=b.get("factory", "valid_p", _finite, default=1e-3),
             )
         else:
             # Default to the built-in design characterized nearest to p.
@@ -265,14 +233,12 @@ def build_config(sections: Sections) -> RunConfig:
     options = b.construct(
         "options",
         EstimateOptions,
-        e_qec=b.get("qec", "E", float, default=0.05),
-        d_max=b.get("qec", "d_max", int, default=99),
-        t_gate_budget=b.get("qec", "t_gate_budget", float, default=0.05),
-        f_r=b.get("algorithm", "f_r", float, default=0.5),
+        e_qec=b.get("qec", "E", _finite),
+        d_max=b.get("qec", "d_max", int),
+        t_gate_budget=b.get("qec", "t_gate_budget", _finite),
+        f_r=b.get("algorithm", "f_r", _finite),
         hwp_m=b.get("algorithm", "m", int),
-        log_base=b.get(
-            "algorithm", "log_base", _choice(("natural", "base2")), default="natural"
-        ),
+        log_base=b.get("algorithm", "log_base", _choice(get_args(LogBase))),
     )
     output_format = b.get(
         "output", "format", _choice(OUTPUT_FORMATS), default="table"
@@ -282,6 +248,8 @@ def build_config(sections: Sections) -> RunConfig:
     if options is not None:
         if not (0 < options.e_qec < 1):
             b.problems.append("qec.E: must lie in (0, 1)")
+        if not (0 < options.t_gate_budget <= 1):
+            b.problems.append("qec.t_gate_budget: must lie in (0, 1]")
         if not (0 <= options.f_r <= 1):
             b.problems.append("algorithm.f_r: must lie in [0, 1]")
         if options.hwp_m is not None and options.hwp_m < 2:
@@ -298,6 +266,12 @@ def build_config(sections: Sections) -> RunConfig:
         options=options,
         output_format=output_format,
         output_path=output_path,
+        absent=frozenset(
+            f"{section}.{key}"
+            for section, fields in _FIELDS.items()
+            for key in fields
+            if b._raw(section, key) is None
+        ),
     )
 
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .costmodel import GATE_LIMITED, MAGIC_LIMITED
-from .factories import FactorySpec, t_budget_check
+from .factories import DEFAULT_T_GATE_BUDGET, FactorySpec, t_budget_check
 from .fermi_hubbard import (
     DEFAULT_F_R,
+    DEFAULT_LOG_BASE,
     CompilationSummary,
     ErrorBudget,
     FHInstance,
@@ -34,17 +35,24 @@ from .qec import (
     wall_time,
 )
 
+SENSITIVITY_FRACTION = 0.05
+"""Joint perturbation of the factory and QEC constants in a sensitivity band."""
+
+ROUTING_FACTOR = 1.5
+"""Patches per logical qubit in the minimal-footprint estimate, routing included."""
+
 
 @dataclass(frozen=True)
 class EstimateOptions:
-    """Knobs of the estimation pipeline, with their shipped defaults."""
+    """Knobs of the estimation pipeline. With PhysicalAssumptions, these field
+    defaults are the one table of defaults that config, CLI and report use."""
 
     e_qec: float = DEFAULT_QEC_BUDGET
     d_max: int = DEFAULT_MAX_DISTANCE
     f_r: float = DEFAULT_F_R
     hwp_m: int | None = None
-    log_base: LogBase = "natural"
-    t_gate_budget: float = 0.05
+    log_base: LogBase = DEFAULT_LOG_BASE
+    t_gate_budget: float = DEFAULT_T_GATE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -164,19 +172,18 @@ def simple_estimate(
     gate_count: float,
     assume: PhysicalAssumptions,
     e_qec: float = DEFAULT_QEC_BUDGET,
-    routing_factor: float = 1.5,
     d_max: int = DEFAULT_MAX_DISTANCE,
 ) -> ResourceEstimate:
     """Minimal-footprint quick estimate: one T/Toffoli per d rounds.
 
-    Patches are the data qubits times a routing factor; factory qubits are
+    Patches are the data qubits times ROUTING_FACTOR; factory qubits are
     not included, matching the headline-table convention.
     """
     if q_logical < 1:
         raise ValueError("q_logical must be at least 1")
     if gate_count < 1:
         raise ValueError("gate_count must be at least 1")
-    layout = SchemeLayout(routing_factor * q_logical, 0, 0)
+    layout = SchemeLayout(ROUTING_FACTOR * q_logical, 0, 0)
     return _fit(
         assume, lambda d: layout, timestep_depth=gate_count, reaction_depth=0.0,
         data_aux_patches=q_logical, routing_patches=0, e_qec=e_qec, d_max=d_max,
@@ -220,7 +227,7 @@ def sensitivity(
     assume: PhysicalAssumptions,
     spec: FactorySpec,
     options: EstimateOptions = EstimateOptions(),
-    fraction: float = 0.05,
+    fraction: float = SENSITIVITY_FRACTION,
 ) -> SensitivityBand:
     nominal = estimate(inst, scheme, assume, spec, options)
     adverse = estimate(inst, scheme, *_perturbed(assume, spec, fraction), options)

@@ -11,6 +11,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Rational
 
+DEFAULT_T_GATE_BUDGET = 0.05
+"""Error budget for the linearly accumulated T-state infidelity."""
+
 
 @dataclass(frozen=True)
 class FactorySpec:
@@ -146,7 +149,7 @@ class TBudgetResult:
 
 
 def t_budget_check(
-    total_t_count: float, spec: FactorySpec, budget: float = 0.05
+    total_t_count: float, spec: FactorySpec, budget: float = DEFAULT_T_GATE_BUDGET
 ) -> TBudgetResult:
     """Check that linearly accumulated T-state error stays within ``budget``."""
     if total_t_count < 0:

@@ -15,13 +15,17 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Literal
 
 from .costmodel import fast_block_patches
-from .factories import FactorySpec, provision
+from .factories import DEFAULT_T_GATE_BUDGET, FactorySpec, provision
+from .qec import DEFAULT_QEC_BUDGET
 from .subroutines import T_GATE, SubroutineCost, synthesis_sigma
 
 if TYPE_CHECKING:
-    from .estimator import EstimateOptions
+    from .config import RunConfig
 
 LogBase = Literal["natural", "base2"]
+
+DEFAULT_LOG_BASE: LogBase = "natural"
+"""Logarithm convention of the QSP query bound."""
 
 DEFAULT_F_R = 0.5
 """Fraction of time the fully-parallel scheme's factory area doubles as routing."""
@@ -66,8 +70,8 @@ class ErrorBudget:
     eps_algorithm: float
     eps_synthesis: float
     eps_s_per_rotation: float
-    e_qec: float = 0.05
-    t_gate_budget: float = 0.05
+    e_qec: float = DEFAULT_QEC_BUDGET
+    t_gate_budget: float = DEFAULT_T_GATE_BUDGET
 
 
 def allocate_budget(eps_total: float, rotation_count: float) -> ErrorBudget:
@@ -109,7 +113,7 @@ def qsp_alpha(inst: FHInstance) -> float:
 
 
 def qsp_queries(
-    alpha: float, t_evol: float, eps_qsp: float, log_base: LogBase = "natural"
+    alpha: float, t_evol: float, eps_qsp: float, log_base: LogBase = DEFAULT_LOG_BASE
 ) -> float:
     """Queries to the block encoding for time t_evol and error eps_qsp."""
     if alpha <= 0 or t_evol <= 0:
@@ -200,12 +204,12 @@ Load = tuple[float, float]
 class Scheme:
     """A compilation scheme: its rotation load, computed once before sigma is
     chosen; its compilation at sigma from that load; its layout at distance d;
-    and the knobs the report echoes for it."""
+    and the knobs the report echoes for it from the resolved run config."""
 
     load: Callable[[FHInstance, int | None, LogBase], Load]
     compile: Callable[[FHInstance, int, Load, int | None], CompilationSummary]
     layout: Callable[[CompilationSummary, FactorySpec, int, float], SchemeLayout]
-    report_flags: Callable[[FHInstance, EstimateOptions], dict[str, Any]] = lambda *_: {}
+    report_flags: Callable[[RunConfig], dict[str, Any]] = lambda _: {}
 
 
 def _hwp_m(inst: FHInstance, m: int | None) -> int:
@@ -411,17 +415,17 @@ def _factory_blocks(
     return SchemeLayout(_base_patches(summary), count, count * spec.q_f)
 
 
-def _hwp_flags(inst: FHInstance, options: EstimateOptions) -> dict[str, Any]:
+def _hwp_flags(config: RunConfig) -> dict[str, Any]:
     return {
-        "hwp_m": _hwp_m(inst, options.hwp_m),
-        "hwp_m_default_is_L_squared": options.hwp_m is None,
+        "hwp_m": _hwp_m(config.inst, config.options.hwp_m),
+        "hwp_m_default_is_L_squared": config.options.hwp_m is None,
     }
 
 
-def _f_r_flags(inst: FHInstance, options: EstimateOptions) -> dict[str, Any]:
+def _f_r_flags(config: RunConfig) -> dict[str, Any]:
     return {
-        "f_r": options.f_r,
-        "f_r_inferred": True,
+        "f_r": config.options.f_r,
+        "f_r_inferred": "algorithm.f_r" in config.absent,
         "tau_m_rule": "interval between non-Clifford layers in timesteps, times d rounds",
     }
 
@@ -445,14 +449,16 @@ def scheme_record(scheme: str) -> Scheme:
 
 
 def rotation_count(
-    scheme: str, inst: FHInstance, m: int | None = None, log_base: LogBase = "natural"
+    scheme: str, inst: FHInstance, m: int | None = None,
+    log_base: LogBase = DEFAULT_LOG_BASE,
 ) -> float:
     """Arbitrary-angle rotations the scheme will synthesize (independent of sigma)."""
     return scheme_record(scheme).load(inst, m, log_base)[1]
 
 
 def sigma_for(
-    scheme: str, inst: FHInstance, m: int | None = None, log_base: LogBase = "natural"
+    scheme: str, inst: FHInstance, m: int | None = None,
+    log_base: LogBase = DEFAULT_LOG_BASE,
 ) -> tuple[int, ErrorBudget]:
     """Synthesis T count and budget ledger for the scheme's rotation load."""
     summary, budget = compile_scheme(scheme, inst, m, log_base)
@@ -460,7 +466,8 @@ def sigma_for(
 
 
 def compile_scheme(
-    scheme: str, inst: FHInstance, m: int | None = None, log_base: LogBase = "natural"
+    scheme: str, inst: FHInstance, m: int | None = None,
+    log_base: LogBase = DEFAULT_LOG_BASE,
 ) -> tuple[CompilationSummary, ErrorBudget]:
     """Budget allocation, sigma selection, and compilation in one call."""
     record = scheme_record(scheme)
@@ -472,21 +479,21 @@ def compile_scheme(
 
 def plaq_serial(inst: FHInstance, sigma: int, m: int | None = None) -> CompilationSummary:
     """plaq_serial at a given sigma, on m Hamming-weight ancillas (default L^2)."""
-    return _serial(inst, sigma, _serial_load(inst, m, "natural"), m)
+    return _serial(inst, sigma, _serial_load(inst, m, DEFAULT_LOG_BASE), m)
 
 
 def plaq_l_parallel(inst: FHInstance, sigma: int) -> CompilationSummary:
     """plaq_L at a given sigma."""
-    return _row_parallel(inst, sigma, _plaquette_load(inst, None, "natural"), None)
+    return _row_parallel(inst, sigma, _plaquette_load(inst, None, DEFAULT_LOG_BASE), None)
 
 
 def plaq_l2_parallel(inst: FHInstance, sigma: int) -> CompilationSummary:
     """plaq_L2 at a given sigma."""
-    return _full_parallel(inst, sigma, _plaquette_load(inst, None, "natural"), None)
+    return _full_parallel(inst, sigma, _plaquette_load(inst, None, DEFAULT_LOG_BASE), None)
 
 
 def qsp_compile(
-    inst: FHInstance, sigma: int, log_base: LogBase = "natural"
+    inst: FHInstance, sigma: int, log_base: LogBase = DEFAULT_LOG_BASE
 ) -> CompilationSummary:
     """qsp at a given sigma."""
     return _qsp(inst, sigma, _qsp_load(inst, None, log_base), None)

@@ -12,17 +12,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from importlib import resources
 from typing import Any
 
 from .config import RunConfig
-from .estimator import ResourceEstimate, SensitivityBand, compare, estimate, sensitivity
+from .estimator import (
+    SENSITIVITY_FRACTION,
+    ResourceEstimate,
+    SensitivityBand,
+    compare,
+    estimate,
+    sensitivity,
+)
 from .fermi_hubbard import scheme_record
 
-SCHEMA_VERSION = "1.0"
-
-DEFAULTS_ENV_VAR = "FTQCOST_DEFAULTS"
+SCHEMA_VERSION = "2.0"
 
 CSV_COLUMNS = (
     "scheme",
@@ -37,16 +40,6 @@ CSV_COLUMNS = (
     "t_count_total",
     "bottleneck",
 )
-
-
-def load_defaults() -> dict[str, Any]:
-    """Shipped default knobs, overridable via the FTQCOST_DEFAULTS env var."""
-    override = os.environ.get(DEFAULTS_ENV_VAR)
-    if override:
-        with open(override, encoding="utf-8") as fh:
-            return json.load(fh)
-    text = resources.files("ftqcost.data").joinpath("defaults.json").read_text()
-    return json.loads(text)
 
 
 def estimate_payload(est: ResourceEstimate) -> dict[str, Any]:
@@ -87,11 +80,11 @@ def estimate_payload(est: ResourceEstimate) -> dict[str, Any]:
 def _assumptions(config: RunConfig) -> dict[str, Any]:
     flags: dict[str, Any] = {
         "e_qec": config.options.e_qec,
-        "e_qec_inferred": True,
+        "e_qec_inferred": "qec.E" in config.absent,
         "log_base_qsp_queries": config.options.log_base,
-        "log_base_inferred": True,
+        "log_base_inferred": "algorithm.log_base" in config.absent,
     }
-    flags.update(scheme_record(config.scheme).report_flags(config.inst, config.options))
+    flags.update(scheme_record(config.scheme).report_flags(config))
     if config.cultivation:
         flags["cultivation_infidelity_unchanged"] = True
     return flags
@@ -108,7 +101,7 @@ def _band_payload(band: SensitivityBand) -> dict[str, Any]:
             "physical.p_star",
             "physical.prefactor_a",
         ],
-        "perturbation_fraction": 0.05,
+        "perturbation_fraction": SENSITIVITY_FRACTION,
     }
 
 
@@ -119,7 +112,6 @@ def build_report(config: RunConfig, with_sensitivity: bool = True) -> dict[str, 
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "inputs": config.resolved_inputs(),
-        "defaults": load_defaults(),
         "assumptions": _assumptions(config),
         "estimates": [estimate_payload(est)],
     }
@@ -136,7 +128,6 @@ def build_comparison(config: RunConfig, schemes: list[str]) -> dict[str, Any]:
     report = {
         "schema_version": SCHEMA_VERSION,
         "inputs": config.resolved_inputs(),
-        "defaults": load_defaults(),
         "assumptions": _assumptions(config),
         "estimates": [estimate_payload(row.estimate) for row in rows],
         "ratios": [

@@ -29,6 +29,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def as_reingested(report):
+    """The report expected from re-ingesting its inputs echo: the echo gives
+    every field explicitly, so no knob is flagged as inferred any more."""
+    expected = json.loads(render_json(report))
+    flags = expected["assumptions"]
+    flags.update({k: False for k in flags if k.endswith("_inferred")})
+    return expected
+
+
 class TestTable1Command:
     def test_spin_row(self, capsys):
         code, out, _ = run(capsys, "table1", "--logical", "100", "--gates", "1e5")
@@ -120,9 +129,42 @@ class TestEstimateCommand:
     def test_assumption_flags_present(self, bundled_config, capsys):
         _, out, _ = run(capsys, "estimate", bundled_config, "--format", "json")
         report = json.loads(out)
-        assert report["assumptions"]["e_qec_inferred"] is True
+        assert report["assumptions"]["e_qec_inferred"] is False
         assert report["assumptions"]["f_r"] == 0.5
         assert "tau_m_rule" in report["assumptions"]
+
+    def test_inferred_flags_mark_absent_fields(self, tmp_path, capsys):
+        no_e = tmp_path / "no_e.cfg"
+        no_e.write_text(BUNDLED.read_text().replace("E = 0.05", ""))
+        flags = {}
+        for name, path in (("bundled", BUNDLED), ("no_e", no_e)):
+            _, out, _ = run(
+                capsys, "estimate", str(path), "--format", "json", "--no-sensitivity"
+            )
+            assumptions = json.loads(out)["assumptions"]
+            flags[name] = tuple(
+                assumptions[k]
+                for k in ("e_qec_inferred", "f_r_inferred", "log_base_inferred")
+            )
+        assert flags == {"bundled": (False, False, True), "no_e": (True, False, True)}
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "algorithm.T_evol=inf",
+            "physical.t_se=inf",
+            "physical.tau_r=nan",
+            "algorithm.t_hop=nan",
+            "qec.t_gate_budget=-1",
+        ],
+    )
+    def test_out_of_range_number_exit_2(self, bundled_config, capsys, override):
+        path = override.split("=")[0]
+        code, out, err = run(capsys, "estimate", bundled_config, "--set", override)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: ")
 
     def test_budget_ledger_echoes_qec_overrides(self, bundled_config, capsys):
         code, out, _ = run(
@@ -191,7 +233,7 @@ class TestRoundTrip:
         report = build_report(config, with_sensitivity=False)
         rebuilt = build_config(sections_from_inputs(report["inputs"]))
         report2 = build_report(rebuilt, with_sensitivity=False)
-        assert render_json(report) == render_json(report2)
+        assert render_json(report2) == render_json(as_reingested(report))
 
     def test_round_trip_with_cultivation(self, tmp_path):
         path = tmp_path / "cult.cfg"
@@ -206,7 +248,7 @@ class TestRoundTrip:
         rebuilt = build_config(sections_from_inputs(report["inputs"]))
         assert rebuilt.effective_spec == config.effective_spec
         assert render_json(build_report(rebuilt, with_sensitivity=False)) == render_json(
-            report
+            as_reingested(report)
         )
 
 

@@ -60,11 +60,18 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_output_matches_golden(case, tmp_path, monkeypatch):
-    monkeypatch.delenv("FTQCOST_DEFAULTS", raising=False)
+def test_output_matches_golden(case, tmp_path):
     out = tmp_path / f"{case}.json"
     assert main([*CASES[case], "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()
+
+
+def test_former_defaults_variable_is_ignored(tmp_path, monkeypatch):
+    # Defaults come from the dataclasses alone; no file is read for them.
+    monkeypatch.setenv("FTQCOST_DEFAULTS", str(tmp_path / "missing.json"))
+    out = tmp_path / "estimate_plaq_L2.json"
+    assert main([*CASES["estimate_plaq_L2"], "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "estimate_plaq_L2.json").read_bytes()
 
 
 def bench_instance():
