@@ -23,9 +23,10 @@ from .config import (
     RunConfig,
     build_config,
     expand_sweep,
+    field_path,
     read_sections,
 )
-from .errors import BudgetInfeasibleError, ConfigError, MagicStarvedError
+from .errors import BudgetInfeasibleError, CompileError, ConfigError, MagicStarvedError
 from .estimator import EstimateOptions, simple_estimate
 from .fermi_hubbard import SCHEMES
 from .qec import PhysicalAssumptions
@@ -207,6 +208,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except CompileError as exc:
+        print(f"error: {field_path('algorithm', str(exc))}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (BudgetInfeasibleError, MagicStarvedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

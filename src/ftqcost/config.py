@@ -56,6 +56,16 @@ _FIELDS = {
     },
     "output": {"format": "output_format", "path": "output_path"},
 }
+# Per section: configparser's lower-cased spelling -> the documented key.
+_KEYS = {
+    section: {key.lower(): key for key in fields} for section, fields in _FIELDS.items()
+}
+# Per section: the attribute a key sets -> that key, to name the field a
+# constructor's or compiler's message opens with ("t_se must be positive").
+_ATTRIBUTE_KEYS = {
+    section: {path.rsplit(".", 1)[-1]: key for key, path in fields.items()}
+    for section, fields in _FIELDS.items()
+}
 
 OUTPUT_FORMATS = ("table", "json", "csv")
 
@@ -125,21 +135,28 @@ class _Builder:
 
     def check_unknown(self) -> None:
         for section, fields in self.sections.items():
-            known = _FIELDS.get(section)
+            known = _KEYS.get(section)
             if known is None:
                 self.problems.append(f"{section}: unknown section")
                 continue
-            for key in fields:
-                if key not in {k.lower() for k in known}:
-                    self.problems.append(f"{section}.{key}: unknown field")
+            self.problems += [
+                f"{section}.{key}: unknown field" for key in fields if key not in known
+            ]
 
     def construct(self, path: str, factory, /, **kwargs):
         """Build ``factory`` from kwargs; a None kwarg takes the field default."""
         try:
             return factory(**{k: v for k, v in kwargs.items() if v is not None})
         except ValueError as exc:
-            self.problems.append(f"{path}: {exc}")
+            self.problems.append(f"{field_path(path, str(exc))}: {exc}")
             return None
+
+
+def field_path(section: str, message: str) -> str:
+    """``section.key`` if ``message`` opens with the attribute a key of
+    ``section`` sets, else ``section``."""
+    key = _ATTRIBUTE_KEYS.get(section, {}).get(message.split(" ", 1)[0])
+    return f"{section}.{key}" if key else section
 
 
 def _finite(raw: str) -> float:
@@ -268,9 +285,9 @@ def build_config(sections: Sections) -> RunConfig:
         output_path=output_path,
         absent=frozenset(
             f"{section}.{key}"
-            for section, fields in _FIELDS.items()
-            for key in fields
-            if b._raw(section, key) is None
+            for section, keys in _KEYS.items()
+            for lower, key in keys.items()
+            if lower not in sections.get(section, {})
         ),
     )
 

@@ -21,6 +21,13 @@ class UndefinedRatioError(EstimatorError):
     """PBC comparison ratio requested for a circuit with no non-Clifford gates."""
 
 
+class CompileError(EstimatorError, ValueError):
+    """A scheme's load or synthesis budget left the float range for an instance.
+
+    The message opens with the instance attribute the failure is laid to.
+    """
+
+
 class ConfigError(EstimatorError):
     """Configuration failed validation.
 

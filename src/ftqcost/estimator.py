@@ -24,6 +24,7 @@ from .fermi_hubbard import (
     SchemeLayout,
     compile_scheme,
     layout_at,
+    scheme_record,
 )
 from .qec import (
     DEFAULT_MAX_DISTANCE,
@@ -72,30 +73,27 @@ class ResourceEstimate:
 
 
 def _fit(
-    assume: PhysicalAssumptions, layout_for: Callable[[int], SchemeLayout],
+    assume: PhysicalAssumptions, patches_at: Callable[[int], float],
+    layout_for: Callable[[int], SchemeLayout],
     timestep_depth: float, reaction_depth: float,
     data_aux_patches: float, routing_patches: float, e_qec: float, d_max: int,
     **fields: Any,
 ) -> ResourceEstimate:
     """Smallest distance meeting the failure budget, and the totals there.
 
-    layout_for(d) gives the protected patches and the fleet at candidate d;
-    the depth is timestep_depth timesteps of d rounds plus reaction_depth
-    reaction delays. Patches beyond data/aux and routing count as routing;
-    ``fields`` fill the rest of the estimate.
+    The search reads only patches_at(d), the protected patches at candidate
+    d; layout_for(d) adds the fleet and runs once, at the chosen d. The depth
+    is timestep_depth timesteps of d rounds plus reaction_depth reaction
+    delays. Patches beyond data/aux and routing count as routing; ``fields``
+    fill the rest of the estimate.
     """
 
-    def sized(d: int) -> tuple[LogicalVolume, SchemeLayout]:
-        layout = layout_for(d)
-        volume = LogicalVolume(
-            patches=layout.protected_patches,
-            rounds=timestep_depth * d,
-            reactions=reaction_depth,
-        )
-        return volume, layout
+    def volume(d: int, patches: float) -> LogicalVolume:
+        return LogicalVolume(patches, timestep_depth * d, reaction_depth)
 
-    d = choose_distance(assume, lambda d: sized(d)[0], budget_e=e_qec, d_max=d_max)
-    vol, layout = sized(d)
+    d = choose_distance(assume, lambda d: volume(d, patches_at(d)), e_qec, d_max)
+    layout = layout_for(d)
+    vol = volume(d, layout.protected_patches)
     q = patch_physical_qubits(d)
     extra = layout.protected_patches - data_aux_patches - routing_patches
     return ResourceEstimate(
@@ -123,9 +121,9 @@ def estimate(
 ) -> ResourceEstimate:
     """Full pipeline for one Fermi-Hubbard instance and scheme.
 
-    The distance search recomputes the layout (including factory
-    provisioning) at every candidate d, so the accepted fixed point is
-    joint over distance and fleet.
+    No scheme's protected patches depend on its fleet size, so the distance
+    search reads the patches alone and the fleet is provisioned once, at
+    the chosen d.
     """
     warnings: list[str] = []
     if not math.isclose(spec.valid_p, assume.p, rel_tol=0.5):
@@ -147,8 +145,10 @@ def estimate(
 
     # The knobs actually used, not allocate_budget's defaults, go in the ledger.
     ledger = replace(budget, e_qec=options.e_qec, t_gate_budget=options.t_gate_budget)
+    patches = scheme_record(scheme).patches
     est = _fit(
-        assume, lambda d: layout_at(summary, spec, d, f_r=options.f_r),
+        assume, lambda d: patches(summary, spec, d, options.f_r),
+        lambda d: layout_at(summary, spec, d, f_r=options.f_r),
         summary.timestep_depth, summary.reaction_depth,
         summary.data_patches + summary.aux_patches, summary.routing_patches,
         options.e_qec, options.d_max,
@@ -185,7 +185,8 @@ def simple_estimate(
         raise ValueError("gate_count must be at least 1")
     layout = SchemeLayout(ROUTING_FACTOR * q_logical, 0, 0)
     return _fit(
-        assume, lambda d: layout, timestep_depth=gate_count, reaction_depth=0.0,
+        assume, lambda d: layout.protected_patches, lambda d: layout,
+        timestep_depth=gate_count, reaction_depth=0.0,
         data_aux_patches=q_logical, routing_patches=0, e_qec=e_qec, d_max=d_max,
         scheme="simple", t_count_total=gate_count,
     )

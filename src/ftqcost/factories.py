@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 
 DEFAULT_T_GATE_BUDGET = 0.05
@@ -41,6 +42,11 @@ class FactorySpec:
             raise ValueError("n_out must be at least 1")
         if not (0.0 < self.out_infidelity < 1.0):
             raise ValueError("out_infidelity must lie in (0, 1)")
+
+    @cached_property
+    def tau_f(self) -> Fraction:
+        """``tau_f_rounds`` as an exact rational, parsed once per spec."""
+        return _as_fraction(self.tau_f_rounds)
 
     @property
     def rate_per_round(self) -> float:
@@ -117,8 +123,7 @@ def provision(spec: FactorySpec, required_rate) -> FactoryFleet:
         raise ValueError("required_rate must be nonnegative")
     if rate == 0:
         return FactoryFleet(spec=spec, count=0)
-    tau_f = _as_fraction(spec.tau_f_rounds)
-    count = math.ceil(rate * tau_f / spec.n_out)
+    count = math.ceil(rate * spec.tau_f / spec.n_out)
     return FactoryFleet(spec=spec, count=count)
 
 

@@ -3,8 +3,8 @@
 Trotter step-count bound, the three plaquette-Trotter (PLAQ) layouts
 (serial, row-parallel, fully parallel), and the QSP/qubitization route via
 PREPARE/SELECT/SWAPUP*. Each scheme is one Scheme record in REGISTRY: its
-rotation load, its CompilationSummary at a given sigma, its distance-dependent
-layout (protected patches and factory fleet), and its report flags.
+rotation load, its CompilationSummary at a given sigma, its factory fleet and
+protected patches at distance d, and its report flags.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Literal
 
 from .costmodel import fast_block_patches
+from .errors import CompileError
 from .factories import DEFAULT_T_GATE_BUDGET, FactorySpec, provision
 from .qec import DEFAULT_QEC_BUDGET
 from .subroutines import T_GATE, SubroutineCost, synthesis_sigma
@@ -82,11 +83,14 @@ def allocate_budget(eps_total: float, rotation_count: float) -> ErrorBudget:
         raise ValueError("rotation_count must be positive")
     eps_alg = ALGORITHM_BUDGET_SHARE * eps_total
     eps_syn = eps_total - eps_alg
+    eps_s = eps_syn / rotation_count
+    if eps_s == 0:
+        raise FloatingPointError("the per-rotation synthesis budget underflows to 0")
     return ErrorBudget(
         eps_total=eps_total,
         eps_algorithm=eps_alg,
         eps_synthesis=eps_syn,
-        eps_s_per_rotation=eps_syn / rotation_count,
+        eps_s_per_rotation=eps_s,
     )
 
 
@@ -199,16 +203,25 @@ class SchemeLayout:
 Load = tuple[float, float]
 """Trotter steps (or QSP queries), and the rotations they synthesize."""
 
+Fleet = tuple[int, int]
+"""Factory count, and the physical qubits of those factories."""
+
+
+def _base_patches(summary: CompilationSummary, *_: object) -> int:
+    return summary.data_patches + summary.routing_patches + summary.aux_patches
+
 
 @dataclass(frozen=True)
 class Scheme:
     """A compilation scheme: its rotation load, computed once before sigma is
-    chosen; its compilation at sigma from that load; its layout at distance d;
-    and the knobs the report echoes for it from the resolved run config."""
+    chosen; its compilation at sigma from that load; its fleet and, all the
+    distance search reads, its protected patches at distance d; and the knobs
+    the report echoes for it from the resolved run config."""
 
     load: Callable[[FHInstance, int | None, LogBase], Load]
     compile: Callable[[FHInstance, int, Load, int | None], CompilationSummary]
-    layout: Callable[[CompilationSummary, FactorySpec, int, float], SchemeLayout]
+    fleet: Callable[[CompilationSummary, FactorySpec, int], Fleet]
+    patches: Callable[[CompilationSummary, FactorySpec, int, float], float] = _base_patches
     report_flags: Callable[[RunConfig], dict[str, Any]] = lambda _: {}
 
 
@@ -377,42 +390,36 @@ def tau_m_rounds(sigma: int, d: int) -> Fraction:
     return Fraction(*_full_parallel_step(sigma)) * d
 
 
-def _base_patches(summary: CompilationSummary) -> int:
-    return summary.data_patches + summary.routing_patches + summary.aux_patches
-
-
-def _tau_f(spec: FactorySpec) -> Fraction:
-    return Fraction(spec.tau_f_rounds).limit_denominator(10**9)
-
-
-def _dedicated_fleet(
-    summary: CompilationSummary, spec: FactorySpec, d: int, f_r: float
-) -> SchemeLayout:
+def _dedicated_fleet(summary: CompilationSummary, spec: FactorySpec, d: int) -> Fleet:
     fleet = provision(spec, Fraction(round(summary.consumption_rate), d))
-    return SchemeLayout(_base_patches(summary), fleet.count, fleet.physical_qubits)
+    return fleet.count, fleet.physical_qubits
 
 
-def _shared_factories(
-    summary: CompilationSummary, spec: FactorySpec, d: int, f_r: float
-) -> SchemeLayout:
-    """L^2 factories whose area doubles as routing for a share f_r of the time."""
-    tau_m = tau_m_rounds(summary.sigma, d)
-    if tau_m <= 0:
-        raise ValueError("invalid consumption schedule: tau_m must be positive")
+def _unit_cell_fleet(summary: CompilationSummary, spec: FactorySpec, d: int) -> Fleet:
+    """Two factories per four-site unit cell: L^2 in total."""
     l2 = summary.l_side**2
-    batches = math.ceil(_tau_f(spec) / tau_m)
-    shared = math.ceil(Fraction(spec.q_f, 2 * d**2) * batches)
-    protected = _base_patches(summary) + f_r * l2 * shared
-    return SchemeLayout(protected, l2, l2 * spec.q_f)
+    return l2, l2 * spec.q_f
 
 
-def _factory_blocks(
+def _shared_patches(
     summary: CompilationSummary, spec: FactorySpec, d: int, f_r: float
-) -> SchemeLayout:
+) -> float:
+    """Patches plus the L^2 factories' area, routing for a share f_r of the
+    time: ceil(q_f * ceil(tau_f / tau_m_rounds) / 2d^2) each, in integers."""
+    step, states = _full_parallel_step(summary.sigma)
+    if step * states * d <= 0:
+        raise ValueError("invalid consumption schedule: tau_m must be positive")
+    tau_f = spec.tau_f
+    batches = -(-tau_f.numerator * states // (tau_f.denominator * step * d))
+    shared = -(-spec.q_f * batches // (2 * d**2))
+    return _base_patches(summary) + f_r * summary.l_side**2 * shared
+
+
+def _factory_blocks(summary: CompilationSummary, spec: FactorySpec, d: int) -> Fleet:
     """Factories per four data patches, each block owed a state every 3d rounds."""
     blocks = math.ceil(summary.data_patches / 4)
-    count = blocks * math.ceil(_tau_f(spec) / (3 * d * spec.n_out))
-    return SchemeLayout(_base_patches(summary), count, count * spec.q_f)
+    count = blocks * math.ceil(spec.tau_f / (3 * d * spec.n_out))
+    return count, count * spec.q_f
 
 
 def _hwp_flags(config: RunConfig) -> dict[str, Any]:
@@ -431,9 +438,11 @@ def _f_r_flags(config: RunConfig) -> dict[str, Any]:
 
 
 REGISTRY: dict[str, Scheme] = {
-    "plaq_serial": Scheme(_serial_load, _serial, _dedicated_fleet, _hwp_flags),
+    "plaq_serial": Scheme(_serial_load, _serial, _dedicated_fleet, report_flags=_hwp_flags),
     "plaq_L": Scheme(_plaquette_load, _row_parallel, _dedicated_fleet),
-    "plaq_L2": Scheme(_plaquette_load, _full_parallel, _shared_factories, _f_r_flags),
+    "plaq_L2": Scheme(
+        _plaquette_load, _full_parallel, _unit_cell_fleet, _shared_patches, _f_r_flags
+    ),
     "qsp": Scheme(_qsp_load, _qsp, _factory_blocks),
 }
 """Every compilation scheme by name; adding a scheme means adding a record here."""
@@ -469,11 +478,24 @@ def compile_scheme(
     scheme: str, inst: FHInstance, m: int | None = None,
     log_base: LogBase = DEFAULT_LOG_BASE,
 ) -> tuple[CompilationSummary, ErrorBudget]:
-    """Budget allocation, sigma selection, and compilation in one call."""
+    """Budget allocation, sigma selection, and compilation in one call.
+
+    A load or synthesis budget beyond the float range raises CompileError,
+    laid to the instance input farthest from 1 in magnitude.
+    """
     record = scheme_record(scheme)
-    load = record.load(inst, m, log_base)
-    budget = allocate_budget(inst.eps_total, load[1])
-    sigma = synthesis_sigma(budget.eps_s_per_rotation)
+    try:
+        load = record.load(inst, m, log_base)
+        budget = allocate_budget(inst.eps_total, load[1])
+        sigma = synthesis_sigma(budget.eps_s_per_rotation)
+    except ArithmeticError as exc:
+        field = max(
+            ("l_side", "t_hop", "u_onsite", "t_evol", "eps_total"),
+            key=lambda name: abs(math.log(getattr(inst, name) or 1)),
+        )
+        raise CompileError(
+            f"{field} = {getattr(inst, field)!r} is too extreme to compile {scheme}: {exc}"
+        ) from exc
     return record.compile(inst, sigma, load, m), budget
 
 
@@ -505,4 +527,6 @@ def layout_at(
     """Protected patches and factory fleet at code distance d."""
     if not (0 <= f_r <= 1):
         raise ValueError("f_r must lie in [0, 1]")
-    return scheme_record(summary.scheme).layout(summary, spec, d, f_r)
+    record = scheme_record(summary.scheme)
+    patches = record.patches(summary, spec, d, f_r)
+    return SchemeLayout(patches, *record.fleet(summary, spec, d))

@@ -46,6 +46,8 @@ class PhysicalAssumptions:
             raise ValueError("t_se must be positive")
         if self.tau_r <= 0:
             raise ValueError("tau_r must be positive")
+        if not math.isfinite(self.tau_r / self.t_se):
+            raise ValueError("t_se must be large enough that tau_r / t_se is finite")
 
     @property
     def reaction_rounds(self) -> int:

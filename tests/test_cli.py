@@ -156,6 +156,10 @@ class TestEstimateCommand:
             "physical.tau_r=nan",
             "algorithm.t_hop=nan",
             "qec.t_gate_budget=-1",
+            "physical.t_se=1e-320",
+            "algorithm.U=1e308",
+            "algorithm.T_evol=1e300",
+            "algorithm.eps_total=1e-300",
         ],
     )
     def test_out_of_range_number_exit_2(self, bundled_config, capsys, override):
@@ -165,6 +169,23 @@ class TestEstimateCommand:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {path}: ")
+
+    def test_unknown_keys_and_absent_fields(self, bundled_config):
+        sections = read_sections(bundled_config)
+        sections["physical"]["bogus"] = "1"
+        sections["extra"] = {"x": "1"}
+        with pytest.raises(ConfigError) as info:
+            build_config(sections)
+        assert info.value.problems == [
+            "extra: unknown section", "physical.bogus: unknown field"
+        ]
+        del sections["physical"]["bogus"], sections["extra"], sections["qec"]["e"]
+        assert build_config(sections).absent == {
+            "algorithm.m", "algorithm.log_base", "factory.q_f",
+            "factory.tau_f_rounds", "factory.n_out", "factory.out_infidelity",
+            "factory.valid_p", "factory.cultivation", "qec.E", "qec.d_max",
+            "qec.t_gate_budget", "output.path",
+        }
 
     def test_budget_ledger_echoes_qec_overrides(self, bundled_config, capsys):
         code, out, _ = run(

@@ -9,7 +9,7 @@ from ftqcost.estimator import (
     sensitivity,
     simple_estimate,
 )
-from ftqcost.factories import cultivation_variant, factory_by_name
+from ftqcost.factories import cultivation_variant, factory_by_name, provision
 from ftqcost.fermi_hubbard import SCHEMES, FHInstance
 from ftqcost.qec import PhysicalAssumptions, logical_error_rate
 
@@ -69,6 +69,22 @@ class TestEstimatePipeline:
         a = estimate(inst, "plaq_L2", assume(), spec_for(1e-3))
         b = estimate(inst, "plaq_L2", assume(), spec_for(1e-3))
         assert a == b
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("p", [1e-3, 1e-4])
+    def test_fleet_provisioned_at_most_once(self, monkeypatch, scheme, p):
+        import ftqcost.fermi_hubbard as fh
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return provision(*args, **kwargs)
+
+        monkeypatch.setattr(fh, "provision", counting)
+        est = estimate(bench_instance(), scheme, assume(p), spec_for(p))
+        assert est.d > 3
+        assert len(calls) <= 1
 
     def test_distance_fixed_point(self):
         from ftqcost.fermi_hubbard import compile_scheme, layout_at

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,15 @@ class TestProvision:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             provision(f1(), -1)
+
+
+class TestTauF:
+    def test_exact_rational_parsed_once(self):
+        spec = f1()
+        assert spec.tau_f == Fraction(195, 2)
+        assert spec.tau_f is spec.tau_f
+        assert replace(spec, tau_f_rounds=2.4).tau_f == Fraction(12, 5)
+        assert cultivation_variant(spec).tau_f == Fraction(39, 2)
 
 
 class TestCultivation:

@@ -1,10 +1,15 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftqcost.errors import CompileError
+from ftqcost.factories import FactorySpec, cultivation_variant, factory_by_name
 from ftqcost.fermi_hubbard import (
+    REGISTRY,
     SCHEMES,
     FHInstance,
     allocate_budget,
@@ -25,7 +30,6 @@ from ftqcost.fermi_hubbard import (
     trotter_kappa,
     trotter_steps,
 )
-from ftqcost.factories import factory_by_name
 
 
 def bench_instance(eps=0.01):
@@ -283,3 +287,77 @@ class TestInstanceValidation:
         base.update(kw)
         with pytest.raises(ValueError):
             FHInstance(**base)
+
+
+def _specs():
+    """Both catalog factories, their cultivation variants, and two custom
+    specs whose batch times are not binary-exact."""
+    catalog = [factory_by_name("15to1x15to1-p3"), factory_by_name("15to1x20to4-p4")]
+    custom = [
+        FactorySpec("custom", q_f=5000, tau_f_rounds=tau, n_out=2,
+                    out_infidelity=1e-12, valid_p=1e-3)
+        for tau in (2.4, 97.3)
+    ]
+    return catalog + [cultivation_variant(s) for s in catalog] + custom
+
+
+def _fraction_shared_patches(summary, spec, d, f_r):
+    """plaq_L2 protected patches by the Fraction formula the integer path replaced."""
+    tau_f = Fraction(spec.tau_f_rounds).limit_denominator(10**9)
+    batches = math.ceil(tau_f / tau_m_rounds(summary.sigma, d))
+    shared = math.ceil(Fraction(spec.q_f, 2 * d**2) * batches)
+    base = summary.data_patches + summary.routing_patches + summary.aux_patches
+    return base + f_r * summary.l_side**2 * shared
+
+
+class TestSchemePatches:
+    """The distance search reads Scheme.patches; layout_at must agree with it."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("l_side", [4, 30])
+    def test_patches_equal_layout(self, scheme, l_side):
+        inst = FHInstance(l_side=l_side, t_hop=1.0, u_onsite=8.0, t_evol=300,
+                          eps_total=0.01)
+        summary, _ = compile_scheme(scheme, inst)
+        record = REGISTRY[scheme]
+        for spec in _specs():
+            for f_r in (0, 0.5, 1):
+                for d in range(3, 100, 2):
+                    patches = record.patches(summary, spec, d, f_r)
+                    layout = layout_at(summary, spec, d, f_r)
+                    assert patches == layout.protected_patches
+                    if scheme == "plaq_L2":
+                        assert patches == _fraction_shared_patches(summary, spec, d, f_r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sigma=st.integers(min_value=0, max_value=400),
+        l_side=st.integers(min_value=1, max_value=40).map(lambda k: 2 * k),
+        spec=st.sampled_from(_specs()),
+        f_r=st.sampled_from([0, 0.5, 1]),
+        d=st.integers(min_value=1, max_value=49).map(lambda k: 2 * k + 1),
+    )
+    def test_plaq_l2_integer_path_matches_fractions(self, sigma, l_side, spec, f_r, d):
+        inst = FHInstance(l_side=l_side, t_hop=1.0, u_onsite=8.0, t_evol=300,
+                          eps_total=0.01)
+        summary = plaq_l2_parallel(inst, sigma=sigma)
+        patches = REGISTRY["plaq_L2"].patches(summary, spec, d, f_r)
+        assert patches == _fraction_shared_patches(summary, spec, d, f_r)
+
+
+class TestCompileRange:
+    @pytest.mark.parametrize(
+        "field,value,scheme",
+        [
+            ("u_onsite", 1e308, "plaq_L2"),
+            ("u_onsite", 1e308, "qsp"),
+            ("t_evol", 1e300, "plaq_serial"),
+            ("t_evol", 1e300, "qsp"),
+            ("eps_total", 1e-300, "plaq_L"),
+        ],
+    )
+    def test_out_of_range_input_names_its_field(self, field, value, scheme):
+        inst = replace(bench_instance(), **{field: value})
+        with pytest.raises(CompileError) as info:
+            compile_scheme(scheme, inst)
+        assert str(info.value).startswith(f"{field} = {value!r} is too extreme")
