@@ -148,24 +148,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _apply_overrides(read_sections(args.config), args.overrides)
-    rows = []
-    configs = []
-    for point in expand_sweep(base):
-        config = build_config(point)
-        report = reporting.build_report(config, with_sensitivity=False)
-        rows.append(reporting.csv_row(config, report["estimates"][0]))
-        configs.append((config, report))
+    configs = (build_config(point) for point in expand_sweep(base))
     fmt = args.format or "csv"
     if fmt == "csv":
-        text = reporting.render_csv(rows)
-    elif fmt == "json":
-        text = json.dumps(
-            [report for _, report in configs], sort_keys=True, indent=2
-        ) + "\n"
-    else:
-        text = "".join(
-            reporting.render_table(report) for _, report in configs
+        # A row needs the estimate alone, not the report around it.
+        text = reporting.render_csv(
+            reporting.csv_row(config, reporting.estimate_payload(
+                reporting.estimate_config(config)
+            ))
+            for config in configs
         )
+    else:
+        reports = [reporting.build_report(c, with_sensitivity=False) for c in configs]
+        if fmt == "json":
+            text = json.dumps(reports, sort_keys=True, indent=2) + "\n"
+        else:
+            text = "".join(reporting.render_table(report) for report in reports)
     _emit(text, args.output)
     return EXIT_OK
 

@@ -22,6 +22,7 @@ import configparser
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import Any, get_args
 
@@ -56,6 +57,11 @@ _FIELDS = {
     },
     "output": {"format": "output_format", "path": "output_path"},
 }
+# Per section: the documented key -> the getter of its RunConfig attribute.
+_GETTERS = {
+    section: {key: attrgetter(path) for key, path in fields.items()}
+    for section, fields in _FIELDS.items()
+}
 # Per section: configparser's lower-cased spelling -> the documented key.
 _KEYS = {
     section: {key.lower(): key for key in fields} for section, fields in _FIELDS.items()
@@ -75,8 +81,9 @@ class RunConfig:
     """Fully validated and resolved inputs for one estimator run.
 
     ``spec`` is the base factory design; the cultivation what-if, when
-    requested, is applied on use via ``effective_spec`` so that echoed
-    inputs round-trip without double-applying the scaling. ``absent`` holds
+    requested, is applied on first use via ``effective_spec``, once per
+    config, so that echoed inputs round-trip without double-applying the
+    scaling. ``absent`` holds
     the dotted paths of the fields the input did not give.
     """
 
@@ -90,15 +97,15 @@ class RunConfig:
     output_path: str | None
     absent: frozenset[str]
 
-    @property
+    @cached_property
     def effective_spec(self) -> FactorySpec:
         return cultivation_variant(self.spec) if self.cultivation else self.spec
 
     def resolved_inputs(self) -> dict[str, Any]:
         """Echo of every input after defaulting, suitable for re-ingestion."""
         return {
-            section: {key: attrgetter(path)(self) for key, path in fields.items()}
-            for section, fields in _FIELDS.items()
+            section: {key: get(self) for key, get in getters.items()}
+            for section, getters in _GETTERS.items()
         }
 
 

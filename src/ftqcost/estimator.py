@@ -91,7 +91,12 @@ def _fit(
     def volume(d: int, patches: float) -> LogicalVolume:
         return LogicalVolume(patches, timestep_depth * d, reaction_depth)
 
-    d = choose_distance(assume, lambda d: volume(d, patches_at(d)), e_qec, d_max)
+    # Every scheme's patches(d) is at least its base patches, and the rounds
+    # grow with d, so the volume at d = 3 on base patches floors every candidate.
+    d = choose_distance(
+        assume, lambda d: volume(d, patches_at(d)), e_qec, d_max,
+        volume(3, data_aux_patches + routing_patches),
+    )
     layout = layout_for(d)
     vol = volume(d, layout.protected_patches)
     q = patch_physical_qubits(d)

@@ -73,42 +73,51 @@ class FactoryFleet:
         return self.count * self.spec.q_f
 
 
+_CATALOG = (
+    FactorySpec(
+        name="15to1x15to1-p3",
+        q_f=39100,
+        tau_f_rounds=97.5,
+        n_out=1,
+        out_infidelity=3.3e-14,
+        valid_p=1e-3,
+    ),
+    FactorySpec(
+        name="15to1x20to4-p4",
+        q_f=16400,
+        tau_f_rounds=90.0,
+        n_out=4,
+        out_infidelity=2.4e-15,
+        valid_p=1e-4,
+    ),
+)
+# Built once: every lookup shares one frozen spec, so tau_f is parsed once.
+_BY_NAME = {spec.name: spec for spec in _CATALOG}
+
+
 def builtin_catalog() -> list[FactorySpec]:
     """The two built-in two-level distillation factory designs."""
-    return [
-        FactorySpec(
-            name="15to1x15to1-p3",
-            q_f=39100,
-            tau_f_rounds=97.5,
-            n_out=1,
-            out_infidelity=3.3e-14,
-            valid_p=1e-3,
-        ),
-        FactorySpec(
-            name="15to1x20to4-p4",
-            q_f=16400,
-            tau_f_rounds=90.0,
-            n_out=4,
-            out_infidelity=2.4e-15,
-            valid_p=1e-4,
-        ),
-    ]
+    return list(_CATALOG)
 
 
 def factory_by_name(name: str) -> FactorySpec:
-    for spec in builtin_catalog():
-        if spec.name == name:
-            return spec
-    known = ", ".join(s.name for s in builtin_catalog())
-    raise KeyError(f"unknown factory {name!r}; built-ins: {known}")
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        known = ", ".join(_BY_NAME)
+        raise KeyError(f"unknown factory {name!r}; built-ins: {known}") from None
 
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Rational):
         return Fraction(x)
     # Floats like 2.4 are not binary-exact; snap to the intended rational so
-    # provisioning ceilings do not overshoot by one.
-    return Fraction(x).limit_denominator(10**9)
+    # provisioning ceilings do not overshoot by one. A snap that moves x by
+    # more than a relative 1e-9 (1e-300 would snap to 0) is no snap.
+    snapped = Fraction(x).limit_denominator(10**9)
+    if abs(snapped - x) <= 1e-9 * abs(x):
+        return snapped
+    return Fraction(x)
 
 
 def provision(spec: FactorySpec, required_rate) -> FactoryFleet:
@@ -117,13 +126,16 @@ def provision(spec: FactorySpec, required_rate) -> FactoryFleet:
     ``required_rate`` may be a float or a Fraction; rationals are honored
     exactly so that e.g. a demand of 60 states per 25 rounds against a
     97.5-round factory yields exactly ceil(2.4 * 97.5) = 234 factories.
+    The ceiling is taken in integers from the numerators and denominators.
     """
-    rate = _as_fraction(required_rate)
-    if rate < 0:
+    rate = required_rate
+    if not isinstance(rate, Rational):
+        rate = _as_fraction(rate)
+    if rate.numerator < 0:
         raise ValueError("required_rate must be nonnegative")
-    if rate == 0:
-        return FactoryFleet(spec=spec, count=0)
-    count = math.ceil(rate * spec.tau_f / spec.n_out)
+    tau_f = spec.tau_f
+    count = -(-rate.numerator * tau_f.numerator
+              // (rate.denominator * tau_f.denominator * spec.n_out))
     return FactoryFleet(spec=spec, count=count)
 
 

@@ -418,7 +418,8 @@ def _shared_patches(
 def _factory_blocks(summary: CompilationSummary, spec: FactorySpec, d: int) -> Fleet:
     """Factories per four data patches, each block owed a state every 3d rounds."""
     blocks = math.ceil(summary.data_patches / 4)
-    count = blocks * math.ceil(spec.tau_f / (3 * d * spec.n_out))
+    tau_f = spec.tau_f
+    count = blocks * -(-tau_f.numerator // (tau_f.denominator * 3 * d * spec.n_out))
     return count, count * spec.q_f
 
 

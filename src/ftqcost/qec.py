@@ -109,18 +109,44 @@ def wall_time(vol: LogicalVolume, assume: PhysicalAssumptions) -> float:
     return vol.rounds * assume.t_se + vol.reactions * assume.tau_r
 
 
+def _first_candidate(
+    assume: PhysicalAssumptions, floor: LogicalVolume | None, budget_e: float,
+    reaction_rounds: int, d_max: int,
+) -> int:
+    """The odd distance a search must start from, given a floor on every volume.
+
+    With volume(d) >= V3 = floor.patch_rounds(reaction_rounds) for every
+    candidate, volume(d) * p_L(d) >= A * V3 * (p / p*)^((d+1)/2), which
+    exceeds budget_e for every d below 2 * log(budget_e / (A * V3)) /
+    log(p / p*) - 1. The search starts one odd step below that bound, as
+    slack for float rounding, and at 3 when the floor is unusable.
+    """
+    v3 = floor.patch_rounds(reaction_rounds) if floor is not None else 0.0
+    if not 0.0 < v3 < math.inf:
+        return 3
+    # Logs taken apart, so that A * V3 cannot overflow.
+    log_gap = math.log(budget_e) - math.log(assume.prefactor_a) - math.log(v3)
+    bound = 2 * log_gap / math.log(assume.p / assume.p_star) - 1
+    if not bound < d_max + 2:  # +inf and NaN too: no d <= d_max can pass
+        return d_max + 2
+    return max(3, 2 * math.floor((bound - 1) / 2) - 1)
+
+
 def choose_distance(
     assume: PhysicalAssumptions,
     volume_at: Callable[[int], LogicalVolume],
     budget_e: float = DEFAULT_QEC_BUDGET,
     d_max: int = DEFAULT_MAX_DISTANCE,
+    volume_floor: LogicalVolume | None = None,
 ) -> int:
     """Smallest odd distance whose expected logical-failure count fits the budget.
 
     Accepts the first odd d >= 3 with volume(d) * p_L(d) <= budget_e, where
     the volume may itself depend on d (depth in timesteps scales with d,
     routing terms may shrink with d). Terminates because p_L decays
-    geometrically while the volume grows polynomially.
+    geometrically while the volume grows polynomially. ``volume_floor``, a
+    volume that no candidate's volume falls below, lets the scan skip the
+    distances the suppression law alone rules out; the result is the same.
 
     Raises:
         BudgetInfeasibleError: if no d <= d_max satisfies the bound.
@@ -128,7 +154,8 @@ def choose_distance(
     if not (0.0 < budget_e < 1.0):
         raise ValueError("budget_e must lie in (0, 1)")
     rr = assume.reaction_rounds
-    for d in range(3, d_max + 1, 2):
+    start = _first_candidate(assume, volume_floor, budget_e, rr, d_max)
+    for d in range(start, d_max + 1, 2):
         vol = volume_at(d)
         if vol.patch_rounds(rr) * logical_error_rate(assume, d) <= budget_e:
             return d

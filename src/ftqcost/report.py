@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any
+from typing import Any, Iterable
 
 from .config import RunConfig
 from .estimator import (
@@ -105,10 +105,16 @@ def _band_payload(band: SensitivityBand) -> dict[str, Any]:
     }
 
 
+def estimate_config(config: RunConfig) -> ResourceEstimate:
+    """The nominal estimate of one config, with its effective factory."""
+    return estimate(
+        config.inst, config.scheme, config.assume, config.effective_spec, config.options
+    )
+
+
 def build_report(config: RunConfig, with_sensitivity: bool = True) -> dict[str, Any]:
     """Full report for one config: estimate plus optional sensitivity band."""
-    spec = config.effective_spec
-    est = estimate(config.inst, config.scheme, config.assume, spec, config.options)
+    est = estimate_config(config)
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "inputs": config.resolved_inputs(),
@@ -117,7 +123,8 @@ def build_report(config: RunConfig, with_sensitivity: bool = True) -> dict[str, 
     }
     if with_sensitivity:
         band = sensitivity(
-            config.inst, config.scheme, config.assume, spec, config.options
+            config.inst, config.scheme, config.assume, config.effective_spec,
+            config.options,
         )
         report["sensitivity"] = _band_payload(band)
     return report
@@ -191,7 +198,7 @@ def csv_row(config: RunConfig, est_payload: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def render_csv(rows: list[dict[str, Any]]) -> str:
+def render_csv(rows: Iterable[dict[str, Any]]) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()

@@ -116,6 +116,18 @@ class TestEstimateCommand:
         )
         assert code == 3
 
+    def test_tiny_factory_batch_time_still_provisions(self, bundled_config, capsys):
+        code, out, _ = run(
+            capsys, "estimate", bundled_config,
+            "--set", "algorithm.scheme=plaq_serial",
+            "--set", "factory.name=custom",
+            "--set", "factory.q_f=100",
+            "--set", "factory.tau_f_rounds=1e-300",
+            "--set", "factory.out_infidelity=1e-20",
+        )
+        assert code == 0
+        assert json.loads(out)["estimates"][0]["factory_count"] >= 1
+
     def test_overrides_change_output(self, bundled_config, capsys):
         _, base, _ = run(capsys, "estimate", bundled_config, "--format", "json")
         _, low_p, _ = run(

@@ -1,7 +1,13 @@
+from importlib import resources
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ftqcost.estimator as estimator_module
+from ftqcost.config import build_config, read_sections
+from ftqcost.errors import BudgetInfeasibleError
 from ftqcost.estimator import (
     EstimateOptions,
     compare,
@@ -11,7 +17,9 @@ from ftqcost.estimator import (
 )
 from ftqcost.factories import cultivation_variant, factory_by_name, provision
 from ftqcost.fermi_hubbard import SCHEMES, FHInstance
-from ftqcost.qec import PhysicalAssumptions, logical_error_rate
+from ftqcost.qec import PhysicalAssumptions, choose_distance, logical_error_rate
+
+BUNDLED = resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg")
 
 
 def bench_instance():
@@ -248,3 +256,59 @@ class TestDistanceFixedPointProperty:
             prev = est.d - 2
             prev_volume = 1.5 * q * g * prev
             assert prev_volume * logical_error_rate(a, prev) > e
+
+
+def _scan_from_3(assume, volume_at, budget_e, d_max, volume_floor=None):
+    return choose_distance(assume, volume_at, budget_e, d_max)
+
+
+class TestDistanceLowerBound:
+    """estimate's volume floor changes how many candidates a search reads,
+    never the distance it chooses or the error it raises."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        l_side=st.sampled_from([4, 10, 30]),
+        p_ratio=st.floats(min_value=1e-6, max_value=1, exclude_max=True),
+        e_qec=st.floats(min_value=1e-15, max_value=0.9),
+        d_max=st.sampled_from([31, 99, 1001]),
+        cultivation=st.booleans(),
+    )
+    def test_same_outcome_as_scan_from_3(
+        self, scheme, l_side, p_ratio, e_qec, d_max, cultivation
+    ):
+        inst = FHInstance(l_side=l_side, t_hop=1.0, u_onsite=8.0, t_evol=300,
+                          eps_total=0.01)
+        a = assume(0.01 * p_ratio)
+        spec = spec_for(a.p)
+        if cultivation:
+            spec = cultivation_variant(spec)
+        options = EstimateOptions(e_qec=e_qec, d_max=d_max)
+
+        def outcome():
+            try:
+                return estimate(inst, scheme, a, spec, options).d
+            except BudgetInfeasibleError as exc:
+                return str(exc)
+
+        bounded = outcome()
+        with mock.patch.object(estimator_module, "choose_distance", _scan_from_3):
+            assert bounded == outcome()
+
+    def test_bundled_config_reads_at_most_4_candidates(self, monkeypatch):
+        real = estimator_module.choose_distance
+        searches = []
+
+        def counting(assume, volume_at, *args, **kwargs):
+            seen = []
+            searches.append(seen)
+            return real(assume, lambda d: seen.append(d) or volume_at(d), *args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "choose_distance", counting)
+        config = build_config(read_sections(str(BUNDLED)))
+        for scheme in SCHEMES:
+            estimate(config.inst, scheme, config.assume, config.effective_spec,
+                     config.options)
+        assert len(searches) == len(SCHEMES)
+        assert max(len(seen) for seen in searches) <= 4

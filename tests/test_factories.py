@@ -1,11 +1,15 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ftqcost.factories as factories
+from ftqcost.config import build_config, read_sections
+from ftqcost.estimator import SENSITIVITY_FRACTION, _perturbed
 from ftqcost.factories import (
     FactorySpec,
     builtin_catalog,
@@ -14,6 +18,7 @@ from ftqcost.factories import (
     provision,
     t_budget_check,
 )
+from ftqcost.qec import PhysicalAssumptions
 
 
 def f1():
@@ -93,6 +98,44 @@ class TestTauF:
         assert spec.tau_f is spec.tau_f
         assert replace(spec, tau_f_rounds=2.4).tau_f == Fraction(12, 5)
         assert cultivation_variant(spec).tau_f == Fraction(39, 2)
+
+
+    def test_catalog_spec_is_shared_and_parsed_once(self, monkeypatch):
+        assert f1() is f1()
+        calls = []
+        real = factories._as_fraction
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(factories, "_as_fraction", counting)
+        sections = read_sections(
+            str(resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg"))
+        )
+        for _ in range(100):
+            assert build_config(sections).spec.tau_f == Fraction(195, 2)
+        # Zero when an earlier test in this process already parsed it.
+        assert len(calls) <= 1
+
+    def test_snap_keeps_every_catalog_rational(self):
+        # A snap within a relative 1e-9 of the float is kept, so every built-in
+        # rate, its cultivation variant and its +/-5% variants read as before.
+        assume = PhysicalAssumptions(p=1e-3)
+        for base in builtin_catalog():
+            for spec in (base, cultivation_variant(base)):
+                for fraction in (SENSITIVITY_FRACTION, -SENSITIVITY_FRACTION):
+                    perturbed = _perturbed(assume, spec, fraction)[1]
+                    for s in (spec, perturbed):
+                        expected = Fraction(s.tau_f_rounds).limit_denominator(10**9)
+                        assert s.tau_f == expected
+                        assert s.tau_f.denominator < 10**4
+
+    @pytest.mark.parametrize("tau", [1e-300, 5e-10, 1e-12])
+    def test_tiny_batch_time_is_not_snapped_to_zero(self, tau):
+        spec = replace(f1(), tau_f_rounds=tau)
+        assert spec.tau_f == Fraction(tau)
+        assert provision(spec, Fraction(1, 25)).count == 1
 
 
 class TestCultivation:

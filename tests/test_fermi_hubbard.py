@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftqcost.errors import CompileError
-from ftqcost.factories import FactorySpec, cultivation_variant, factory_by_name
+from ftqcost.factories import FactorySpec, cultivation_variant, factory_by_name, provision
 from ftqcost.fermi_hubbard import (
     REGISTRY,
     SCHEMES,
@@ -290,15 +290,20 @@ class TestInstanceValidation:
 
 
 def _specs():
-    """Both catalog factories, their cultivation variants, and two custom
-    specs whose batch times are not binary-exact."""
+    """Both catalog factories, two custom specs whose batch times are not
+    binary-exact, and the cultivation variants of all four."""
     catalog = [factory_by_name("15to1x15to1-p3"), factory_by_name("15to1x20to4-p4")]
     custom = [
         FactorySpec("custom", q_f=5000, tau_f_rounds=tau, n_out=2,
                     out_infidelity=1e-12, valid_p=1e-3)
         for tau in (2.4, 97.3)
     ]
-    return catalog + [cultivation_variant(s) for s in catalog] + custom
+    return catalog + custom + [cultivation_variant(s) for s in catalog + custom]
+
+
+def _snapped(x):
+    """x as the rational the Fraction formulas read: exact, or a float snapped."""
+    return x if isinstance(x, Fraction) else Fraction(x).limit_denominator(10**9)
 
 
 def _fraction_shared_patches(summary, spec, d, f_r):
@@ -343,6 +348,37 @@ class TestSchemePatches:
         summary = plaq_l2_parallel(inst, sigma=sigma)
         patches = REGISTRY["plaq_L2"].patches(summary, spec, d, f_r)
         assert patches == _fraction_shared_patches(summary, spec, d, f_r)
+
+
+class TestFleetCeilings:
+    """provision and the qsp factory blocks take their ceilings in integers;
+    they must equal the Fraction formulas they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec=st.sampled_from(_specs()),
+        rate=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=1e-6, max_value=1e4),
+            st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**6)),
+        ),
+    )
+    def test_provision_matches_fractions(self, spec, rate):
+        tau_f = _snapped(spec.tau_f_rounds)
+        assert provision(spec, rate).count == math.ceil(_snapped(rate) * tau_f / spec.n_out)
+
+    @pytest.mark.parametrize("l_side", [4, 30])
+    def test_factory_blocks_match_fractions(self, l_side):
+        inst = FHInstance(l_side=l_side, t_hop=1.0, u_onsite=8.0, t_evol=300,
+                          eps_total=0.01)
+        summary, _ = compile_scheme("qsp", inst)
+        blocks = math.ceil(summary.data_patches / 4)
+        for spec in _specs():
+            tau_f = _snapped(spec.tau_f_rounds)
+            for d in range(3, 100, 2):
+                count, qubits = REGISTRY["qsp"].fleet(summary, spec, d)
+                assert count == blocks * math.ceil(tau_f / (3 * d * spec.n_out))
+                assert qubits == count * spec.q_f
 
 
 class TestCompileRange:

@@ -4,7 +4,9 @@ Each case runs ``ftqcost.cli.main`` in-process and compares the written
 file with ``tests/data/golden/<case>.json``. The goldens pin every number
 of the four-scheme comparison, the per-scheme sensitivity bands, the
 non-default ``m`` and ``log_base`` paths and the table-1 rows; refresh them
-only for an intentional, documented change of output.
+only for an intentional, documented change of output. A 16-point sweep
+(2 p x 4 schemes x 2 L), without and with cultivation, is pinned the same
+way in each of its output formats.
 """
 
 from importlib import resources
@@ -64,6 +66,26 @@ def test_output_matches_golden(case, tmp_path):
     out = tmp_path / f"{case}.json"
     assert main([*CASES[case], "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()
+
+
+SWEEP_CASES = {
+    f"sweep{suffix}.{ext}": [
+        "sweep", BUNDLED, "--format", fmt,
+        "--set", "physical.p=1e-3,1e-4",
+        "--set", "algorithm.scheme=" + ",".join(SCHEME_NAMES),
+        "--set", "algorithm.L=10,30",
+        "--set", f"factory.cultivation={cultivation}",
+    ]
+    for cultivation, suffix in (("false", ""), ("true", "_cultivation"))
+    for fmt, ext in (("csv", "csv"), ("json", "json"), ("table", "txt"))
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_golden(case, tmp_path):
+    out = tmp_path / case
+    assert main([*SWEEP_CASES[case], "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / case).read_bytes()
 
 
 def test_former_defaults_variable_is_ignored(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftqcost.costmodel import CircuitProfile, clifford_cost
@@ -138,6 +140,74 @@ class TestChooseDistance:
         assert choose_distance(a, volume_at, budget_e=budget) >= choose_distance(
             a, volume_at, budget_e=0.05
         )
+
+
+def plain_scan(a, volume_at, budget_e, d_max):
+    """The first-fit search from d = 3, with choose_distance's error text."""
+    for d in range(3, d_max + 1, 2):
+        if volume_at(d).patch_rounds(a.reaction_rounds) * logical_error_rate(a, d) <= budget_e:
+            return d
+    raise BudgetInfeasibleError(
+        f"no odd distance <= {d_max} meets failure budget {budget_e}"
+    )
+
+
+def outcome(search, *args, **kwargs):
+    """The chosen distance, or the BudgetInfeasibleError message."""
+    try:
+        return search(*args, **kwargs)
+    except BudgetInfeasibleError as exc:
+        return str(exc)
+
+
+class TestLowerBoundStart:
+    """A volume floor moves where the scan starts, never what it returns."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        p_ratio=st.floats(min_value=1e-6, max_value=1, exclude_max=True),
+        budget=st.floats(min_value=1e-15, max_value=0.9),
+        d_max=st.sampled_from([31, 99, 1001]),
+        patches=st.one_of(st.floats(min_value=1, max_value=1e12), st.just(math.inf)),
+        shrinking=st.floats(min_value=0, max_value=1e6),
+        depth=st.floats(min_value=0, max_value=1e15),
+        reactions=st.floats(min_value=0, max_value=1e15),
+        tau_r=st.sampled_from([1e-6, 1.5e-6, 1e-5]),
+    )
+    def test_same_outcome_as_plain_scan(
+        self, p_ratio, budget, d_max, patches, shrinking, depth, reactions, tau_r
+    ):
+        a = PhysicalAssumptions(p=0.01 * p_ratio, p_star=0.01, tau_r=tau_r)
+        # Routing that shrinks with d, as plaq_L2's shared factory area does.
+        volume_at = lambda d: LogicalVolume(patches + shrinking / d**2, depth * d, reactions)
+        floor = LogicalVolume(patches, depth * 3, reactions)
+        assert outcome(
+            choose_distance, a, volume_at, budget, d_max, volume_floor=floor
+        ) == outcome(plain_scan, a, volume_at, budget, d_max)
+
+    @pytest.mark.parametrize("floor", [
+        None, LogicalVolume(0, 0), LogicalVolume(math.inf, 1), LogicalVolume(1, math.inf),
+    ])
+    def test_unusable_floor_scans_from_3(self, floor):
+        seen = []
+
+        def volume_at(d):
+            seen.append(d)
+            return LogicalVolume(math.inf, d)
+
+        with pytest.raises(BudgetInfeasibleError, match="no odd distance <= 99"):
+            choose_distance(assume(), volume_at, volume_floor=floor)
+        assert seen[0] == 3
+
+    def test_bound_past_d_max_raises_without_a_candidate(self):
+        seen = []
+        with pytest.raises(BudgetInfeasibleError) as info:
+            choose_distance(
+                assume(9.99e-3), lambda d: seen.append(d) or LogicalVolume(1e9, 1e12 * d),
+                d_max=21, volume_floor=LogicalVolume(1e9, 3e12),
+            )
+        assert str(info.value) == "no odd distance <= 21 meets failure budget 0.05"
+        assert seen == []
 
 
 class TestGateTimings:
