@@ -9,11 +9,12 @@ Configs are INI files with sections mirroring the run pipeline:
     [qec]        E, d_max, t_gate_budget
     [output]     format, path
 
-Every value is validated against the owning module's preconditions before
-any computation runs; violations are reported together with dotted field
-paths. An absent optional field takes the default of the dataclass field it
-feeds. In sweep mode, comma-separated values in at most three fields expand
-to a cartesian grid.
+One field table, ``_FIELDS``, names every key with its cast and the
+RunConfig attribute it resolves to. Every value is validated against the
+owning module's preconditions before any computation runs; violations are
+reported together with dotted field paths. An absent optional field takes
+the default of the dataclass field it feeds. In sweep mode, comma-separated
+values in at most three fields expand to a cartesian grid.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Any, get_args
+from typing import Any, Callable, NamedTuple, get_args
 
 from .errors import ConfigError
 from .estimator import EstimateOptions
@@ -33,45 +34,6 @@ from .fermi_hubbard import SCHEMES, FHInstance, LogBase
 from .qec import PhysicalAssumptions
 
 Sections = dict[str, dict[str, str]]
-
-# Every config field, by section, with the RunConfig attribute it resolves
-# to. The known fields, the absent ones and the echoed inputs are read here.
-_FIELDS = {
-    "physical": {
-        "p": "assume.p", "p_star": "assume.p_star", "prefactor_a": "assume.prefactor_a",
-        "t_se": "assume.t_se", "tau_r": "assume.tau_r",
-    },
-    "algorithm": {
-        "scheme": "scheme", "L": "inst.l_side", "t_hop": "inst.t_hop",
-        "U": "inst.u_onsite", "T_evol": "inst.t_evol", "eps_total": "inst.eps_total",
-        "m": "options.hwp_m", "f_r": "options.f_r", "log_base": "options.log_base",
-    },
-    "factory": {
-        "name": "spec.name", "q_f": "spec.q_f", "tau_f_rounds": "spec.tau_f_rounds",
-        "n_out": "spec.n_out", "out_infidelity": "spec.out_infidelity",
-        "valid_p": "spec.valid_p", "cultivation": "cultivation",
-    },
-    "qec": {
-        "E": "options.e_qec", "d_max": "options.d_max",
-        "t_gate_budget": "options.t_gate_budget",
-    },
-    "output": {"format": "output_format", "path": "output_path"},
-}
-# Per section: the documented key -> the getter of its RunConfig attribute.
-_GETTERS = {
-    section: {key: attrgetter(path) for key, path in fields.items()}
-    for section, fields in _FIELDS.items()
-}
-# Per section: configparser's lower-cased spelling -> the documented key.
-_KEYS = {
-    section: {key.lower(): key for key in fields} for section, fields in _FIELDS.items()
-}
-# Per section: the attribute a key sets -> that key, to name the field a
-# constructor's or compiler's message opens with ("t_se must be positive").
-_ATTRIBUTE_KEYS = {
-    section: {path.rsplit(".", 1)[-1]: key for key, path in fields.items()}
-    for section, fields in _FIELDS.items()
-}
 
 OUTPUT_FORMATS = ("table", "json", "csv")
 
@@ -117,48 +79,6 @@ def read_sections(path: str) -> Sections:
     return {name: dict(parser[name]) for name in parser.sections()}
 
 
-class _Builder:
-    """Accumulates field-path diagnostics while coercing section values."""
-
-    def __init__(self, sections: Sections) -> None:
-        self.sections = sections
-        self.problems: list[str] = []
-
-    def _raw(self, section: str, key: str) -> str | None:
-        # configparser lowercases keys; accept the documented spellings.
-        return self.sections.get(section, {}).get(key.lower())
-
-    def get(self, section: str, key: str, cast, default=None, required=False):
-        raw = self._raw(section, key)
-        if raw is None:
-            if required:
-                self.problems.append(f"{section}.{key}: missing required field")
-            return default
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            self.problems.append(f"{section}.{key}: {exc}")
-            return default
-
-    def check_unknown(self) -> None:
-        for section, fields in self.sections.items():
-            known = _KEYS.get(section)
-            if known is None:
-                self.problems.append(f"{section}: unknown section")
-                continue
-            self.problems += [
-                f"{section}.{key}: unknown field" for key in fields if key not in known
-            ]
-
-    def construct(self, path: str, factory, /, **kwargs):
-        """Build ``factory`` from kwargs; a None kwarg takes the field default."""
-        try:
-            return factory(**{k: v for k, v in kwargs.items() if v is not None})
-        except ValueError as exc:
-            self.problems.append(f"{field_path(path, str(exc))}: {exc}")
-            return None
-
-
 def field_path(section: str, message: str) -> str:
     """``section.key`` if ``message`` opens with the attribute a key of
     ``section`` sets, else ``section``."""
@@ -192,110 +112,176 @@ def _choice(options: tuple[str, ...]):
     return cast
 
 
+_OWN_DEFAULT = object()
+
+
+class _Field(NamedTuple):
+    """One config key. ``path`` is the RunConfig attribute it resolves to,
+    ``input.keyword`` when it feeds a constructed input. ``default`` is taken
+    when the key is absent and the constructor has none; a required field's
+    default is a placeholder that lets the build go on and report every
+    problem at once."""
+
+    path: str
+    cast: Callable[[str], Any]
+    default: Any = _OWN_DEFAULT
+    required: bool = False
+
+
+# Every config key, by section: the one place to add one. Parsing, the
+# unknown-key check, ``absent``, the inputs echo and field_path read it.
+_FIELDS = {
+    "physical": {
+        "p": _Field("assume.p", _finite, 1e-3, required=True),
+        "p_star": _Field("assume.p_star", _finite),
+        "prefactor_a": _Field("assume.prefactor_a", _finite),
+        "t_se": _Field("assume.t_se", _finite),
+        "tau_r": _Field("assume.tau_r", _finite),
+    },
+    "algorithm": {
+        "scheme": _Field("scheme", _choice(SCHEMES), SCHEMES[0], required=True),
+        "L": _Field("inst.l_side", int, 2, required=True),
+        "t_hop": _Field("inst.t_hop", _finite, 1.0),
+        "U": _Field("inst.u_onsite", _finite, 8.0),
+        "T_evol": _Field("inst.t_evol", _finite, 1.0, required=True),
+        "eps_total": _Field("inst.eps_total", _finite, 0.01, required=True),
+        "m": _Field("options.hwp_m", int),
+        "f_r": _Field("options.f_r", _finite),
+        "log_base": _Field("options.log_base", _choice(get_args(LogBase))),
+    },
+    # Any of q_f, tau_f_rounds and n_out selects a custom spec; the spec's
+    # required fields are required only then.
+    "factory": {
+        "name": _Field("spec.name", str, "custom"),
+        "q_f": _Field("spec.q_f", int, 1, required=True),
+        "tau_f_rounds": _Field("spec.tau_f_rounds", _finite, 1.0, required=True),
+        "n_out": _Field("spec.n_out", int, 1),
+        "out_infidelity": _Field("spec.out_infidelity", _finite, 0.5, required=True),
+        "valid_p": _Field("spec.valid_p", _finite, 1e-3),
+        "cultivation": _Field("cultivation", _bool, False),
+    },
+    "qec": {
+        "E": _Field("options.e_qec", _finite),
+        "d_max": _Field("options.d_max", int),
+        "t_gate_budget": _Field("options.t_gate_budget", _finite),
+    },
+    "output": {
+        "format": _Field("output_format", _choice(OUTPUT_FORMATS), "table"),
+        "path": _Field("output_path", str, None),
+    },
+}
+_CUSTOM_KEYS = frozenset({"factory.q_f", "factory.tau_f_rounds", "factory.n_out"})
+
+
+def _entry(section: str, key: str, field: _Field) -> tuple[str, str, str, _Field]:
+    """(dotted path, input, keyword, field); the input "" is RunConfig itself."""
+    target, _, keyword = field.path.rpartition(".")
+    return f"{section}.{key}", target, keyword, field
+
+
+# Derived once at import. Per section: configparser's lower-cased spelling
+# -> its entry.
+_LOOKUP = {
+    section: {key.lower(): _entry(section, key, field) for key, field in fields.items()}
+    for section, fields in _FIELDS.items()
+}
+_ENTRIES = [entry for entries in _LOOKUP.values() for entry in entries.values()]
+_ALL_PATHS = frozenset(path for path, *_ in _ENTRIES)
+_REQUIRED = frozenset(path for path, _, _, field in _ENTRIES if field.required)
+_REQUIRED_BUILTIN = _REQUIRED - {path for path, target, *_ in _ENTRIES if target == "spec"}
+# Per input: the keyword arguments every build starts from.
+_SEEDS = {
+    target: {
+        keyword: field.default
+        for _, t, keyword, field in _ENTRIES
+        if t == target and field.default is not _OWN_DEFAULT
+    }
+    for _, target, _, _ in _ENTRIES
+}
+# Per section: the documented key -> the getter of its RunConfig attribute.
+_GETTERS = {
+    section: {key: attrgetter(field.path) for key, field in fields.items()}
+    for section, fields in _FIELDS.items()
+}
+# Per section: the attribute a key sets -> that key, to name the field a
+# constructor's or compiler's message opens with ("t_se must be positive").
+_ATTRIBUTE_KEYS = {
+    section: {field.path.rpartition(".")[2]: key for key, field in fields.items()}
+    for section, fields in _FIELDS.items()
+}
+
+
+def _construct(section: str, factory, kwargs: dict[str, Any], problems: list[str]):
+    try:
+        return factory(**kwargs)
+    except ValueError as exc:
+        problems.append(f"{field_path(section, str(exc))}: {exc}")
+        return None
+
+
 def build_config(sections: Sections) -> RunConfig:
     """Validate one (non-ranged) section mapping into a RunConfig.
 
-    Raises ConfigError listing every violation with its dotted field path.
+    One pass over the given keys looks each up in the field table, casts it
+    and files it under its input. Raises ConfigError listing every violation
+    with its dotted field path.
     """
-    b = _Builder(sections)
-    b.check_unknown()
+    problems: list[str] = []
+    given: set[str] = set()
+    values = {target: dict(seed) for target, seed in _SEEDS.items()}
+    for section, fields in sections.items():
+        lookup = _LOOKUP.get(section)
+        if lookup is None:
+            problems.append(f"{section}: unknown section")
+            continue
+        for key, raw in fields.items():
+            entry = lookup.get(key)
+            if entry is None:
+                problems.append(f"{section}.{key}: unknown field")
+                continue
+            path, target, keyword, field = entry
+            given.add(path)
+            try:
+                values[target][keyword] = field.cast(raw)
+            except ValueError as exc:
+                problems.append(f"{path}: {exc}")
 
-    assume = b.construct(
-        "physical",
-        PhysicalAssumptions,
-        p=b.get("physical", "p", _finite, required=True, default=1e-3),
-        p_star=b.get("physical", "p_star", _finite),
-        prefactor_a=b.get("physical", "prefactor_a", _finite),
-        t_se=b.get("physical", "t_se", _finite),
-        tau_r=b.get("physical", "tau_r", _finite),
-    )
-    inst = b.construct(
-        "algorithm",
-        FHInstance,
-        l_side=b.get("algorithm", "L", int, required=True, default=2),
-        t_hop=b.get("algorithm", "t_hop", _finite, default=1.0),
-        u_onsite=b.get("algorithm", "U", _finite, default=8.0),
-        t_evol=b.get("algorithm", "T_evol", _finite, required=True, default=1.0),
-        eps_total=b.get("algorithm", "eps_total", _finite, required=True, default=0.01),
-    )
-    scheme = b.get(
-        "algorithm", "scheme", _choice(SCHEMES), required=True, default=SCHEMES[0]
-    )
+    name = values["spec"]["name"]
+    custom = name == "custom" and not given.isdisjoint(_CUSTOM_KEYS)
+    required = _REQUIRED if custom else _REQUIRED_BUILTIN
+    problems += [f"{path}: missing required field" for path in required - given]
 
-    name = b.get("factory", "name", str)
-    if name is not None and name != "custom":
+    assume = _construct("physical", PhysicalAssumptions, values["assume"], problems)
+    inst = _construct("algorithm", FHInstance, values["inst"], problems)
+    options = _construct("options", EstimateOptions, values["options"], problems)
+    if custom:
+        spec = _construct("factory", FactorySpec, values["spec"], problems)
+    elif name != "custom":
         try:
             spec = factory_by_name(name)
         except KeyError as exc:
-            b.problems.append(f"factory.name: {exc.args[0]}")
-            spec = None
+            problems.append(f"factory.name: {exc.args[0]}")
     else:
-        custom = {k: b._raw("factory", k) for k in ("q_f", "tau_f_rounds", "n_out")}
-        if any(v is not None for v in custom.values()):
-            spec = b.construct(
-                "factory",
-                FactorySpec,
-                name="custom",
-                q_f=b.get("factory", "q_f", int, required=True, default=1),
-                tau_f_rounds=b.get(
-                    "factory", "tau_f_rounds", _finite, required=True, default=1.0
-                ),
-                n_out=b.get("factory", "n_out", int, default=1),
-                out_infidelity=b.get(
-                    "factory", "out_infidelity", _finite, required=True, default=0.5
-                ),
-                valid_p=b.get("factory", "valid_p", _finite, default=1e-3),
-            )
-        else:
-            # Default to the built-in design characterized nearest to p.
-            p = assume.p if assume is not None else 1e-3
-            spec = factory_by_name(
-                "15to1x20to4-p4" if p <= 3e-4 else "15to1x15to1-p3"
-            )
-    cultivation = b.get("factory", "cultivation", _bool, default=False)
-
-    options = b.construct(
-        "options",
-        EstimateOptions,
-        e_qec=b.get("qec", "E", _finite),
-        d_max=b.get("qec", "d_max", int),
-        t_gate_budget=b.get("qec", "t_gate_budget", _finite),
-        f_r=b.get("algorithm", "f_r", _finite),
-        hwp_m=b.get("algorithm", "m", int),
-        log_base=b.get("algorithm", "log_base", _choice(get_args(LogBase))),
-    )
-    output_format = b.get(
-        "output", "format", _choice(OUTPUT_FORMATS), default="table"
-    )
-    output_path = b.get("output", "path", str)
+        # Default to the built-in design characterized nearest to p.
+        p = assume.p if assume is not None else 1e-3
+        spec = factory_by_name("15to1x20to4-p4" if p <= 3e-4 else "15to1x15to1-p3")
 
     if options is not None:
         if not (0 < options.e_qec < 1):
-            b.problems.append("qec.E: must lie in (0, 1)")
+            problems.append("qec.E: must lie in (0, 1)")
         if not (0 < options.t_gate_budget <= 1):
-            b.problems.append("qec.t_gate_budget: must lie in (0, 1]")
+            problems.append("qec.t_gate_budget: must lie in (0, 1]")
         if not (0 <= options.f_r <= 1):
-            b.problems.append("algorithm.f_r: must lie in [0, 1]")
+            problems.append("algorithm.f_r: must lie in [0, 1]")
         if options.hwp_m is not None and options.hwp_m < 2:
-            b.problems.append("algorithm.m: must be at least 2")
+            problems.append("algorithm.m: must be at least 2")
 
-    if b.problems or assume is None or inst is None or spec is None or options is None:
-        raise ConfigError(sorted(set(b.problems)))
+    # Every construction that failed above filed a problem.
+    if problems:
+        raise ConfigError(sorted(set(problems)))
     return RunConfig(
-        assume=assume,
-        inst=inst,
-        scheme=scheme,
-        spec=spec,
-        cultivation=bool(cultivation),
-        options=options,
-        output_format=output_format,
-        output_path=output_path,
-        absent=frozenset(
-            f"{section}.{key}"
-            for section, keys in _KEYS.items()
-            for lower, key in keys.items()
-            if lower not in sections.get(section, {})
-        ),
+        assume=assume, inst=inst, spec=spec, options=options,
+        absent=_ALL_PATHS - given, **values[""],
     )
 
 

@@ -149,7 +149,10 @@ def estimate(
         )
 
     # The knobs actually used, not allocate_budget's defaults, go in the ledger.
-    ledger = replace(budget, e_qec=options.e_qec, t_gate_budget=options.t_gate_budget)
+    ledger = ErrorBudget(
+        budget.eps_total, budget.eps_algorithm, budget.eps_synthesis,
+        budget.eps_s_per_rotation, options.e_qec, options.t_gate_budget,
+    )
     patches = scheme_record(scheme).patches
     est = _fit(
         assume, lambda d: patches(summary, spec, d, options.f_r),

@@ -481,21 +481,27 @@ def compile_scheme(
 ) -> tuple[CompilationSummary, ErrorBudget]:
     """Budget allocation, sigma selection, and compilation in one call.
 
-    A load or synthesis budget beyond the float range raises CompileError,
-    laid to the instance input farthest from 1 in magnitude.
+    A load or synthesis budget that leaves the float range or its domain
+    raises CompileError, laid to the input (an instance field or ``m``,
+    as ``hwp_m``) farthest from 1 in magnitude.
     """
     record = scheme_record(scheme)
     try:
         load = record.load(inst, m, log_base)
         budget = allocate_budget(inst.eps_total, load[1])
         sigma = synthesis_sigma(budget.eps_s_per_rotation)
-    except ArithmeticError as exc:
-        field = max(
-            ("l_side", "t_hop", "u_onsite", "t_evol", "eps_total"),
-            key=lambda name: abs(math.log(getattr(inst, name) or 1)),
-        )
+    except (ArithmeticError, ValueError) as exc:
+        inputs = {
+            name: getattr(inst, name)
+            for name in ("l_side", "t_hop", "u_onsite", "t_evol", "eps_total")
+        }
+        if m is not None:
+            if m < 2:
+                raise  # m's own precondition, not an extreme input
+            inputs["hwp_m"] = m
+        field = max(inputs, key=lambda name: abs(math.log(inputs[name] or 1)))
         raise CompileError(
-            f"{field} = {getattr(inst, field)!r} is too extreme to compile {scheme}: {exc}"
+            f"{field} = {inputs[field]!r} is too extreme to compile {scheme}: {exc}"
         ) from exc
     return record.compile(inst, sigma, load, m), budget
 

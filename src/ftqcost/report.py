@@ -113,8 +113,17 @@ def estimate_config(config: RunConfig) -> ResourceEstimate:
 
 
 def build_report(config: RunConfig, with_sensitivity: bool = True) -> dict[str, Any]:
-    """Full report for one config: estimate plus optional sensitivity band."""
-    est = estimate_config(config)
+    """Full report for one config: estimate plus optional sensitivity band.
+
+    With the band, the band's nominal is the report's estimate."""
+    if with_sensitivity:
+        band = sensitivity(
+            config.inst, config.scheme, config.assume, config.effective_spec,
+            config.options,
+        )
+        est = band.nominal
+    else:
+        est = estimate_config(config)
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "inputs": config.resolved_inputs(),
@@ -122,10 +131,6 @@ def build_report(config: RunConfig, with_sensitivity: bool = True) -> dict[str, 
         "estimates": [estimate_payload(est)],
     }
     if with_sensitivity:
-        band = sensitivity(
-            config.inst, config.scheme, config.assume, config.effective_spec,
-            config.options,
-        )
         report["sensitivity"] = _band_payload(band)
     return report
 

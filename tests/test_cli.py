@@ -1,19 +1,32 @@
 import json
+from dataclasses import replace
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ftqcost.estimator as estimator_module
+import ftqcost.report as report_module
 from ftqcost.cli import main
 from ftqcost.config import (
+    _FIELDS,
+    RunConfig,
     build_config,
     expand_sweep,
     read_sections,
     sections_from_inputs,
 )
 from ftqcost.errors import ConfigError
+from ftqcost.fermi_hubbard import SCHEMES
 from ftqcost.report import build_report, render_json
 
 BUNDLED = resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg")
+# Every entry of the field table, by dotted path.
+FIELDS = {
+    f"{section}.{key}": field for section, fields in _FIELDS.items()
+    for key, field in fields.items()
+}
 
 
 @pytest.fixture
@@ -161,22 +174,37 @@ class TestEstimateCommand:
         assert flags == {"bundled": (False, False, True), "no_e": (True, False, True)}
 
     @pytest.mark.parametrize(
-        "override",
+        "override, scheme",
         [
-            "algorithm.T_evol=inf",
-            "physical.t_se=inf",
-            "physical.tau_r=nan",
-            "algorithm.t_hop=nan",
-            "qec.t_gate_budget=-1",
-            "physical.t_se=1e-320",
-            "algorithm.U=1e308",
-            "algorithm.T_evol=1e300",
-            "algorithm.eps_total=1e-300",
+            *(pytest.param(override, None, id=override) for override in (
+                "algorithm.T_evol=inf",
+                "physical.t_se=inf",
+                "physical.tau_r=nan",
+                "algorithm.t_hop=nan",
+                "qec.t_gate_budget=-1",
+                "physical.t_se=1e-320",
+                "algorithm.U=1e308",
+                "algorithm.T_evol=1e300",
+                "algorithm.eps_total=1e-300",
+            )),
+            # Inputs whose load, budget or sigma step fails with a ValueError.
+            *(
+                pytest.param(override, scheme, id=f"{override}-{scheme}")
+                for override, schemes in (
+                    ("algorithm.t_hop=1e-308", SCHEMES[:3]),
+                    ("algorithm.t_hop=1e-320", SCHEMES[:3]),
+                    ("algorithm.T_evol=1e-308", SCHEMES),
+                    ("algorithm.T_evol=1e-320", SCHEMES),
+                    (f"algorithm.m={10**45}", ("plaq_serial",)),
+                )
+                for scheme in schemes
+            ),
         ],
     )
-    def test_out_of_range_number_exit_2(self, bundled_config, capsys, override):
+    def test_out_of_range_number_exit_2(self, bundled_config, capsys, override, scheme):
         path = override.split("=")[0]
-        code, out, err = run(capsys, "estimate", bundled_config, "--set", override)
+        pick = ("--set", f"algorithm.scheme={scheme}") if scheme else ()
+        code, out, err = run(capsys, "estimate", bundled_config, *pick, "--set", override)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
@@ -212,6 +240,108 @@ class TestEstimateCommand:
         )):
             assert est["budget_ledger"]["e_qec"] == 0.01
             assert est["budget_ledger"]["t_gate_budget"] == 0.2
+
+    def test_malformed_custom_field_next_to_builtin_name_exit_2(
+        self, bundled_config, capsys
+    ):
+        code, out, err = run(
+            capsys, "estimate", bundled_config, "--set", "factory.q_f=many"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: factory.q_f: invalid literal for int() with base 10: 'many'\n"
+
+    def test_one_nominal_estimate_per_band(self, bundled_config, monkeypatch):
+        calls = []
+        original = estimator_module.estimate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "estimate", counting)
+        monkeypatch.setattr(report_module, "estimate", counting)
+        build_report(build_config(read_sections(bundled_config)), with_sensitivity=True)
+        assert len(calls) == 3
+
+
+def every_field_given(path):
+    """The config at ``path`` with every key of the field table given: its
+    echo, a custom factory built from the echoed spec, m and an output path."""
+    sections = sections_from_inputs(build_config(read_sections(path)).resolved_inputs())
+    sections["factory"]["name"] = "custom"
+    sections["algorithm"]["m"] = "900"
+    sections["output"]["path"] = "report.json"
+    return sections
+
+
+class TestFieldTable:
+    """One case per entry of the field table, so a field added later is covered."""
+
+    def test_every_field_given(self, bundled_config):
+        assert build_config(every_field_given(bundled_config)).absent == frozenset()
+
+    @pytest.mark.parametrize("path", [p for p, f in FIELDS.items() if f.cast is not str])
+    def test_unparsable_value_names_its_field(self, bundled_config, capsys, path):
+        code, out, err = run(
+            capsys, "estimate", bundled_config, "--no-sensitivity", "--set", f"{path}=?"
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("path", list(FIELDS))
+    def test_omitted_field_is_absent_or_missing(self, bundled_config, path):
+        section, key = path.split(".")
+        sections = every_field_given(bundled_config)
+        del sections[section][key.lower()]
+        if FIELDS[path].required:
+            with pytest.raises(ConfigError) as info:
+                build_config(sections)
+            assert info.value.problems == [f"{path}: missing required field"]
+        else:
+            assert build_config(sections).absent == {path}
+
+    @pytest.mark.parametrize("path", list(FIELDS))
+    def test_echo_rebuilds_an_equal_config(self, bundled_config, path):
+        section, key = path.split(".")
+        sections = every_field_given(bundled_config)
+        if not FIELDS[path].required:
+            del sections[section][key.lower()]
+        config = build_config(sections)
+        rebuilt = build_config(sections_from_inputs(config.resolved_inputs()))
+        assert replace(rebuilt, absent=config.absent) == config
+
+
+BUNDLED_ITEMS = [
+    (section, key, value)
+    for section, fields in read_sections(str(BUNDLED)).items()
+    for key, value in fields.items()
+]
+
+
+class TestBuildConfigProperty:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        kept=st.lists(st.sampled_from(BUNDLED_ITEMS), unique=True),
+        unknown=st.lists(
+            st.tuples(
+                st.sampled_from([*_FIELDS, "extra"]),
+                st.text("abcxyz_", min_size=1, max_size=6),
+                st.text(max_size=6),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_builds_or_raises_config_error(self, kept, unknown):
+        sections = {}
+        for section, key, value in kept + unknown:
+            sections.setdefault(section, {})[key] = value
+        try:
+            config = build_config(sections)
+        except ConfigError as exc:
+            assert exc.problems and exc.problems == sorted(set(exc.problems))
+        else:
+            assert isinstance(config, RunConfig)
 
 
 class TestCompareCommand:

@@ -397,3 +397,10 @@ class TestCompileRange:
         with pytest.raises(CompileError) as info:
             compile_scheme(scheme, inst)
         assert str(info.value).startswith(f"{field} = {value!r} is too extreme")
+
+    def test_huge_m_is_blamed_and_m_below_2_keeps_its_precondition(self):
+        with pytest.raises(CompileError, match=r"^hwp_m = 10{45} is too extreme"):
+            compile_scheme("plaq_serial", bench_instance(), m=10**45)
+        with pytest.raises(ValueError, match="m must be at least 2") as info:
+            compile_scheme("plaq_serial", bench_instance(), m=1)
+        assert not isinstance(info.value, CompileError)
