@@ -3,90 +3,68 @@
 Surface-code cost models, magic-state factory provisioning, a subroutine
 cost catalog, four Fermi-Hubbard compilation schemes, and an end-to-end
 estimator with a CLI front end.
+
+Importing the package loads no submodule: each public name is imported
+from its home module on first access, so a caller pays only for the
+modules it reaches.
 """
 
-from .errors import (
-    BudgetInfeasibleError,
-    ConfigError,
-    EstimatorError,
-    InvalidDistanceError,
-    MagicStarvedError,
-    UndefinedRatioError,
-)
-from .estimator import (
-    ComparisonRow,
-    EstimateOptions,
-    ResourceEstimate,
-    SensitivityBand,
-    compare,
-    estimate,
-    sensitivity,
-    simple_estimate,
-)
-from .factories import (
-    FactoryFleet,
-    FactorySpec,
-    builtin_catalog,
-    cultivation_variant,
-    factory_by_name,
-    provision,
-    t_budget_check,
-)
-from .fermi_hubbard import (
-    SCHEMES,
-    CompilationSummary,
-    ErrorBudget,
-    FHInstance,
-    compile_scheme,
-    layout_at,
-    trotter_kappa,
-    trotter_steps,
-)
-from .qec import (
-    LogicalVolume,
-    PhysicalAssumptions,
-    choose_distance,
-    logical_error_rate,
-    patch_physical_qubits,
-    wall_time,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BudgetInfeasibleError",
-    "ComparisonRow",
-    "CompilationSummary",
-    "ConfigError",
-    "ErrorBudget",
-    "EstimateOptions",
-    "EstimatorError",
-    "FHInstance",
-    "FactoryFleet",
-    "FactorySpec",
-    "InvalidDistanceError",
-    "LogicalVolume",
-    "MagicStarvedError",
-    "PhysicalAssumptions",
-    "ResourceEstimate",
-    "SCHEMES",
-    "SensitivityBand",
-    "UndefinedRatioError",
-    "builtin_catalog",
-    "choose_distance",
-    "compare",
-    "compile_scheme",
-    "cultivation_variant",
-    "estimate",
-    "factory_by_name",
-    "layout_at",
-    "logical_error_rate",
-    "patch_physical_qubits",
-    "provision",
-    "sensitivity",
-    "simple_estimate",
-    "t_budget_check",
-    "trotter_kappa",
-    "trotter_steps",
-    "wall_time",
-]
+# Every public name -> the submodule it lives in.
+_HOMES = {
+    "BudgetInfeasibleError": "errors",
+    "ConfigError": "errors",
+    "EstimatorError": "errors",
+    "InvalidDistanceError": "errors",
+    "MagicStarvedError": "errors",
+    "UndefinedRatioError": "errors",
+    "ComparisonRow": "estimator",
+    "EstimateOptions": "estimator",
+    "ResourceEstimate": "estimator",
+    "SensitivityBand": "estimator",
+    "compare": "estimator",
+    "estimate": "estimator",
+    "sensitivity": "estimator",
+    "simple_estimate": "estimator",
+    "FactoryFleet": "factories",
+    "FactorySpec": "factories",
+    "builtin_catalog": "factories",
+    "cultivation_variant": "factories",
+    "factory_by_name": "factories",
+    "provision": "factories",
+    "t_budget_check": "factories",
+    "SCHEMES": "fermi_hubbard",
+    "CompilationSummary": "fermi_hubbard",
+    "ErrorBudget": "fermi_hubbard",
+    "FHInstance": "fermi_hubbard",
+    "compile_scheme": "fermi_hubbard",
+    "layout_at": "fermi_hubbard",
+    "trotter_kappa": "fermi_hubbard",
+    "trotter_steps": "fermi_hubbard",
+    "LogicalVolume": "qec",
+    "PhysicalAssumptions": "qec",
+    "choose_distance": "qec",
+    "logical_error_rate": "qec",
+    "patch_physical_qubits": "qec",
+    "wall_time": "qec",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    """Import ``name`` from its home module on first access (PEP 562)."""
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

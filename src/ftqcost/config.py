@@ -72,18 +72,21 @@ class RunConfig:
 
 
 def read_sections(path: str) -> Sections:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """The sections of an INI file, values read raw: ``%`` is not special."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{path}: {' '.join(str(exc).split())}"]) from exc
     if not read:
         raise ConfigError([f"config file not found or unreadable: {path}"])
     return {name: dict(parser[name]) for name in parser.sections()}
 
 
 def field_path(section: str, message: str) -> str:
-    """``section.key`` if ``message`` opens with the attribute a key of
-    ``section`` sets, else ``section``."""
-    key = _ATTRIBUTE_KEYS.get(section, {}).get(message.split(" ", 1)[0])
-    return f"{section}.{key}" if key else section
+    """The dotted path of the key whose attribute ``message`` opens with
+    ("t_se must be positive" -> ``physical.t_se``), else ``section``."""
+    return _ATTRIBUTE_PATHS.get(message.split(" ", 1)[0], section)
 
 
 def _finite(raw: str) -> float:
@@ -203,12 +206,10 @@ _GETTERS = {
     section: {key: attrgetter(field.path) for key, field in fields.items()}
     for section, fields in _FIELDS.items()
 }
-# Per section: the attribute a key sets -> that key, to name the field a
-# constructor's or compiler's message opens with ("t_se must be positive").
-_ATTRIBUTE_KEYS = {
-    section: {field.path.rpartition(".")[2]: key for key, field in fields.items()}
-    for section, fields in _FIELDS.items()
-}
+# The attribute a key sets -> the key's dotted path, to name the field a
+# constructor's, compiler's or estimator's message opens with. Attribute
+# names are unique across sections.
+_ATTRIBUTE_PATHS = {keyword: path for path, _, keyword, _ in _ENTRIES}
 
 
 def _construct(section: str, factory, kwargs: dict[str, Any], problems: list[str]):

@@ -15,7 +15,10 @@ from .errors import MagicStarvedError, UndefinedRatioError
 from .factories import FactoryFleet
 from .qec import (
     CNOT_TIMESTEPS,
+    GATE_LIMITED,
+    MAGIC_LIMITED,
     PhysicalAssumptions,
+    fast_block_patches,
     patch_physical_qubits,
     require_valid_distance,
 )
@@ -32,7 +35,7 @@ def fast_block_routing(q_data: int) -> RoutingFunction:
     """
 
     def routing(p_c: float, m: int) -> float:
-        return q_data + math.isqrt(8 * q_data) + 1
+        return fast_block_patches(q_data) - q_data
 
     return routing
 
@@ -44,11 +47,6 @@ def ratio_routing(k: float, q_data: int) -> RoutingFunction:
         return k * q_data
 
     return routing
-
-
-def fast_block_patches(q_data: int) -> int:
-    """Total protected patches (data + routing) of the fast-block layout."""
-    return 2 * q_data + math.isqrt(8 * q_data) + 1
 
 
 @dataclass(frozen=True)
@@ -80,10 +78,6 @@ class CircuitProfile:
         if self.routing is None:
             return fast_block_routing(self.q_data)(self.p_clifford, self.m_layers)
         return self.routing(self.p_clifford, self.m_layers)
-
-
-GATE_LIMITED = "gate-limited"
-MAGIC_LIMITED = "magic-limited"
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ class UndefinedRatioError(EstimatorError):
 
 
 class CompileError(EstimatorError, ValueError):
-    """A scheme's load or synthesis budget left the float range for an instance.
+    """An input too extreme for the float range: a scheme's load, synthesis
+    budget or an estimate's totals left it.
 
-    The message opens with the instance attribute the failure is laid to.
+    The message opens with the input attribute the failure is laid to.
     """
 
 

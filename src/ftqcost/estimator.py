@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
-from .costmodel import GATE_LIMITED, MAGIC_LIMITED
 from .factories import DEFAULT_T_GATE_BUDGET, FactorySpec, t_budget_check
 from .fermi_hubbard import (
     DEFAULT_F_R,
@@ -23,12 +22,16 @@ from .fermi_hubbard import (
     LogBase,
     SchemeLayout,
     compile_scheme,
+    instance_inputs,
     layout_at,
     scheme_record,
+    too_extreme,
 )
 from .qec import (
     DEFAULT_MAX_DISTANCE,
     DEFAULT_QEC_BUDGET,
+    GATE_LIMITED,
+    MAGIC_LIMITED,
     LogicalVolume,
     PhysicalAssumptions,
     choose_distance,
@@ -85,7 +88,8 @@ def _fit(
     d; layout_for(d) adds the fleet and runs once, at the chosen d. The depth
     is timestep_depth timesteps of d rounds plus reaction_depth reaction
     delays. Patches beyond data/aux and routing count as routing; ``fields``
-    fill the rest of the estimate.
+    fill the rest of the estimate. Totals that leave the float range raise
+    OverflowError.
     """
 
     def volume(d: int, patches: float) -> LogicalVolume:
@@ -101,7 +105,7 @@ def _fit(
     vol = volume(d, layout.protected_patches)
     q = patch_physical_qubits(d)
     extra = layout.protected_patches - data_aux_patches - routing_patches
-    return ResourceEstimate(
+    est = ResourceEstimate(
         d=d,
         physical_qubits_total=layout.protected_patches * q + layout.factory_qubits,
         physical_qubits_by_role={
@@ -115,6 +119,10 @@ def _fit(
         bottleneck=GATE_LIMITED,
         **fields,
     )
+    totals = est.physical_qubits_total, est.wall_time_seconds, est.spacetime_volume
+    if not all(map(math.isfinite, totals)):
+        raise OverflowError("the totals leave the float range")
+    return est
 
 
 def estimate(
@@ -154,24 +162,32 @@ def estimate(
         budget.eps_s_per_rotation, options.e_qec, options.t_gate_budget,
     )
     patches = scheme_record(scheme).patches
-    est = _fit(
-        assume, lambda d: patches(summary, spec, d, options.f_r),
-        lambda d: layout_at(summary, spec, d, f_r=options.f_r),
-        summary.timestep_depth, summary.reaction_depth,
-        summary.data_patches + summary.aux_patches, summary.routing_patches,
-        options.e_qec, options.d_max,
-        scheme=scheme, t_count_total=summary.t_count_total, budget_ledger=ledger,
-        summary=summary, warnings=tuple(warnings),
-    )
-
-    # Sustained fleet throughput versus the gate-level schedule decides the
-    # bottleneck; per-scheme layouts are provisioned to avoid starvation.
-    if est.factory_count > 0:
-        rate_per_second = (
-            est.factory_count * spec.n_out / (spec.tau_f_rounds * assume.t_se)
+    try:
+        est = _fit(
+            assume, lambda d: patches(summary, spec, d, options.f_r),
+            lambda d: layout_at(summary, spec, d, f_r=options.f_r),
+            summary.timestep_depth, summary.reaction_depth,
+            summary.data_patches + summary.aux_patches, summary.routing_patches,
+            options.e_qec, options.d_max,
+            scheme=scheme, t_count_total=summary.t_count_total, budget_ledger=ledger,
+            summary=summary, warnings=tuple(warnings),
         )
-        if est.t_count_total / rate_per_second > est.wall_time_seconds * (1 + 1e-12):
-            est = replace(est, bottleneck=MAGIC_LIMITED)
+
+        # Sustained fleet throughput versus the gate-level schedule decides the
+        # bottleneck; per-scheme layouts are provisioned to avoid starvation.
+        if est.factory_count > 0:
+            rate_per_second = (
+                est.factory_count * spec.n_out / (spec.tau_f_rounds * assume.t_se)
+            )
+            if est.t_count_total / rate_per_second > est.wall_time_seconds * (1 + 1e-12):
+                est = replace(est, bottleneck=MAGIC_LIMITED)
+    except ArithmeticError as exc:
+        inputs = instance_inputs(inst, options.hwp_m)
+        inputs.update(
+            t_se=assume.t_se, tau_r=assume.tau_r,
+            q_f=spec.q_f, tau_f_rounds=spec.tau_f_rounds, n_out=spec.n_out,
+        )
+        raise too_extreme(inputs, f"estimate {scheme}", exc) from exc
     return est
 
 
@@ -191,17 +207,21 @@ def simple_estimate(
         raise ValueError("q_logical must be at least 1")
     if gate_count < 1:
         raise ValueError("gate_count must be at least 1")
-    layout = SchemeLayout(ROUTING_FACTOR * q_logical, 0, 0)
-    return _fit(
-        assume, lambda d: layout.protected_patches, lambda d: layout,
-        timestep_depth=gate_count, reaction_depth=0.0,
-        data_aux_patches=q_logical, routing_patches=0, e_qec=e_qec, d_max=d_max,
-        scheme="simple", t_count_total=gate_count,
-    )
+    try:
+        layout = SchemeLayout(ROUTING_FACTOR * q_logical, 0, 0)
+        return _fit(
+            assume, lambda d: layout.protected_patches, lambda d: layout,
+            timestep_depth=gate_count, reaction_depth=0.0,
+            data_aux_patches=q_logical, routing_patches=0, e_qec=e_qec, d_max=d_max,
+            scheme="simple", t_count_total=gate_count,
+        )
+    except ArithmeticError as exc:
+        inputs = {"q_logical": q_logical, "gate_count": gate_count,
+                  "t_se": assume.t_se, "tau_r": assume.tau_r}
+        raise too_extreme(inputs, "estimate", exc) from exc
 
 
-@dataclass(frozen=True)
-class SensitivityBand:
+class SensitivityBand(NamedTuple):
     """Estimates under joint +/-5% perturbation of factory and QEC constants."""
 
     nominal: ResourceEstimate
@@ -244,8 +264,7 @@ def sensitivity(
     return SensitivityBand(nominal=nominal, low=favorable, high=adverse)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     estimate: ResourceEstimate
     time_ratio: float
     qubit_ratio: float

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
+from typing import NamedTuple
 
 DEFAULT_T_GATE_BUDGET = 0.05
 """Error budget for the linearly accumulated T-state infidelity."""
@@ -155,8 +156,7 @@ def cultivation_variant(spec: FactorySpec) -> FactorySpec:
     )
 
 
-@dataclass(frozen=True)
-class TBudgetResult:
+class TBudgetResult(NamedTuple):
     passed: bool
     accumulated_error: float
     headroom: float

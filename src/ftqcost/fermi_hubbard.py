@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Literal
+from typing import TYPE_CHECKING, Any, Callable, Literal, NamedTuple
 
-from .costmodel import fast_block_patches
 from .errors import CompileError
 from .factories import DEFAULT_T_GATE_BUDGET, FactorySpec, provision
-from .qec import DEFAULT_QEC_BUDGET
+from .qec import DEFAULT_QEC_BUDGET, fast_block_patches
 from .subroutines import T_GATE, SubroutineCost, synthesis_sigma
 
 if TYPE_CHECKING:
@@ -191,8 +190,7 @@ class CompilationSummary:
             raise ValueError("t_count_total must be at least peak_parallel_t")
 
 
-@dataclass(frozen=True)
-class SchemeLayout:
+class SchemeLayout(NamedTuple):
     """Distance-dependent physical layout of one compiled scheme."""
 
     protected_patches: float
@@ -211,8 +209,7 @@ def _base_patches(summary: CompilationSummary, *_: object) -> int:
     return summary.data_patches + summary.routing_patches + summary.aux_patches
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(NamedTuple):
     """A compilation scheme: its rotation load, computed once before sigma is
     chosen; its compilation at sigma from that load; its fleet and, all the
     distance search reads, its protected patches at distance d; and the knobs
@@ -380,16 +377,6 @@ def _qsp(inst: FHInstance, sigma: int, load: Load, m: int | None) -> Compilation
     )
 
 
-def tau_m_rounds(sigma: int, d: int) -> Fraction:
-    """Interval between non-Clifford layers of the fully parallel scheme.
-
-    The Trotter step spends (6 sigma + 354) timesteps delivering
-    (12 + 4 sigma) magic states per data-plane site column, so states are
-    needed every (6 sigma + 354)/(12 + 4 sigma) timesteps of d rounds each.
-    """
-    return Fraction(*_full_parallel_step(sigma)) * d
-
-
 def _dedicated_fleet(summary: CompilationSummary, spec: FactorySpec, d: int) -> Fleet:
     fleet = provision(spec, Fraction(round(summary.consumption_rate), d))
     return fleet.count, fleet.physical_qubits
@@ -405,7 +392,9 @@ def _shared_patches(
     summary: CompilationSummary, spec: FactorySpec, d: int, f_r: float
 ) -> float:
     """Patches plus the L^2 factories' area, routing for a share f_r of the
-    time: ceil(q_f * ceil(tau_f / tau_m_rounds) / 2d^2) each, in integers."""
+    time: ceil(q_f * ceil(tau_f / tau_m) / 2d^2) each, in integers. tau_m,
+    the interval between non-Clifford layers, is d rounds times the step's
+    timesteps per magic state a site consumes: d (6 sigma + 354)/(12 + 4 sigma)."""
     step, states = _full_parallel_step(summary.sigma)
     if step * states * d <= 0:
         raise ValueError("invalid consumption schedule: tau_m must be positive")
@@ -466,15 +455,6 @@ def rotation_count(
     return scheme_record(scheme).load(inst, m, log_base)[1]
 
 
-def sigma_for(
-    scheme: str, inst: FHInstance, m: int | None = None,
-    log_base: LogBase = DEFAULT_LOG_BASE,
-) -> tuple[int, ErrorBudget]:
-    """Synthesis T count and budget ledger for the scheme's rotation load."""
-    summary, budget = compile_scheme(scheme, inst, m, log_base)
-    return summary.sigma, budget
-
-
 def compile_scheme(
     scheme: str, inst: FHInstance, m: int | None = None,
     log_base: LogBase = DEFAULT_LOG_BASE,
@@ -482,8 +462,7 @@ def compile_scheme(
     """Budget allocation, sigma selection, and compilation in one call.
 
     A load or synthesis budget that leaves the float range or its domain
-    raises CompileError, laid to the input (an instance field or ``m``,
-    as ``hwp_m``) farthest from 1 in magnitude.
+    raises CompileError, laid by too_extreme to an instance field or ``m``.
     """
     record = scheme_record(scheme)
     try:
@@ -491,41 +470,27 @@ def compile_scheme(
         budget = allocate_budget(inst.eps_total, load[1])
         sigma = synthesis_sigma(budget.eps_s_per_rotation)
     except (ArithmeticError, ValueError) as exc:
-        inputs = {
-            name: getattr(inst, name)
-            for name in ("l_side", "t_hop", "u_onsite", "t_evol", "eps_total")
-        }
-        if m is not None:
-            if m < 2:
-                raise  # m's own precondition, not an extreme input
-            inputs["hwp_m"] = m
-        field = max(inputs, key=lambda name: abs(math.log(inputs[name] or 1)))
-        raise CompileError(
-            f"{field} = {inputs[field]!r} is too extreme to compile {scheme}: {exc}"
-        ) from exc
+        if m is not None and m < 2:
+            raise  # m's own precondition, not an extreme input
+        raise too_extreme(instance_inputs(inst, m), f"compile {scheme}", exc) from exc
     return record.compile(inst, sigma, load, m), budget
 
 
-def plaq_serial(inst: FHInstance, sigma: int, m: int | None = None) -> CompilationSummary:
-    """plaq_serial at a given sigma, on m Hamming-weight ancillas (default L^2)."""
-    return _serial(inst, sigma, _serial_load(inst, m, DEFAULT_LOG_BASE), m)
+def instance_inputs(inst: FHInstance, m: int | None) -> dict[str, float]:
+    """The instance's fields, and ``m`` as ``hwp_m`` when given, by attribute."""
+    inputs = {
+        name: getattr(inst, name)
+        for name in ("l_side", "t_hop", "u_onsite", "t_evol", "eps_total")
+    }
+    if m is not None:
+        inputs["hwp_m"] = m
+    return inputs
 
 
-def plaq_l_parallel(inst: FHInstance, sigma: int) -> CompilationSummary:
-    """plaq_L at a given sigma."""
-    return _row_parallel(inst, sigma, _plaquette_load(inst, None, DEFAULT_LOG_BASE), None)
-
-
-def plaq_l2_parallel(inst: FHInstance, sigma: int) -> CompilationSummary:
-    """plaq_L2 at a given sigma."""
-    return _full_parallel(inst, sigma, _plaquette_load(inst, None, DEFAULT_LOG_BASE), None)
-
-
-def qsp_compile(
-    inst: FHInstance, sigma: int, log_base: LogBase = DEFAULT_LOG_BASE
-) -> CompilationSummary:
-    """qsp at a given sigma."""
-    return _qsp(inst, sigma, _qsp_load(inst, None, log_base), None)
+def too_extreme(inputs: dict[str, float], action: str, exc: Exception) -> CompileError:
+    """A CompileError for ``exc``, laid to the input farthest from 1 in magnitude."""
+    field = max(inputs, key=lambda name: abs(math.log(inputs[name] or 1)))
+    return CompileError(f"{field} = {inputs[field]!r} is too extreme to {action}: {exc}")
 
 
 def layout_at(

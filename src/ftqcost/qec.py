@@ -60,6 +60,10 @@ class PhysicalAssumptions:
 CNOT_TIMESTEPS = 2
 """Logical timesteps (d SE rounds each) of a CNOT, the Clifford gate time tau_c."""
 
+GATE_LIMITED = "gate-limited"
+MAGIC_LIMITED = "magic-limited"
+"""Bottleneck labels: the gate schedule, or the magic-state supply, sets the time."""
+
 
 @dataclass(frozen=True)
 class LogicalVolume:
@@ -102,6 +106,11 @@ def patch_physical_qubits(d: int) -> int:
     """Physical qubits per logical patch (data plus syndrome qubits): 2d^2."""
     require_valid_distance(d)
     return 2 * d * d
+
+
+def fast_block_patches(q_data: int) -> int:
+    """Total protected patches (data + routing) of the fast-block layout."""
+    return 2 * q_data + math.isqrt(8 * q_data) + 1
 
 
 def wall_time(vol: LogicalVolume, assume: PhysicalAssumptions) -> float:

@@ -22,6 +22,7 @@ from ftqcost.fermi_hubbard import SCHEMES
 from ftqcost.report import build_report, render_json
 
 BUNDLED = resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg")
+CUSTOM_FACTORY = "factory.name=custom factory.q_f=100 factory.out_infidelity=1e-20 "
 # Every entry of the field table, by dotted path.
 FIELDS = {
     f"{section}.{key}": field for section, fields in _FIELDS.items()
@@ -76,6 +77,12 @@ class TestTable1Command:
         code, _, err = run(capsys, "table1", "--logical", "0", "--gates", "10")
         assert code == 2
         assert "error:" in err
+        # Totals that leave the float range are invalid too, not an inf row.
+        code, out, err = run(
+            capsys, "table1", "--logical", "100", "--gates", "1e5", "--t-se", "1e308"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: t_se = 1e+308 is too extreme to estimate: ")
 
 
 class TestEstimateCommand:
@@ -199,16 +206,62 @@ class TestEstimateCommand:
                 )
                 for scheme in schemes
             ),
+            # Inputs whose totals or bottleneck test leave the float range; the
+            # last of several space-separated overrides is the one blamed.
+            *(
+                pytest.param(override, scheme, id=f"{override.split()[-1]}-{scheme}")
+                for override, schemes in (
+                    ("physical.t_se=1e308", SCHEMES),
+                    ("physical.t_se=1e305", SCHEMES),
+                    (CUSTOM_FACTORY + "factory.tau_f_rounds=1e-320", SCHEMES),
+                    (CUSTOM_FACTORY + "factory.tau_f_rounds=1e308",
+                     ("plaq_serial", "plaq_L", "qsp")),
+                )
+                for scheme in schemes
+            ),
         ],
     )
     def test_out_of_range_number_exit_2(self, bundled_config, capsys, override, scheme):
-        path = override.split("=")[0]
+        overrides = override.split()
+        path = overrides[-1].split("=")[0]
         pick = ("--set", f"algorithm.scheme={scheme}") if scheme else ()
-        code, out, err = run(capsys, "estimate", bundled_config, *pick, "--set", override)
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        code, out, err = run(capsys, "estimate", bundled_config, *pick, *sets)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("no_section_header", "p = 1e-3\n"),
+            ("unclosed_section", "[physical\np = 1e-3\n"),
+            ("interpolation_key", BUNDLED.read_text().replace("T_evol = 300", "T_evol = %(x)s")),
+            ("duplicate_section", BUNDLED.read_text() + "\n[physical]\np = 1e-3\n"),
+            ("duplicate_option", BUNDLED.read_text().replace("p = 1e-3", "p = 1e-3\np = 2e-3")),
+            ("undecodable_bytes", b"\xff\xfe[physical]\n"),
+        ],
+    )
+    def test_malformed_ini_exit_2(self, tmp_path, capsys, name, text):
+        path = tmp_path / f"{name}.cfg"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        code, out, err = run(capsys, "estimate", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        blamed = "algorithm.T_evol" if name == "interpolation_key" else str(path)
+        assert err.startswith(f"error: {blamed}: ")
+
+    def test_percent_in_a_value_is_read_raw(self, tmp_path, capsys):
+        target = tmp_path / "r100%.json"
+        config = tmp_path / "percent.cfg"
+        config.write_text(BUNDLED.read_text() + f"path = {target}\n")
+        code, out, err = run(capsys, "estimate", str(config), "--no-sensitivity")
+        assert (code, out, err) == (0, "", "")
+        assert json.loads(target.read_text())["estimates"][0]["scheme"] == "plaq_L2"
 
     def test_unknown_keys_and_absent_fields(self, bundled_config):
         sections = read_sections(bundled_config)

@@ -9,24 +9,20 @@ from hypothesis import strategies as st
 from ftqcost.errors import CompileError
 from ftqcost.factories import FactorySpec, cultivation_variant, factory_by_name, provision
 from ftqcost.fermi_hubbard import (
+    DEFAULT_LOG_BASE,
     REGISTRY,
     SCHEMES,
     FHInstance,
     allocate_budget,
     compile_scheme,
     layout_at,
-    plaq_l2_parallel,
-    plaq_l_parallel,
-    plaq_serial,
     prepare_cost,
     qsp_alpha,
-    qsp_compile,
     qsp_queries,
     rotation_count,
+    scheme_record,
     select_cost,
-    sigma_for,
     swapup_cost,
-    tau_m_rounds,
     trotter_kappa,
     trotter_steps,
 )
@@ -34,6 +30,22 @@ from ftqcost.fermi_hubbard import (
 
 def bench_instance(eps=0.01):
     return FHInstance(l_side=30, t_hop=1.0, u_onsite=8.0, t_evol=300, eps_total=eps)
+
+
+def compiled_at(scheme, inst, sigma, m=None):
+    """The scheme's compilation at a given sigma, through its registry record."""
+    record = scheme_record(scheme)
+    return record.compile(inst, sigma, record.load(inst, m, DEFAULT_LOG_BASE), m)
+
+
+def chosen_sigma(scheme, inst):
+    return compile_scheme(scheme, inst)[0].sigma
+
+
+def tau_m_rounds(sigma, d):
+    """plaq_L2's interval between non-Clifford layers, in rounds: (6 sigma + 354)
+    timesteps of d rounds deliver (12 + 4 sigma) magic states per site."""
+    return Fraction(6 * sigma + 354, 12 + 4 * sigma) * d
 
 
 def oracle_steps(l, t_hop, t_evol, u_over_t, eps):
@@ -108,35 +120,34 @@ class TestBudget:
 class TestPlaqSerial:
     def test_per_step_t_count(self):
         inst = bench_instance()
-        summary = plaq_serial(inst, sigma=33)
+        summary = compiled_at("plaq_serial", inst, sigma=33)
         r = trotter_steps(inst, 0.0099)
         per_step = 4 * 900 * (7 + math.log2(900) * 33 / 900)
         assert summary.t_count_total == pytest.approx(r * per_step)
         assert per_step == pytest.approx(26495, rel=1e-3)
 
     def test_fast_block_patch_count(self):
-        summary = plaq_serial(bench_instance(), sigma=33)
+        summary = compiled_at("plaq_serial", bench_instance(), sigma=33)
         total = summary.data_patches + summary.aux_patches + summary.routing_patches
         assert total == 7370
 
     def test_m_one_rejected(self):
         with pytest.raises(ValueError):
-            plaq_serial(bench_instance(), sigma=33, m=1)
+            compiled_at("plaq_serial", bench_instance(), sigma=33, m=1)
 
     def test_serial_consumption(self):
-        summary = plaq_serial(bench_instance(), sigma=33)
+        summary = compiled_at("plaq_serial", bench_instance(), sigma=33)
         assert summary.peak_parallel_t == 1
         assert summary.timestep_depth == summary.t_count_total
 
     def test_sigma_selection(self):
-        sigma, _ = sigma_for("plaq_serial", bench_instance())
-        assert sigma == 33
+        assert chosen_sigma("plaq_serial", bench_instance()) == 33
 
 
 class TestPlaqLParallel:
     def test_per_step_depth(self):
         inst = bench_instance()
-        summary = plaq_l_parallel(inst, sigma=33)
+        summary = compiled_at("plaq_L", inst, sigma=33)
         r = trotter_steps(inst, 0.0099)
         assert summary.timestep_depth == pytest.approx(r * 30 * (2 * 33 + 82))
         assert 30 * (2 * 33 + 82) == 4440
@@ -148,34 +159,33 @@ class TestPlaqLParallel:
         assert blocks == l * (2 * sigma + 82)
 
     def test_consumption_rate(self):
-        summary = plaq_l_parallel(bench_instance(), sigma=33)
+        summary = compiled_at("plaq_L", bench_instance(), sigma=33)
         assert summary.consumption_rate == 60
 
     def test_factory_provisioning_at_d25(self):
-        summary = plaq_l_parallel(bench_instance(), sigma=33)
+        summary = compiled_at("plaq_L", bench_instance(), sigma=33)
         layout = layout_at(summary, factory_by_name("15to1x15to1-p3"), 25)
         assert layout.factory_count == 234
 
     def test_sigma_selection(self):
-        sigma, _ = sigma_for("plaq_L", bench_instance())
-        assert sigma == 37
+        assert chosen_sigma("plaq_L", bench_instance()) == 37
 
 
 class TestPlaqL2Parallel:
     def test_per_step_depth(self):
-        summary = plaq_l2_parallel(bench_instance(), sigma=33)
+        summary = compiled_at("plaq_L2", bench_instance(), sigma=33)
         r = trotter_steps(bench_instance(), 0.0099)
         assert summary.timestep_depth == pytest.approx(r * (6 * 33 + 354))
         assert 6 * 33 + 354 == 552
 
     def test_factory_count_is_l_squared(self):
-        summary = plaq_l2_parallel(bench_instance(), sigma=37)
+        summary = compiled_at("plaq_L2", bench_instance(), sigma=37)
         layout = layout_at(summary, factory_by_name("15to1x20to4-p4"), 15)
         assert layout.factory_count == 900
 
     def test_protected_patches_include_shared_factory_area(self):
         spec = factory_by_name("15to1x20to4-p4")
-        summary = plaq_l2_parallel(bench_instance(), sigma=37)
+        summary = compiled_at("plaq_L2", bench_instance(), sigma=37)
         layout = layout_at(summary, spec, 15, f_r=0.5)
         tau_m = tau_m_rounds(37, 15)
         batches = math.ceil(90 / tau_m)
@@ -186,7 +196,7 @@ class TestPlaqL2Parallel:
 
     def test_f_r_zero_drops_shared_term(self):
         spec = factory_by_name("15to1x20to4-p4")
-        summary = plaq_l2_parallel(bench_instance(), sigma=37)
+        summary = compiled_at("plaq_L2", bench_instance(), sigma=37)
         layout = layout_at(summary, spec, 15, f_r=0.0)
         assert layout.protected_patches == 12 * 900
 
@@ -230,23 +240,22 @@ class TestQsp:
         assert cost.count == 176 + 4 * (25 + 35) + 6 * 31
 
     def test_sigma_selection(self):
-        sigma, _ = sigma_for("qsp", bench_instance())
-        assert sigma == 31
+        assert chosen_sigma("qsp", bench_instance()) == 31
 
     def test_total_t_count_in_band(self):
-        summary = qsp_compile(bench_instance(), sigma=31)
+        summary = compiled_at("qsp", bench_instance(), sigma=31)
         assert 1e11 <= summary.t_count_total <= 1.5e12
         assert summary.t_count_total == pytest.approx(2.37e11, rel=0.01)
 
     def test_throttled_peak(self):
-        summary = qsp_compile(bench_instance(), sigma=31)
+        summary = compiled_at("qsp", bench_instance(), sigma=31)
         assert summary.peak_parallel_t == 450
 
     def test_prepare_is_small_next_to_select(self):
         assert prepare_cost(30, 31).count < 0.01 * select_cost(1800).count
 
     def test_factory_blocks(self):
-        summary = qsp_compile(bench_instance(), sigma=31)
+        summary = compiled_at("qsp", bench_instance(), sigma=31)
         layout = layout_at(summary, factory_by_name("15to1x15to1-p3"), 31)
         assert layout.factory_count == 450 * math.ceil(97.5 / (3 * 31))
 
@@ -256,9 +265,9 @@ class TestSchemeOrdering:
     def test_depth_ordering(self, l):
         inst = FHInstance(l_side=l, t_hop=1.0, u_onsite=8.0, t_evol=50, eps_total=0.01)
         sigma = 33
-        serial = plaq_serial(inst, sigma)
-        row = plaq_l_parallel(inst, sigma)
-        full = plaq_l2_parallel(inst, sigma)
+        serial = compiled_at("plaq_serial", inst, sigma)
+        row = compiled_at("plaq_L", inst, sigma)
+        full = compiled_at("plaq_L2", inst, sigma)
         assert serial.timestep_depth > row.timestep_depth > full.timestep_depth
 
     def test_rotation_counts_match_summaries(self):
@@ -345,7 +354,7 @@ class TestSchemePatches:
     def test_plaq_l2_integer_path_matches_fractions(self, sigma, l_side, spec, f_r, d):
         inst = FHInstance(l_side=l_side, t_hop=1.0, u_onsite=8.0, t_evol=300,
                           eps_total=0.01)
-        summary = plaq_l2_parallel(inst, sigma=sigma)
+        summary = compiled_at("plaq_L2", inst, sigma=sigma)
         patches = REGISTRY["plaq_L2"].patches(summary, spec, d, f_r)
         assert patches == _fraction_shared_patches(summary, spec, d, f_r)
 

@@ -1,0 +1,85 @@
+"""The import graph: each entry point loads only the ftqcost modules it runs,
+and the lazy package still offers every public name."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import ftqcost
+
+SRC = Path(ftqcost.__file__).resolve().parent.parent
+
+PUBLIC = (
+    "BudgetInfeasibleError", "ComparisonRow", "CompilationSummary", "ConfigError",
+    "ErrorBudget", "EstimateOptions", "EstimatorError", "FHInstance", "FactoryFleet",
+    "FactorySpec", "InvalidDistanceError", "LogicalVolume", "MagicStarvedError",
+    "PhysicalAssumptions", "ResourceEstimate", "SCHEMES", "SensitivityBand",
+    "UndefinedRatioError", "builtin_catalog", "choose_distance", "compare",
+    "compile_scheme", "cultivation_variant", "estimate", "factory_by_name",
+    "layout_at", "logical_error_rate", "patch_physical_qubits", "provision",
+    "sensitivity", "simple_estimate", "t_budget_check", "trotter_kappa",
+    "trotter_steps", "wall_time",
+)
+
+
+def fresh_json(code: str):
+    """The JSON ``code`` prints, run in a fresh interpreter that finds ftqcost."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json, sys\n{code}"], capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def loaded_after(statement: str) -> list[str]:
+    """The ftqcost modules in sys.modules after ``statement``, in a fresh interpreter."""
+    return fresh_json(
+        f"{statement}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'ftqcost')))"
+    )
+
+
+def test_bare_import_loads_no_submodule():
+    assert loaded_after("import ftqcost") == ["ftqcost"]
+
+
+def test_subroutines_is_a_leaf():
+    assert loaded_after("import ftqcost.subroutines") == ["ftqcost", "ftqcost.subroutines"]
+
+
+@pytest.mark.parametrize("entry", ["ftqcost.cli", "ftqcost.report"])
+def test_estimator_path_skips_costmodel(entry):
+    loaded = loaded_after(f"import {entry}")
+    assert "ftqcost.estimator" in loaded
+    assert "ftqcost.costmodel" not in loaded
+
+
+def test_public_names_are_unchanged():
+    assert ftqcost.__all__ == list(PUBLIC)
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_public_name_is_its_home_modules_object(name):
+    home = import_module(f"ftqcost.{ftqcost._HOMES[name]}")
+    assert getattr(ftqcost, name) is getattr(home, name)
+    assert name in dir(ftqcost)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ftqcost.no_such_name
+    assert not hasattr(ftqcost, "no_such_name")
+
+
+def test_star_import_binds_every_public_name():
+    bound = fresh_json(
+        "from ftqcost import *\n"
+        "print(json.dumps(sorted(n for n in dir() if n[0] != '_' and n not in ('json', 'sys'))))"
+    )
+    assert bound == sorted(PUBLIC)
