@@ -104,9 +104,8 @@ def _apply_overrides(sections: dict, overrides: list[str]) -> dict:
     return out
 
 
-def _load(args: argparse.Namespace) -> tuple[RunConfig, dict]:
-    sections = _apply_overrides(read_sections(args.config), args.overrides)
-    return build_config(sections), sections
+def _load(args: argparse.Namespace) -> RunConfig:
+    return build_config(_apply_overrides(read_sections(args.config), args.overrides))
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -127,7 +126,7 @@ def _render(report: dict, fmt: str, config: RunConfig) -> str:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    config, _ = _load(args)
+    config = _load(args)
     report = reporting.build_report(config, with_sensitivity=not args.no_sensitivity)
     fmt = args.format or config.output_format
     _emit(_render(report, fmt, config), args.output or config.output_path)
@@ -135,8 +134,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config, _ = _load(args)
+    config = _load(args)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if not schemes:
+        raise ConfigError(["--schemes: at least one scheme is required"])
     unknown = sorted(set(schemes) - set(SCHEMES))
     if unknown:
         raise ConfigError([f"--schemes: unknown scheme {s!r}" for s in unknown])

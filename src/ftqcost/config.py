@@ -10,11 +10,12 @@ Configs are INI files with sections mirroring the run pipeline:
     [output]     format, path
 
 One field table, ``_FIELDS``, names every key with its cast and the
-RunConfig attribute it resolves to. Every value is validated against the
-owning module's preconditions before any computation runs; violations are
-reported together with dotted field paths. An absent optional field takes
-the default of the dataclass field it feeds. In sweep mode, comma-separated
-values in at most three fields expand to a cartesian grid.
+RunConfig attribute it resolves to. Every value is validated by the input
+record it feeds before any computation runs; each record's first violation
+and every unparsable or missing field are reported together with dotted
+field paths. An absent optional field takes the default of the dataclass
+field it feeds. In sweep mode, comma-separated values in at most MAX_RANGED
+fields expand to a cartesian grid.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .qec import PhysicalAssumptions
 Sections = dict[str, dict[str, str]]
 
 OUTPUT_FORMATS = ("table", "json", "csv")
+
+MAX_RANGED = 3
+"""Most fields a sweep may range over."""
 
 
 @dataclass(frozen=True)
@@ -224,8 +228,8 @@ def build_config(sections: Sections) -> RunConfig:
     """Validate one (non-ranged) section mapping into a RunConfig.
 
     One pass over the given keys looks each up in the field table, casts it
-    and files it under its input. Raises ConfigError listing every violation
-    with its dotted field path.
+    and files it under its input. Raises ConfigError listing the problems
+    found, each with its dotted field path.
     """
     problems: list[str] = []
     given: set[str] = set()
@@ -267,16 +271,6 @@ def build_config(sections: Sections) -> RunConfig:
         p = assume.p if assume is not None else 1e-3
         spec = factory_by_name("15to1x20to4-p4" if p <= 3e-4 else "15to1x15to1-p3")
 
-    if options is not None:
-        if not (0 < options.e_qec < 1):
-            problems.append("qec.E: must lie in (0, 1)")
-        if not (0 < options.t_gate_budget <= 1):
-            problems.append("qec.t_gate_budget: must lie in (0, 1]")
-        if not (0 <= options.f_r <= 1):
-            problems.append("algorithm.f_r: must lie in [0, 1]")
-        if options.hwp_m is not None and options.hwp_m < 2:
-            problems.append("algorithm.m: must be at least 2")
-
     # Every construction that failed above filed a problem.
     if problems:
         raise ConfigError(sorted(set(problems)))
@@ -299,7 +293,7 @@ def sections_from_inputs(inputs: dict[str, Any]) -> Sections:
     return sections
 
 
-def expand_sweep(sections: Sections, max_ranged: int = 3) -> list[Sections]:
+def expand_sweep(sections: Sections) -> list[Sections]:
     """Cartesian expansion of comma-separated field values.
 
     Grid order is lexicographic in (section, field) order with earlier
@@ -312,10 +306,10 @@ def expand_sweep(sections: Sections, max_ranged: int = 3) -> list[Sections]:
             if "," in value:
                 parts = [v.strip() for v in value.split(",") if v.strip()]
                 ranged.append((section, key, parts))
-    if len(ranged) > max_ranged:
+    if len(ranged) > MAX_RANGED:
         paths = ", ".join(f"{s}.{k}" for s, k, _ in ranged)
         raise ConfigError(
-            [f"sweep: at most {max_ranged} ranged fields allowed, got {paths}"]
+            [f"sweep: at most {MAX_RANGED} ranged fields allowed, got {paths}"]
         )
     if not ranged:
         return [sections]

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, NamedTuple
 
+from .errors import BudgetInfeasibleError
 from .factories import DEFAULT_T_GATE_BUDGET, FactorySpec, t_budget_check
 from .fermi_hubbard import (
     DEFAULT_F_R,
@@ -57,6 +58,18 @@ class EstimateOptions:
     hwp_m: int | None = None
     log_base: LogBase = DEFAULT_LOG_BASE
     t_gate_budget: float = DEFAULT_T_GATE_BUDGET
+
+    def __post_init__(self) -> None:
+        if not (0 < self.e_qec < 1):
+            raise ValueError("e_qec must lie in (0, 1)")
+        if not (0 < self.t_gate_budget <= 1):
+            raise ValueError("t_gate_budget must lie in (0, 1]")
+        if not (0 <= self.f_r <= 1):
+            raise ValueError("f_r must lie in [0, 1]")
+        if self.hwp_m is not None and self.hwp_m < 2:
+            raise ValueError("hwp_m must be at least 2")
+        if self.d_max < 3:
+            raise ValueError("d_max must be at least 3")
 
 
 @dataclass(frozen=True)
@@ -205,8 +218,8 @@ def simple_estimate(
     """
     if q_logical < 1:
         raise ValueError("q_logical must be at least 1")
-    if gate_count < 1:
-        raise ValueError("gate_count must be at least 1")
+    if not 1 <= gate_count < math.inf:
+        raise ValueError("gate_count must be finite and at least 1")
     try:
         layout = SchemeLayout(ROUTING_FACTOR * q_logical, 0, 0)
         return _fit(
@@ -235,12 +248,17 @@ def _perturbed(
     """Perturb factory qubits/time, threshold, and prefactor together.
 
     Positive ``fraction`` is adverse (more qubits, slower factories, lower
-    threshold, larger prefactor); negative is favorable.
+    threshold, larger prefactor); negative is favorable. The threshold stays
+    at most 1; one lowered to p or below leaves no distance that fits.
     """
+    p_star = min(1.0, assume.p_star * (1 - fraction))
+    if not assume.p < p_star:
+        raise BudgetInfeasibleError(
+            f"no distance meets the failure budget at the {fraction:+.0%} band's "
+            f"threshold p_star={p_star:g}, which is not above p={assume.p:g}"
+        )
     assume2 = replace(
-        assume,
-        p_star=assume.p_star * (1 - fraction),
-        prefactor_a=assume.prefactor_a * (1 + fraction),
+        assume, p_star=p_star, prefactor_a=assume.prefactor_a * (1 + fraction)
     )
     spec2 = replace(
         spec,

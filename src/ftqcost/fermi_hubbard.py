@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Literal, NamedTuple
 
 from .errors import CompileError
-from .factories import DEFAULT_T_GATE_BUDGET, FactorySpec, provision
+from .factories import DEFAULT_T_GATE_BUDGET, FactoryFleet, FactorySpec, provision
 from .qec import DEFAULT_QEC_BUDGET, fast_block_patches
 from .subroutines import T_GATE, SubroutineCost, synthesis_sigma
 
@@ -201,9 +201,6 @@ class SchemeLayout(NamedTuple):
 Load = tuple[float, float]
 """Trotter steps (or QSP queries), and the rotations they synthesize."""
 
-Fleet = tuple[int, int]
-"""Factory count, and the physical qubits of those factories."""
-
 
 def _base_patches(summary: CompilationSummary, *_: object) -> int:
     return summary.data_patches + summary.routing_patches + summary.aux_patches
@@ -217,7 +214,7 @@ class Scheme(NamedTuple):
 
     load: Callable[[FHInstance, int | None, LogBase], Load]
     compile: Callable[[FHInstance, int, Load, int | None], CompilationSummary]
-    fleet: Callable[[CompilationSummary, FactorySpec, int], Fleet]
+    fleet: Callable[[CompilationSummary, FactorySpec, int], FactoryFleet]
     patches: Callable[[CompilationSummary, FactorySpec, int, float], float] = _base_patches
     report_flags: Callable[[RunConfig], dict[str, Any]] = lambda _: {}
 
@@ -377,15 +374,13 @@ def _qsp(inst: FHInstance, sigma: int, load: Load, m: int | None) -> Compilation
     )
 
 
-def _dedicated_fleet(summary: CompilationSummary, spec: FactorySpec, d: int) -> Fleet:
-    fleet = provision(spec, Fraction(round(summary.consumption_rate), d))
-    return fleet.count, fleet.physical_qubits
+def _dedicated_fleet(summary: CompilationSummary, spec: FactorySpec, d: int) -> FactoryFleet:
+    return provision(spec, Fraction(round(summary.consumption_rate), d))
 
 
-def _unit_cell_fleet(summary: CompilationSummary, spec: FactorySpec, d: int) -> Fleet:
+def _unit_cell_fleet(summary: CompilationSummary, spec: FactorySpec, d: int) -> FactoryFleet:
     """Two factories per four-site unit cell: L^2 in total."""
-    l2 = summary.l_side**2
-    return l2, l2 * spec.q_f
+    return FactoryFleet(spec, summary.l_side**2)
 
 
 def _shared_patches(
@@ -404,12 +399,10 @@ def _shared_patches(
     return _base_patches(summary) + f_r * summary.l_side**2 * shared
 
 
-def _factory_blocks(summary: CompilationSummary, spec: FactorySpec, d: int) -> Fleet:
+def _factory_blocks(summary: CompilationSummary, spec: FactorySpec, d: int) -> FactoryFleet:
     """Factories per four data patches, each block owed a state every 3d rounds."""
-    blocks = math.ceil(summary.data_patches / 4)
-    tau_f = spec.tau_f
-    count = blocks * -(-tau_f.numerator // (tau_f.denominator * 3 * d * spec.n_out))
-    return count, count * spec.q_f
+    per_block = provision(spec, Fraction(1, 3 * d)).count
+    return FactoryFleet(spec, math.ceil(summary.data_patches / 4) * per_block)
 
 
 def _hwp_flags(config: RunConfig) -> dict[str, Any]:
@@ -501,4 +494,5 @@ def layout_at(
         raise ValueError("f_r must lie in [0, 1]")
     record = scheme_record(summary.scheme)
     patches = record.patches(summary, spec, d, f_r)
-    return SchemeLayout(patches, *record.fleet(summary, spec, d))
+    fleet = record.fleet(summary, spec, d)
+    return SchemeLayout(patches, fleet.count, fleet.physical_qubits)

@@ -36,9 +36,11 @@ class PhysicalAssumptions:
     tau_r: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.p < self.p_star <= 1.0):
+        if not (0.0 < self.p_star <= 1.0):
+            raise ValueError(f"p_star must lie in (0, 1], got {self.p_star}")
+        if not (0.0 < self.p < self.p_star):
             raise ValueError(
-                f"require 0 < p < p_star <= 1, got p={self.p}, p_star={self.p_star}"
+                f"p must lie in (0, p_star), got p={self.p}, p_star={self.p_star}"
             )
         if self.prefactor_a <= 0:
             raise ValueError("prefactor_a must be positive")

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 from dataclasses import replace
 from importlib import resources
 
@@ -19,6 +22,7 @@ from ftqcost.config import (
 )
 from ftqcost.errors import ConfigError
 from ftqcost.fermi_hubbard import SCHEMES
+from ftqcost.qec import PhysicalAssumptions, logical_error_rate
 from ftqcost.report import build_report, render_json
 
 BUNDLED = resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg")
@@ -84,6 +88,12 @@ class TestTable1Command:
         assert (code, out) == (2, "")
         assert err.startswith("error: t_se = 1e+308 is too extreme to estimate: ")
 
+    @pytest.mark.parametrize("gates", ["nan", "inf", "1e400"])
+    def test_non_finite_gate_count_exit_2(self, capsys, gates):
+        code, out, err = run(capsys, "table1", "--logical", "100", "--gates", gates)
+        assert (code, out) == (2, "")
+        assert err == "error: gate_count must be finite and at least 1\n"
+
 
 class TestEstimateCommand:
     def test_bundled_config_t_count_band(self, bundled_config, capsys):
@@ -125,6 +135,37 @@ class TestEstimateCommand:
         )
         assert code == 2
         assert "physical" in err
+
+    @pytest.mark.parametrize(
+        "override, path",
+        [("physical.p=0", "physical.p"), ("physical.p=0.5", "physical.p"),
+         ("physical.p_star=2", "physical.p_star"), ("physical.p_star=1e-4", "physical.p")],
+    )
+    def test_threshold_rule_names_its_field(self, bundled_config, capsys, override, path):
+        code, _, err = run(capsys, "estimate", bundled_config, "--set", override)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: ")
+
+    def test_options_report_their_first_violation(self, bundled_config, capsys):
+        code, _, err = run(
+            capsys, "estimate", bundled_config,
+            "--set", "qec.E=2", "--set", "algorithm.f_r=5",
+        )
+        assert code == 2
+        assert err == "error: qec.E: e_qec must lie in (0, 1)\n"
+
+    def test_sensitivity_band_at_the_threshold_edges(self, bundled_config, capsys):
+        # The favorable band's threshold stays at most 1; an adverse one that
+        # falls to p or below leaves no distance that fits.
+        code, _, _ = run(capsys, "estimate", bundled_config, "--set", "physical.p_star=1")
+        assert code == 0
+        code, out, err = run(
+            capsys, "estimate", bundled_config,
+            "--set", "physical.p=0.0097", "--set", "qec.d_max=100001",
+        )
+        assert (code, out) == (3, "")
+        assert "threshold p_star=0.0095" in err
 
     def test_infeasible_exit_3(self, bundled_config, capsys):
         code, _, err = run(
@@ -193,6 +234,12 @@ class TestEstimateCommand:
                 "algorithm.U=1e308",
                 "algorithm.T_evol=1e300",
                 "algorithm.eps_total=1e-300",
+                # Each EstimateOptions rule, named through its attribute.
+                "qec.E=2",
+                "qec.t_gate_budget=0",
+                "algorithm.f_r=2",
+                "algorithm.m=1",
+                "qec.d_max=1",
             )),
             # Inputs whose load, budget or sigma step fails with a ValueError.
             *(
@@ -397,6 +444,63 @@ class TestBuildConfigProperty:
             assert isinstance(config, RunConfig)
 
 
+# Numbers at and past the edges of every field's range and of the float range.
+HOSTILE = (
+    "nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "1e-308", "1e-320", "1e305",
+    "1e-300", "1" + "0" * 40, "0.5", "1", "2", "3", "7", "1e-4",
+)
+
+
+class TestInputContractProperty:
+    """Every input ends one of three ways: a finite estimate meeting the
+    invariants, exit 2 naming its fields, or exit 3."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        overrides=st.dictionaries(
+            st.sampled_from([path for path in FIELDS if not path.startswith("output.")]),
+            st.one_of(
+                st.sampled_from(HOSTILE),
+                st.floats().map(repr),
+                st.integers(-(10**45), 10**45).map(str),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        band=st.booleans(),
+    )
+    def test_exit_0_2_or_3(self, scheme, overrides, band):
+        sets = [f"algorithm.scheme={scheme}"]
+        if any(path.startswith("factory.") for path in overrides):
+            sets += CUSTOM_FACTORY.split()
+        sets += [f"{path}={value}" for path, value in overrides.items()]
+        argv = ["estimate", str(BUNDLED), "--format", "json"]
+        argv += [arg for item in sets for arg in ("--set", item)]
+        if not band:
+            argv.append("--no-sensitivity")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+
+        assert code in (0, 2, 3)
+        if code == 2:
+            for line in err.getvalue().splitlines():
+                path, sep, _ = line.removeprefix("error: ").partition(": ")
+                assert line.startswith("error: ") and sep and path in FIELDS, line
+        if code == 0:
+            report = json.loads(out.getvalue())
+            assume = PhysicalAssumptions(**report["inputs"]["physical"])
+            budget = report["inputs"]["qec"]["E"]
+            for est in report["estimates"]:
+                volume = est["spacetime_volume_patch_rounds"]
+                totals = est["physical_qubits_total"], est["wall_time_seconds"], volume
+                assert all(map(math.isfinite, totals))
+                d = est["code_distance"]
+                assert d >= 3 and d % 2 == 1
+                assert volume * logical_error_rate(assume, d) <= budget
+
+
 class TestCompareCommand:
     def test_all_schemes(self, bundled_config, capsys):
         code, out, _ = run(capsys, "compare", bundled_config, "--format", "json")
@@ -410,6 +514,11 @@ class TestCompareCommand:
             capsys, "compare", bundled_config, "--schemes", "plaq_L2,bogus"
         )
         assert code == 2
+
+    def test_empty_scheme_list_exit_2(self, bundled_config, capsys):
+        code, out, err = run(capsys, "compare", bundled_config, "--schemes", ",")
+        assert (code, out) == (2, "")
+        assert err == "error: --schemes: at least one scheme is required\n"
 
 
 class TestSweepCommand:

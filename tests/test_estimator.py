@@ -65,6 +65,21 @@ class TestSimpleEstimate:
         assert est.physical_qubits_by_role["factories"] == 0
 
 
+class TestEstimateOptions:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("e_qec", 1), ("e_qec", float("nan")), ("t_gate_budget", 0), ("f_r", 2),
+         ("hwp_m", 1), ("d_max", 1)],
+    )
+    def test_out_of_range_option_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            EstimateOptions(**{field: value})
+
+    def test_edges_accepted(self):
+        EstimateOptions(t_gate_budget=1, f_r=0, hwp_m=2, d_max=3)
+        EstimateOptions(f_r=1, hwp_m=None)
+
+
 class TestEstimatePipeline:
     def test_t_count_band_every_scheme(self):
         inst = bench_instance()

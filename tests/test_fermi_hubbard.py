@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftqcost.errors import CompileError
-from ftqcost.factories import FactorySpec, cultivation_variant, factory_by_name, provision
+from ftqcost.factories import (
+    FactoryFleet,
+    FactorySpec,
+    cultivation_variant,
+    factory_by_name,
+    provision,
+)
 from ftqcost.fermi_hubbard import (
     DEFAULT_LOG_BASE,
     REGISTRY,
@@ -343,6 +349,15 @@ class TestSchemePatches:
                     if scheme == "plaq_L2":
                         assert patches == _fraction_shared_patches(summary, spec, d, f_r)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_fleet_is_the_layouts_factory_fleet(self, scheme):
+        summary, _ = compile_scheme(scheme, bench_instance())
+        for spec in _specs():
+            fleet = REGISTRY[scheme].fleet(summary, spec, 25)
+            layout = layout_at(summary, spec, 25)
+            assert isinstance(fleet, FactoryFleet) and fleet.spec == spec
+            assert (fleet.count, fleet.physical_qubits) == layout[1:]
+
     @settings(max_examples=300, deadline=None)
     @given(
         sigma=st.integers(min_value=0, max_value=400),
@@ -385,9 +400,9 @@ class TestFleetCeilings:
         for spec in _specs():
             tau_f = _snapped(spec.tau_f_rounds)
             for d in range(3, 100, 2):
-                count, qubits = REGISTRY["qsp"].fleet(summary, spec, d)
-                assert count == blocks * math.ceil(tau_f / (3 * d * spec.n_out))
-                assert qubits == count * spec.q_f
+                fleet = REGISTRY["qsp"].fleet(summary, spec, d)
+                assert fleet.count == blocks * math.ceil(tau_f / (3 * d * spec.n_out))
+                assert fleet.physical_qubits == fleet.count * spec.q_f
 
 
 class TestCompileRange:
