@@ -13,7 +13,6 @@ magic-state supply.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -108,12 +107,20 @@ def _load(args: argparse.Namespace) -> RunConfig:
     return build_config(_apply_overrides(read_sections(args.config), args.overrides))
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
+def _emit(text: str, args: argparse.Namespace, config_path: str | None = None) -> None:
+    """Write to --output, else to the config's output.path, else to stdout."""
+    setting, path = (
+        ("--output", args.output) if args.output else ("output.path", config_path)
+    )
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        problem = f"{setting}: cannot write {path!r}: {exc.strerror or exc}"
+        raise ConfigError([problem]) from exc
 
 
 def _render(report: dict, fmt: str, config: RunConfig) -> str:
@@ -129,7 +136,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     config = _load(args)
     report = reporting.build_report(config, with_sensitivity=not args.no_sensitivity)
     fmt = args.format or config.output_format
-    _emit(_render(report, fmt, config), args.output or config.output_path)
+    _emit(_render(report, fmt, config), args, config.output_path)
     return EXIT_OK
 
 
@@ -143,7 +150,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError([f"--schemes: unknown scheme {s!r}" for s in unknown])
     report = reporting.build_comparison(config, schemes)
     fmt = args.format or config.output_format
-    _emit(_render(report, fmt, config), args.output or config.output_path)
+    _emit(_render(report, fmt, config), args, config.output_path)
     return EXIT_OK
 
 
@@ -162,11 +169,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         reports = [reporting.build_report(c, with_sensitivity=False) for c in configs]
         if fmt == "json":
-            text = json.dumps(reports, sort_keys=True, indent=2) + "\n"
+            text = reporting.render_json(reports)
         else:
             text = "".join(reporting.render_table(report) for report in reports)
-    _emit(text, args.output)
+    _emit(text, args)
     return EXIT_OK
+
+
+_TABLE1_FLAGS = {
+    "q_logical": "--logical",
+    "gate_count": "--gates",
+    "p": "--p",
+    "budget_e": "--e",
+    "t_se": "--t-se",
+}
+"""The table1 flag behind the attribute an error message opens with."""
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -174,7 +191,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         assume = PhysicalAssumptions(p=args.p, t_se=args.t_se)
         est = simple_estimate(args.logical, args.gates, assume, e_qec=args.e)
     except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
+        flag = _TABLE1_FLAGS.get(str(exc).split(" ", 1)[0], "table1")
+        raise ConfigError([f"{flag}: {exc}"]) from exc
     payload = reporting.estimate_payload(est)
     if args.format == "json":
         text = reporting.render_json(
@@ -188,7 +206,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             f"physical qubits: {est.physical_qubits_total:.3g}\n"
             f"wall time: {est.wall_time_seconds:.3g} s\n"
         )
-    _emit(text, args.output)
+    _emit(text, args)
     return EXIT_OK
 
 

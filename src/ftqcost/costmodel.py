@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import MagicStarvedError, UndefinedRatioError
 from .factories import FactoryFleet
@@ -23,30 +22,18 @@ from .qec import (
     require_valid_distance,
 )
 
-RoutingFunction = Callable[[float, int], float]
-"""Maps (P_c, M) to a routing patch count R."""
-
-
-def fast_block_routing(q_data: int) -> RoutingFunction:
-    """Routing preset for the serial "fast block" layout.
+def fast_block_routing(q_data: int) -> float:
+    """Routing patches of the serial "fast block" layout.
 
     Total protected patches come to 2Q + sqrt(8Q) + 1, i.e. the routing
     share beyond the Q data patches is Q + sqrt(8Q) + 1.
     """
-
-    def routing(p_c: float, m: int) -> float:
-        return fast_block_patches(q_data) - q_data
-
-    return routing
+    return fast_block_patches(q_data) - q_data
 
 
-def ratio_routing(k: float, q_data: int) -> RoutingFunction:
+def ratio_routing(k: float, q_data: int) -> float:
     """Routing preset charging a fixed k routing patches per data patch."""
-
-    def routing(p_c: float, m: int) -> float:
-        return k * q_data
-
-    return routing
+    return k * q_data
 
 
 @dataclass(frozen=True)
@@ -60,7 +47,7 @@ class CircuitProfile:
     p_non_clifford: float
     m_layers: int = 1
     k_storage: float = 0.0
-    routing: RoutingFunction | None = None
+    routing: float | None = None
 
     def __post_init__(self) -> None:
         if self.q_data < 1:
@@ -76,8 +63,8 @@ class CircuitProfile:
 
     def routing_patches(self) -> float:
         if self.routing is None:
-            return fast_block_routing(self.q_data)(self.p_clifford, self.m_layers)
-        return self.routing(self.p_clifford, self.m_layers)
+            return fast_block_routing(self.q_data)
+        return self.routing
 
 
 @dataclass(frozen=True)
@@ -91,6 +78,56 @@ class CostBreakdown:
     volume_patch_rounds: float
 
 
+def _gate_times(
+    d: int, assume: PhysicalAssumptions, k_storage: float = 0.0
+) -> tuple[float, float]:
+    """tau_c and tau_nc of the general_cost equations, at distance d."""
+    tau_c = CNOT_TIMESTEPS * d * assume.t_se
+    return tau_c, assume.tau_r if k_storage > 0 else 2 * tau_c + assume.tau_r
+
+
+def _cost(
+    profile: CircuitProfile,
+    fleet: FactoryFleet | None,
+    d: int,
+    assume: PhysicalAssumptions,
+) -> CostBreakdown:
+    """The general_cost equations; ``fleet`` None drops every non-Clifford term."""
+    q = patch_physical_qubits(d)
+    if fleet is not None and fleet.achieved_rate <= 0:
+        raise MagicStarvedError(
+            "circuit consumes magic states but the factory fleet produces none"
+        )
+    r = profile.routing_patches()
+    tau_c, tau_nc = _gate_times(d, assume, profile.k_storage)
+    extra = 2 * (profile.m_layers - 1) * profile.p_clifford
+    gate_time = profile.n_clifford * tau_c / (profile.m_layers * profile.p_clifford)
+    magic_time, factory_qubits = 0.0, 0
+    if fleet is not None:
+        storage = profile.k_storage * (tau_c / assume.tau_r) * profile.p_non_clifford
+        extra = max(extra, storage)
+        gate_time += profile.n_non_clifford * tau_nc / profile.p_non_clifford
+        tau_m = profile.p_non_clifford / fleet.achieved_rate * assume.t_se
+        magic_time = profile.n_non_clifford * tau_m / profile.p_non_clifford
+        factory_qubits = fleet.physical_qubits
+    patches = profile.q_data + r + extra
+    time = max(gate_time, magic_time)
+    return CostBreakdown(
+        space_physical=q * patches + factory_qubits,
+        space_by_role={
+            "data": q * profile.q_data,
+            "routing": q * r,
+            "teleport": q * extra,
+            "factories": float(factory_qubits),
+        },
+        time_seconds=time,
+        gate_time_seconds=gate_time,
+        magic_time_seconds=magic_time,
+        bottleneck=MAGIC_LIMITED if magic_time > gate_time else GATE_LIMITED,
+        volume_patch_rounds=patches * time / assume.t_se,
+    )
+
+
 def clifford_cost(
     profile: CircuitProfile,
     d: int,
@@ -102,27 +139,7 @@ def clifford_cost(
     """
     if profile.n_non_clifford != 0:
         raise ValueError("clifford_cost requires n_non_clifford == 0; use general_cost")
-    require_valid_distance(d)
-    q = patch_physical_qubits(d)
-    r = profile.routing_patches()
-    teleport = 2 * (profile.m_layers - 1) * profile.p_clifford
-    patches = profile.q_data + r + teleport
-    tau_c = CNOT_TIMESTEPS * d * assume.t_se
-    time = profile.n_clifford * tau_c / (profile.m_layers * profile.p_clifford)
-    return CostBreakdown(
-        space_physical=q * patches,
-        space_by_role={
-            "data": q * profile.q_data,
-            "routing": q * r,
-            "teleport": q * teleport,
-            "factories": 0.0,
-        },
-        time_seconds=time,
-        gate_time_seconds=time,
-        magic_time_seconds=0.0,
-        bottleneck=GATE_LIMITED,
-        volume_patch_rounds=patches * time / assume.t_se,
-    )
+    return _cost(profile, None, d, assume)
 
 
 def general_cost(
@@ -138,46 +155,10 @@ def general_cost(
 
     tau_nc is tau_r when the computation is reaction-limited (k > 0) and
     2 tau_c + tau_r for teleported non-Cliffords otherwise. tau_m is the
-    fleet's time to deliver P_nc magic states.
+    fleet's time to deliver P_nc magic states. Without non-Cliffords this is
+    clifford_cost, and the fleet is neither checked nor counted.
     """
-    if profile.n_non_clifford == 0:
-        return clifford_cost(profile, d, assume)
-    require_valid_distance(d)
-    if fleet.achieved_rate <= 0:
-        raise MagicStarvedError(
-            "circuit consumes magic states but the factory fleet produces none"
-        )
-    q = patch_physical_qubits(d)
-    r = profile.routing_patches()
-    tau_c = CNOT_TIMESTEPS * d * assume.t_se
-    tau_nc = assume.tau_r if profile.k_storage > 0 else 2 * tau_c + assume.tau_r
-    tau_m = profile.p_non_clifford / fleet.achieved_rate * assume.t_se
-
-    teleport = 2 * (profile.m_layers - 1) * profile.p_clifford
-    storage = profile.k_storage * (tau_c / assume.tau_r) * profile.p_non_clifford
-    extra = max(teleport, storage)
-    patches = profile.q_data + r + extra
-
-    gate_time = (
-        profile.n_clifford * tau_c / (profile.m_layers * profile.p_clifford)
-        + profile.n_non_clifford * tau_nc / profile.p_non_clifford
-    )
-    magic_time = profile.n_non_clifford * tau_m / profile.p_non_clifford
-    time = max(gate_time, magic_time)
-    return CostBreakdown(
-        space_physical=q * patches + fleet.physical_qubits,
-        space_by_role={
-            "data": q * profile.q_data,
-            "routing": q * r,
-            "teleport": q * extra,
-            "factories": float(fleet.physical_qubits),
-        },
-        time_seconds=time,
-        gate_time_seconds=gate_time,
-        magic_time_seconds=magic_time,
-        bottleneck=MAGIC_LIMITED if magic_time > gate_time else GATE_LIMITED,
-        volume_patch_rounds=patches * time / assume.t_se,
-    )
+    return _cost(profile, None if profile.n_non_clifford == 0 else fleet, d, assume)
 
 
 def pbc_ratio(
@@ -195,8 +176,7 @@ def pbc_ratio(
     if profile.m_layers != 1 or profile.k_storage != 0:
         raise ValueError("pbc_ratio assumes M=1 and k=0")
     require_valid_distance(d)
-    tau_c = CNOT_TIMESTEPS * d * assume.t_se
-    tau_nc = 2 * tau_c + assume.tau_r
+    tau_c, tau_nc = _gate_times(d, assume)
     c_star = (profile.n_clifford * tau_c / profile.p_clifford) / (
         profile.n_non_clifford * tau_nc / profile.p_non_clifford
     )

@@ -66,9 +66,9 @@ class EstimateOptions:
             raise ValueError("t_gate_budget must lie in (0, 1]")
         if not (0 <= self.f_r <= 1):
             raise ValueError("f_r must lie in [0, 1]")
-        if self.hwp_m is not None and self.hwp_m < 2:
+        if self.hwp_m is not None and not self.hwp_m >= 2:
             raise ValueError("hwp_m must be at least 2")
-        if self.d_max < 3:
+        if not self.d_max >= 3:
             raise ValueError("d_max must be at least 3")
 
 

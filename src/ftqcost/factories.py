@@ -35,11 +35,11 @@ class FactorySpec:
     valid_p: float
 
     def __post_init__(self) -> None:
-        if self.q_f <= 0:
+        if not self.q_f > 0:
             raise ValueError("q_f must be positive")
-        if self.tau_f_rounds <= 0:
+        if not self.tau_f_rounds > 0:
             raise ValueError("tau_f_rounds must be positive")
-        if self.n_out < 1:
+        if not self.n_out >= 1:
             raise ValueError("n_out must be at least 1")
         if not (0.0 < self.out_infidelity < 1.0):
             raise ValueError("out_infidelity must lie in (0, 1)")
@@ -61,7 +61,7 @@ class FactoryFleet:
     count: int
 
     def __post_init__(self) -> None:
-        if self.count < 0:
+        if not self.count >= 0:
             raise ValueError("count must be nonnegative")
 
     @property

@@ -47,11 +47,11 @@ class FHInstance:
     def __post_init__(self) -> None:
         if self.l_side < 2 or self.l_side % 2:
             raise ValueError("l_side must be an even integer >= 2")
-        if self.t_hop <= 0:
+        if not self.t_hop > 0:
             raise ValueError("t_hop must be positive")
-        if self.u_onsite < 0:
+        if not self.u_onsite >= 0:
             raise ValueError("u_onsite must be nonnegative")
-        if self.t_evol <= 0:
+        if not self.t_evol > 0:
             raise ValueError("t_evol must be positive")
         if not (0 < self.eps_total < 1):
             raise ValueError("eps_total must lie in (0, 1)")

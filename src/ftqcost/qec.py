@@ -42,11 +42,11 @@ class PhysicalAssumptions:
             raise ValueError(
                 f"p must lie in (0, p_star), got p={self.p}, p_star={self.p_star}"
             )
-        if self.prefactor_a <= 0:
+        if not self.prefactor_a > 0:
             raise ValueError("prefactor_a must be positive")
-        if self.t_se <= 0:
+        if not self.t_se > 0:
             raise ValueError("t_se must be positive")
-        if self.tau_r <= 0:
+        if not self.tau_r > 0:
             raise ValueError("tau_r must be positive")
         if not math.isfinite(self.tau_r / self.t_se):
             raise ValueError("t_se must be large enough that tau_r / t_se is finite")

@@ -155,7 +155,7 @@ def build_comparison(config: RunConfig, schemes: list[str]) -> dict[str, Any]:
     return report
 
 
-def render_json(report: dict[str, Any]) -> str:
+def render_json(report: dict[str, Any] | list[dict[str, Any]]) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 

@@ -86,13 +86,30 @@ class TestTable1Command:
             capsys, "table1", "--logical", "100", "--gates", "1e5", "--t-se", "1e308"
         )
         assert (code, out) == (2, "")
-        assert err.startswith("error: t_se = 1e+308 is too extreme to estimate: ")
+        assert err.startswith("error: --t-se: t_se = 1e+308 is too extreme to estimate: ")
 
     @pytest.mark.parametrize("gates", ["nan", "inf", "1e400"])
     def test_non_finite_gate_count_exit_2(self, capsys, gates):
         code, out, err = run(capsys, "table1", "--logical", "100", "--gates", gates)
         assert (code, out) == (2, "")
-        assert err == "error: gate_count must be finite and at least 1\n"
+        assert err == "error: --gates: gate_count must be finite and at least 1\n"
+
+    @pytest.mark.parametrize(
+        "flag,value,reason",
+        [
+            ("--logical", "0", "q_logical must be at least 1"),
+            ("--p", "nan", "p must lie in (0, p_star), got p=nan, p_star=0.01"),
+            ("--e", "2", "budget_e must lie in (0, 1)"),
+            ("--e", "nan", "budget_e must lie in (0, 1)"),
+            ("--t-se", "nan", "t_se must be positive"),
+            ("--t-se", "1e-320", "t_se must be large enough that tau_r / t_se is finite"),
+        ],
+    )
+    def test_error_names_its_flag(self, capsys, flag, value, reason):
+        argv = {"--logical": "100", "--gates": "1e5", flag: value}
+        code, out, err = run(capsys, "table1", *[a for kv in argv.items() for a in kv])
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag}: {reason}\n"
 
 
 class TestEstimateCommand:
@@ -550,6 +567,48 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "at most 3 ranged fields" in err
+
+
+class TestOutputPath:
+    """An output that cannot be opened exits 2, naming the setting that chose it."""
+
+    @pytest.mark.parametrize("command", ["estimate", "compare", "sweep", "table1"])
+    def test_output_flag_into_missing_directory(
+        self, bundled_config, tmp_path, capsys, command
+    ):
+        target = str(tmp_path / "missing" / "out.json")
+        args = (
+            ["--logical", "100", "--gates", "1e5"] if command == "table1"
+            else [bundled_config, "--schemes", "qsp"] if command == "compare"
+            else [bundled_config]
+        )
+        code, out, err = run(capsys, command, *args, "--output", target)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --output: cannot write {target!r}: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    def test_config_output_path_into_missing_directory(
+        self, bundled_config, tmp_path, capsys, command
+    ):
+        target = str(tmp_path / "missing" / "out.json")
+        code, out, err = run(
+            capsys, command, bundled_config, "--set", f"output.path={target}"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: output.path: cannot write {target!r}: No such file or directory\n"
+        )
+
+    def test_output_flag_overrides_config_path(self, bundled_config, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        code, out, _ = run(
+            capsys, "estimate", bundled_config, "--no-sensitivity",
+            "--set", f"output.path={tmp_path / 'missing' / 'x'}", "--output", str(target),
+        )
+        assert (code, out) == (0, "")
+        assert target.read_text()
 
 
 class TestRoundTrip:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,80 @@ class TestGeneralCost:
             volumes.append(fleet.physical_qubits * production_seconds / a.t_se)
         assert volumes[0] == pytest.approx(volumes[1])
         assert volumes[0] == pytest.approx(n_nc * 97.5 * 39100 / 1)
+
+
+profiles = st.builds(
+    CircuitProfile,
+    q_data=st.integers(min_value=1, max_value=10**4),
+    n_clifford=st.floats(min_value=0, max_value=1e9),
+    n_non_clifford=st.floats(min_value=1, max_value=1e9),
+    p_clifford=st.floats(min_value=1, max_value=64),
+    p_non_clifford=st.floats(min_value=1, max_value=64),
+    m_layers=st.integers(min_value=1, max_value=4),
+    k_storage=st.just(0.0) | st.floats(min_value=0, max_value=4),
+    routing=st.none() | st.floats(min_value=0, max_value=2),
+)
+specs = st.sampled_from(["15to1x15to1-p3", "15to1x20to4-p4"]).map(factory_by_name)
+fleets = st.builds(FactoryFleet, spec=specs, count=st.integers(min_value=1, max_value=10**6))
+distances = st.integers(min_value=1, max_value=40).map(lambda i: 2 * i + 1)
+timings = st.builds(
+    assume,
+    t_se=st.floats(min_value=1e-7, max_value=1e-5),
+    tau_r=st.floats(min_value=1e-7, max_value=1e-4),
+)
+
+
+class TestOneEquationBody:
+    @settings(max_examples=300, deadline=None)
+    @given(profiles, fleets, distances, timings)
+    def test_general_cost_is_its_docstring_equations(self, prof, fleet, d, a):
+        q = 2 * d * d
+        tau_c = 2 * d * a.t_se
+        tau_nc = a.tau_r if prof.k_storage > 0 else 2 * tau_c + a.tau_r
+        tau_m = prof.p_non_clifford / fleet.achieved_rate * a.t_se
+        r = (
+            fast_block_patches(prof.q_data) - prof.q_data if prof.routing is None
+            else prof.routing
+        )
+        extra = max(
+            2 * (prof.m_layers - 1) * prof.p_clifford,
+            prof.k_storage * (tau_c / a.tau_r) * prof.p_non_clifford,
+        )
+        gate = (
+            prof.n_clifford * tau_c / (prof.m_layers * prof.p_clifford)
+            + prof.n_non_clifford * tau_nc / prof.p_non_clifford
+        )
+        magic = prof.n_non_clifford * tau_m / prof.p_non_clifford
+        space = q * (prof.q_data + r + extra) + fleet.physical_qubits
+
+        cost = general_cost(prof, fleet, d, a)
+        assert cost.space_physical == pytest.approx(space, rel=1e-12)
+        assert sum(cost.space_by_role.values()) == pytest.approx(space, rel=1e-12)
+        assert cost.space_by_role["teleport"] == pytest.approx(q * extra, rel=1e-12)
+        assert cost.gate_time_seconds == pytest.approx(gate, rel=1e-12)
+        assert cost.magic_time_seconds == pytest.approx(magic, rel=1e-12)
+        assert cost.time_seconds == max(cost.gate_time_seconds, cost.magic_time_seconds)
+        assert cost.bottleneck == (
+            MAGIC_LIMITED if cost.magic_time_seconds > cost.gate_time_seconds
+            else GATE_LIMITED
+        )
+        assert cost.volume_patch_rounds == pytest.approx(
+            (prof.q_data + r + extra) * max(gate, magic) / a.t_se, rel=1e-12
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        profiles.map(lambda prof: replace(prof, n_non_clifford=0)),
+        st.builds(FactoryFleet, spec=specs, count=st.just(0) | st.integers(0, 10**6)),
+        distances,
+        timings,
+    )
+    def test_no_non_clifford_is_clifford_cost_for_any_fleet(self, prof, fleet, d, a):
+        assert general_cost(prof, fleet, d, a) == clifford_cost(prof, d, a)
+
+    def test_presets_are_patch_counts(self):
+        assert fast_block_routing(50) == 50 + 20 + 1
+        assert ratio_routing(0.5, 100) == 50
 
 
 class TestPbcRatio:

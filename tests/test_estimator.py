@@ -15,7 +15,13 @@ from ftqcost.estimator import (
     sensitivity,
     simple_estimate,
 )
-from ftqcost.factories import cultivation_variant, factory_by_name, provision
+from ftqcost.factories import (
+    FactoryFleet,
+    FactorySpec,
+    cultivation_variant,
+    factory_by_name,
+    provision,
+)
 from ftqcost.fermi_hubbard import SCHEMES, FHInstance
 from ftqcost.qec import PhysicalAssumptions, choose_distance, logical_error_rate
 
@@ -78,6 +84,44 @@ class TestEstimateOptions:
     def test_edges_accepted(self):
         EstimateOptions(t_gate_budget=1, f_r=0, hwp_m=2, d_max=3)
         EstimateOptions(f_r=1, hwp_m=None)
+
+
+# Each record with valid values for every field it requires.
+RECORDS = {
+    PhysicalAssumptions: dict(p=1e-3),
+    FHInstance: dict(l_side=2, t_hop=1.0, u_onsite=8.0, t_evol=1.0, eps_total=0.01),
+    FactorySpec: dict(
+        name="custom", q_f=100, tau_f_rounds=10.0, n_out=1, out_infidelity=1e-10,
+        valid_p=1e-3,
+    ),
+    FactoryFleet: dict(spec=factory_by_name("15to1x15to1-p3"), count=1),
+    EstimateOptions: {},
+}
+
+
+class TestRecordsRefuseNaN:
+    @pytest.mark.parametrize(
+        "record,field",
+        [
+            (PhysicalAssumptions, "prefactor_a"),
+            (PhysicalAssumptions, "t_se"),
+            (PhysicalAssumptions, "tau_r"),
+            (FHInstance, "t_hop"),
+            (FHInstance, "u_onsite"),
+            (FHInstance, "t_evol"),
+            (FactorySpec, "q_f"),
+            (FactorySpec, "tau_f_rounds"),
+            (FactorySpec, "n_out"),
+            (FactoryFleet, "count"),
+            (EstimateOptions, "hwp_m"),
+            (EstimateOptions, "d_max"),
+        ],
+    )
+    def test_nan_fails_its_own_fields_rule(self, record, field):
+        with pytest.raises(ValueError) as info:
+            record(**{**RECORDS[record], field: float("nan")})
+        assert str(info.value).startswith(f"{field} must be")
+        assert "tau_r / t_se" not in str(info.value)
 
 
 class TestEstimatePipeline:
