@@ -6,8 +6,9 @@ Subcommands:
     sweep    <config>   cartesian grid over comma-separated config values
     table1   --logical Q --gates G [--p P]   minimal-footprint quick estimate
 
-Exit codes: 0 success, 2 validation error, 3 infeasible budget or starved
-magic-state supply.
+Exit codes: 0 success, 2 validation error, 3 infeasible budget. A magic-state
+supply that falls short of the schedule is no error: the report's bottleneck
+reads magic-limited.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .config import (
     field_path,
     read_sections,
 )
-from .errors import BudgetInfeasibleError, CompileError, ConfigError, MagicStarvedError
+from .errors import BudgetInfeasibleError, CompileError, ConfigError
 from .estimator import EstimateOptions, simple_estimate
 from .fermi_hubbard import SCHEMES
 from .qec import PhysicalAssumptions
@@ -229,7 +230,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CompileError as exc:
         print(f"error: {field_path('algorithm', str(exc))}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (BudgetInfeasibleError, MagicStarvedError) as exc:
+    except BudgetInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

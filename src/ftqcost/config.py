@@ -23,8 +23,6 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, get_args
 
@@ -42,15 +40,14 @@ MAX_RANGED = 3
 """Most fields a sweep may range over."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully validated and resolved inputs for one estimator run.
 
-    ``spec`` is the base factory design; the cultivation what-if, when
-    requested, is applied on first use via ``effective_spec``, once per
-    config, so that echoed inputs round-trip without double-applying the
-    scaling. ``absent`` holds
-    the dotted paths of the fields the input did not give.
+    ``spec`` is the base factory design and ``effective_spec`` the one
+    estimated: its cultivation what-if when ``cultivation`` is on, else
+    ``spec``, so that echoed inputs round-trip without double-applying the
+    scaling. ``absent`` holds the dotted paths of the fields the input did
+    not give.
     """
 
     assume: PhysicalAssumptions
@@ -62,10 +59,7 @@ class RunConfig:
     output_format: str
     output_path: str | None
     absent: frozenset[str]
-
-    @cached_property
-    def effective_spec(self) -> FactorySpec:
-        return cultivation_variant(self.spec) if self.cultivation else self.spec
+    effective_spec: FactorySpec
 
     def resolved_inputs(self) -> dict[str, Any]:
         """Echo of every input after defaulting, suitable for re-ingestion."""
@@ -274,9 +268,10 @@ def build_config(sections: Sections) -> RunConfig:
     # Every construction that failed above filed a problem.
     if problems:
         raise ConfigError(sorted(set(problems)))
+    effective = cultivation_variant(spec) if values[""]["cultivation"] else spec
     return RunConfig(
         assume=assume, inst=inst, spec=spec, options=options,
-        absent=_ALL_PATHS - given, **values[""],
+        absent=_ALL_PATHS - given, effective_spec=effective, **values[""],
     )
 
 

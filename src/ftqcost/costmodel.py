@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MagicStarvedError, UndefinedRatioError
 from .factories import FactoryFleet
@@ -50,16 +51,12 @@ class CircuitProfile:
     routing: float | None = None
 
     def __post_init__(self) -> None:
-        if self.q_data < 1:
-            raise ValueError("q_data must be at least 1")
-        if self.p_clifford < 1 or self.p_non_clifford < 1:
-            raise ValueError("parallelism parameters must be at least 1")
-        if self.m_layers < 1:
-            raise ValueError("m_layers must be at least 1")
-        if self.n_clifford < 0 or self.n_non_clifford < 0:
-            raise ValueError("gate counts must be nonnegative")
-        if self.k_storage < 0:
-            raise ValueError("k_storage must be nonnegative")
+        for name in ("q_data", "p_clifford", "p_non_clifford", "m_layers"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("n_clifford", "n_non_clifford", "k_storage"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     def routing_patches(self) -> float:
         if self.routing is None:
@@ -67,8 +64,7 @@ class CircuitProfile:
         return self.routing
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(NamedTuple):
     space_physical: float
     space_by_role: dict[str, float]
     time_seconds: float
@@ -183,8 +179,7 @@ def pbc_ratio(
     return profile.p_non_clifford / (1 + c_star)
 
 
-@dataclass(frozen=True)
-class ReactionPlan:
+class ReactionPlan(NamedTuple):
     """Batched teleportation plan running at one reaction time per gate."""
 
     t_prep_seconds: float

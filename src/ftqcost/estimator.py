@@ -72,8 +72,7 @@ class EstimateOptions:
             raise ValueError("d_max must be at least 3")
 
 
-@dataclass(frozen=True)
-class ResourceEstimate:
+class ResourceEstimate(NamedTuple):
     scheme: str
     d: int
     physical_qubits_total: float
@@ -170,10 +169,7 @@ def estimate(
         )
 
     # The knobs actually used, not allocate_budget's defaults, go in the ledger.
-    ledger = ErrorBudget(
-        budget.eps_total, budget.eps_algorithm, budget.eps_synthesis,
-        budget.eps_s_per_rotation, options.e_qec, options.t_gate_budget,
-    )
+    ledger = budget._replace(e_qec=options.e_qec, t_gate_budget=options.t_gate_budget)
     patches = scheme_record(scheme).patches
     try:
         est = _fit(
@@ -193,7 +189,7 @@ def estimate(
                 est.factory_count * spec.n_out / (spec.tau_f_rounds * assume.t_se)
             )
             if est.t_count_total / rate_per_second > est.wall_time_seconds * (1 + 1e-12):
-                est = replace(est, bottleneck=MAGIC_LIMITED)
+                est = est._replace(bottleneck=MAGIC_LIMITED)
     except ArithmeticError as exc:
         inputs = instance_inputs(inst, options.hwp_m)
         inputs.update(

@@ -62,8 +62,7 @@ class FHInstance:
         return 2 * self.l_side**2
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(NamedTuple):
     """How the total error budget is split across error sources."""
 
     eps_total: float
@@ -438,14 +437,6 @@ def scheme_record(scheme: str) -> Scheme:
         return REGISTRY[scheme]
     except KeyError:
         raise ValueError(f"unknown scheme {scheme!r}") from None
-
-
-def rotation_count(
-    scheme: str, inst: FHInstance, m: int | None = None,
-    log_base: LogBase = DEFAULT_LOG_BASE,
-) -> float:
-    """Arbitrary-angle rotations the scheme will synthesize (independent of sigma)."""
-    return scheme_record(scheme).load(inst, m, log_base)[1]
 
 
 def compile_scheme(

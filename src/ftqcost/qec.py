@@ -81,7 +81,7 @@ class LogicalVolume:
     reactions: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.patches < 0 or self.rounds < 0 or self.reactions < 0:
+        if not (self.patches >= 0 and self.rounds >= 0 and self.reactions >= 0):
             raise ValueError("volume components must be nonnegative")
 
     def patch_rounds(self, reaction_rounds: int = 1) -> float:

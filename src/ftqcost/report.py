@@ -56,15 +56,7 @@ def estimate_payload(est: ResourceEstimate) -> dict[str, Any]:
         "warnings": list(est.warnings),
     }
     if est.budget_ledger is not None:
-        ledger = est.budget_ledger
-        payload["budget_ledger"] = {
-            "eps_total": ledger.eps_total,
-            "eps_algorithm": ledger.eps_algorithm,
-            "eps_synthesis": ledger.eps_synthesis,
-            "eps_s_per_rotation": ledger.eps_s_per_rotation,
-            "e_qec": ledger.e_qec,
-            "t_gate_budget": ledger.t_gate_budget,
-        }
+        payload["budget_ledger"] = est.budget_ledger._asdict()
     if est.summary is not None:
         payload["compilation"] = {
             "sigma": est.summary.sigma,
@@ -77,14 +69,16 @@ def estimate_payload(est: ResourceEstimate) -> dict[str, Any]:
     return payload
 
 
-def _assumptions(config: RunConfig) -> dict[str, Any]:
+def _assumptions(config: RunConfig, schemes: Iterable[str]) -> dict[str, Any]:
+    """The inferred knobs that shaped the estimates of ``schemes``."""
     flags: dict[str, Any] = {
         "e_qec": config.options.e_qec,
         "e_qec_inferred": "qec.E" in config.absent,
         "log_base_qsp_queries": config.options.log_base,
         "log_base_inferred": "algorithm.log_base" in config.absent,
     }
-    flags.update(scheme_record(config.scheme).report_flags(config))
+    for scheme in schemes:
+        flags.update(scheme_record(scheme).report_flags(config))
     if config.cultivation:
         flags["cultivation_infidelity_unchanged"] = True
     return flags
@@ -127,7 +121,7 @@ def build_report(config: RunConfig, with_sensitivity: bool = True) -> dict[str, 
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "inputs": config.resolved_inputs(),
-        "assumptions": _assumptions(config),
+        "assumptions": _assumptions(config, [config.scheme]),
         "estimates": [estimate_payload(est)],
     }
     if with_sensitivity:
@@ -140,7 +134,7 @@ def build_comparison(config: RunConfig, schemes: list[str]) -> dict[str, Any]:
     report = {
         "schema_version": SCHEMA_VERSION,
         "inputs": config.resolved_inputs(),
-        "assumptions": _assumptions(config),
+        "assumptions": _assumptions(config, schemes),
         "estimates": [estimate_payload(row.estimate) for row in rows],
         "ratios": [
             {

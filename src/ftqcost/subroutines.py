@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 TOFFOLI = "toffoli"
 T_GATE = "t"
@@ -24,7 +24,8 @@ class SubroutineCost:
     dirty_ancillas: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.count, self.reaction_depth, self.clean_ancillas, self.dirty_ancillas) < 0:
+        if not (self.count >= 0 and self.reaction_depth >= 0
+                and self.clean_ancillas >= 0 and self.dirty_ancillas >= 0):
             raise ValueError("all cost fields must be nonnegative")
 
     @property
@@ -33,17 +34,12 @@ class SubroutineCost:
         return 4 * self.count if self.count_kind == TOFFOLI else self.count
 
 
-@dataclass(frozen=True)
-class SymbolicCost:
+class SymbolicCost(NamedTuple):
     """Asymptotic cost class for rows with no published constants."""
 
     count_class: str
     depth_class: str
     ancilla_class: str
-
-
-def _lg(x: float) -> float:
-    return math.log2(x)
 
 
 def adder_cost(
@@ -67,14 +63,14 @@ def adder_cost(
     if method == "ripple_gidney":
         return SubroutineCost(n, TOFFOLI, 2 * n, n)
     if method == "carry_lookahead":
-        return SubroutineCost(7 * n, TOFFOLI, 4 * _lg(n), 2 * n)
+        return SubroutineCost(7 * n, TOFFOLI, 4 * math.log2(n), 2 * n)
     if method == "block_lookahead":
         if b is None or not (1 <= b <= n):
             raise ValueError("block_lookahead requires block size b in [1, n]")
         return SubroutineCost(
             5 * n - 4 * b + 8 * n / b,
             TOFFOLI,
-            6 * b + 4 * _lg(n / b),
+            6 * b + 4 * math.log2(n / b),
             2 * n + 3 * n / b,
         )
     if method == "cond_clean":
@@ -84,12 +80,12 @@ def adder_cost(
             raise ValueError("runway requires runway count r in [1, n]")
         if eps is None or not (0 < eps < 1):
             raise ValueError("runway requires eps in (0, 1)")
-        term = _lg(r**2 / eps**4)
+        term = math.log2(r**2 / eps**4)
         return SubroutineCost(
             2 * n + r * term,
             TOFFOLI,
             2 * n / (r + 1) + term,
-            r * _lg(r / eps**2),
+            r * math.log2(r / eps**2),
         )
     raise ValueError(f"unknown adder method {method!r}")
 
@@ -98,7 +94,7 @@ def qrom_cost(n_entries: int) -> SubroutineCost:
     """Serial QROM lookup: N-1 Toffolis (4N-4 T), ceil(lg N) clean ancillas."""
     if n_entries < 1:
         raise ValueError("table size must be at least 1")
-    ancillas = math.ceil(_lg(n_entries)) if n_entries > 1 else 0
+    ancillas = math.ceil(math.log2(n_entries)) if n_entries > 1 else 0
     return SubroutineCost(n_entries - 1, TOFFOLI, n_entries - 1, ancillas)
 
 
@@ -141,7 +137,7 @@ def synthesis_sigma(eps_s: float) -> int:
     """T count to synthesize one arbitrary rotation to error eps_s."""
     if not (0 < eps_s <= 1):
         raise ValueError("eps_s must lie in (0, 1]")
-    return math.ceil(0.57 * _lg(1 / eps_s) + 8.83)
+    return math.ceil(0.57 * math.log2(1 / eps_s) + 8.83)
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,7 @@ class ShuttleParams:
     site_separation: float = 12e-6
 
     def __post_init__(self) -> None:
-        if self.acceleration <= 0 or self.site_separation <= 0:
+        if not (self.acceleration > 0 and self.site_separation > 0):
             raise ValueError("acceleration and site_separation must be positive")
 
     def patch_width(self, d: int) -> float:

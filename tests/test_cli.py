@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import math
-from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -426,7 +425,7 @@ class TestFieldTable:
             del sections[section][key.lower()]
         config = build_config(sections)
         rebuilt = build_config(sections_from_inputs(config.resolved_inputs()))
-        assert replace(rebuilt, absent=config.absent) == config
+        assert rebuilt._replace(absent=config.absent) == config
 
 
 BUNDLED_ITEMS = [
@@ -525,6 +524,24 @@ class TestCompareCommand:
         report = json.loads(out)
         assert len(report["estimates"]) == 4
         assert len(report["ratios"]) == 4
+
+    def test_assumptions_echo_every_compared_schemes_flags(self, bundled_config, capsys):
+        code, out, _ = run(capsys, "compare", bundled_config, "--format", "json")
+        assert code == 0
+        flags = json.loads(out)["assumptions"]
+        assert flags["hwp_m"] == 900
+        assert flags["hwp_m_default_is_L_squared"] is True
+        assert flags["f_r"] == 0.5
+
+    def test_assumptions_skip_flags_of_schemes_not_compared(self, bundled_config, capsys):
+        code, out, _ = run(
+            capsys, "compare", bundled_config, "--format", "json",
+            "--schemes", "plaq_serial,plaq_L",
+        )
+        assert code == 0
+        flags = json.loads(out)["assumptions"]
+        assert flags["hwp_m"] == 900
+        assert not {"f_r", "f_r_inferred", "tau_m_rule"} & set(flags)
 
     def test_unknown_scheme_exit_2(self, bundled_config, capsys):
         code, _, err = run(

@@ -25,7 +25,6 @@ from ftqcost.fermi_hubbard import (
     prepare_cost,
     qsp_alpha,
     qsp_queries,
-    rotation_count,
     scheme_record,
     select_cost,
     swapup_cost,
@@ -281,7 +280,7 @@ class TestSchemeOrdering:
         for scheme in SCHEMES:
             summary, _ = compile_scheme(scheme, inst)
             assert summary.rotation_count == pytest.approx(
-                rotation_count(scheme, inst)
+                scheme_record(scheme).load(inst, None, DEFAULT_LOG_BASE)[1]
             )
 
 

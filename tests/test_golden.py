@@ -122,11 +122,6 @@ class TestUnknownScheme:
             fh.compile_scheme("bogus", bench_instance())
         assert str(info.value) == self.MESSAGE
 
-    def test_rotation_count(self):
-        with pytest.raises(ValueError) as info:
-            fh.rotation_count("bogus", bench_instance())
-        assert str(info.value) == self.MESSAGE
-
     def test_layout_at(self):
         summary, _ = fh.compile_scheme("plaq_L", bench_instance())
         # CompilationSummary refuses unknown names, so relabel a valid one.
