@@ -57,6 +57,8 @@ class CircuitProfile:
         for name in ("n_clifford", "n_non_clifford", "k_storage"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if self.routing is not None and not self.routing >= 0:
+            raise ValueError("routing must be nonnegative")
 
     def routing_patches(self) -> float:
         if self.routing is None:
@@ -199,8 +201,9 @@ def reaction_limited_plan(
     pipeline limited by module preparation: total time
     ceil(n / G_opt) * T_prep, at modules_qubits logical qubits per module.
     """
-    if t_prep <= 0 or tau_r <= 0 or n_gates <= 0:
-        raise ValueError("t_prep, tau_r and n_gates must be positive")
+    for name, value in (("t_prep", t_prep), ("tau_r", tau_r), ("n_gates", n_gates)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
     g_opt = max(1, math.ceil(t_prep / tau_r))
     time = math.ceil(n_gates / g_opt) * t_prep
     return ReactionPlan(
@@ -221,7 +224,7 @@ def sequential_baseline(
     Each gate costs 1.5 d SE rounds of surgery plus one reaction delay and
     runs on 2 logical qubits (the data patch and one magic-state patch).
     """
-    if n_gates <= 0:
+    if not n_gates > 0:
         raise ValueError("n_gates must be positive")
     require_valid_distance(d)
     return n_gates * (1.5 * d * assume.t_se + assume.tau_r), 2

@@ -144,12 +144,25 @@ def estimate(
     spec: FactorySpec,
     options: EstimateOptions = EstimateOptions(),
 ) -> ResourceEstimate:
-    """Full pipeline for one Fermi-Hubbard instance and scheme.
+    """Full pipeline for one Fermi-Hubbard instance and scheme."""
+    compiled = compile_scheme(scheme, inst, m=options.hwp_m, log_base=options.log_base)
+    return _fit_compiled(compiled, inst, assume, spec, options)
+
+
+def _fit_compiled(
+    compiled: tuple[CompilationSummary, ErrorBudget],
+    inst: FHInstance,
+    assume: PhysicalAssumptions,
+    spec: FactorySpec,
+    options: EstimateOptions,
+) -> ResourceEstimate:
+    """The estimate of one compiled scheme under ``assume`` and ``spec``.
 
     No scheme's protected patches depend on its fleet size, so the distance
     search reads the patches alone and the fleet is provisioned once, at
     the chosen d.
     """
+    summary, budget = compiled
     warnings: list[str] = []
     if not math.isclose(spec.valid_p, assume.p, rel_tol=0.5):
         warnings.append(
@@ -157,9 +170,6 @@ def estimate(
             f"estimating at p={assume.p}"
         )
 
-    summary, budget = compile_scheme(
-        scheme, inst, m=options.hwp_m, log_base=options.log_base
-    )
     check = t_budget_check(summary.t_count_total, spec, budget=options.t_gate_budget)
     if not check.passed:
         warnings.append(
@@ -170,7 +180,7 @@ def estimate(
 
     # The knobs actually used, not allocate_budget's defaults, go in the ledger.
     ledger = budget._replace(e_qec=options.e_qec, t_gate_budget=options.t_gate_budget)
-    patches = scheme_record(scheme).patches
+    patches = scheme_record(summary.scheme).patches
     try:
         est = _fit(
             assume, lambda d: patches(summary, spec, d, options.f_r),
@@ -178,8 +188,8 @@ def estimate(
             summary.timestep_depth, summary.reaction_depth,
             summary.data_patches + summary.aux_patches, summary.routing_patches,
             options.e_qec, options.d_max,
-            scheme=scheme, t_count_total=summary.t_count_total, budget_ledger=ledger,
-            summary=summary, warnings=tuple(warnings),
+            scheme=summary.scheme, t_count_total=summary.t_count_total,
+            budget_ledger=ledger, summary=summary, warnings=tuple(warnings),
         )
 
         # Sustained fleet throughput versus the gate-level schedule decides the
@@ -196,7 +206,7 @@ def estimate(
             t_se=assume.t_se, tau_r=assume.tau_r,
             q_f=spec.q_f, tau_f_rounds=spec.tau_f_rounds, n_out=spec.n_out,
         )
-        raise too_extreme(inputs, f"estimate {scheme}", exc) from exc
+        raise too_extreme(inputs, f"estimate {summary.scheme}", exc) from exc
     return est
 
 
@@ -272,9 +282,12 @@ def sensitivity(
     options: EstimateOptions = EstimateOptions(),
     fraction: float = SENSITIVITY_FRACTION,
 ) -> SensitivityBand:
-    nominal = estimate(inst, scheme, assume, spec, options)
-    adverse = estimate(inst, scheme, *_perturbed(assume, spec, fraction), options)
-    favorable = estimate(inst, scheme, *_perturbed(assume, spec, -fraction), options)
+    """Nominal and +/-fraction estimates: the perturbed constants do not enter
+    the compilation, so the scheme is compiled once and fitted three times."""
+    compiled = compile_scheme(scheme, inst, m=options.hwp_m, log_base=options.log_base)
+    nominal = _fit_compiled(compiled, inst, assume, spec, options)
+    adverse = _fit_compiled(compiled, inst, *_perturbed(assume, spec, fraction), options)
+    favorable = _fit_compiled(compiled, inst, *_perturbed(assume, spec, -fraction), options)
     return SensitivityBand(nominal=nominal, low=favorable, high=adverse)
 
 

@@ -3,8 +3,8 @@
 Trotter step-count bound, the three plaquette-Trotter (PLAQ) layouts
 (serial, row-parallel, fully parallel), and the QSP/qubitization route via
 PREPARE/SELECT/SWAPUP*. Each scheme is one Scheme record in REGISTRY: its
-rotation load, its CompilationSummary at a given sigma, its factory fleet and
-protected patches at distance d, and its report flags.
+rotation load, its own CompilationSummary fields at a given sigma, its
+factory fleet and protected patches at distance d, and its report flags.
 """
 
 from __future__ import annotations
@@ -207,12 +207,12 @@ def _base_patches(summary: CompilationSummary, *_: object) -> int:
 
 class Scheme(NamedTuple):
     """A compilation scheme: its rotation load, computed once before sigma is
-    chosen; its compilation at sigma from that load; its fleet and, all the
-    distance search reads, its protected patches at distance d; and the knobs
-    the report echoes for it from the resolved run config."""
+    chosen; its own summary fields at sigma, given the load's steps or queries;
+    its fleet and, all the distance search reads, its protected patches at
+    distance d; and the knobs the report echoes from the resolved run config."""
 
     load: Callable[[FHInstance, int | None, LogBase], Load]
-    compile: Callable[[FHInstance, int, Load, int | None], CompilationSummary]
+    compile: Callable[[FHInstance, int, float, int | None], dict[str, float]]
     fleet: Callable[[CompilationSummary, FactorySpec, int], FactoryFleet]
     patches: Callable[[CompilationSummary, FactorySpec, int, float], float] = _base_patches
     report_flags: Callable[[RunConfig], dict[str, Any]] = lambda _: {}
@@ -246,14 +246,11 @@ def _qsp_load(inst: FHInstance, m: int | None, log_base: LogBase) -> Load:
     return queries, queries * 13
 
 
-def _serial(
-    inst: FHInstance, sigma: int, load: Load, m: int | None
-) -> CompilationSummary:
+def _serial(inst: FHInstance, sigma: int, r: float, m: int | None) -> dict[str, float]:
     """Serial PLAQ compilation with Hamming-weight phasing on m ancillas.
 
     One pi/8 rotation per logical timestep in a fast-block layout.
     """
-    r, rotations = load
     m = _hwp_m(inst, m)
     l2 = inst.l_side**2
     per_step_t = 4 * l2 * (7 + math.log2(m) * sigma / m)
@@ -261,9 +258,7 @@ def _serial(
     # One Hamming-weight register of m ancillas per spin sector.
     n_logical = 2 * l2 + 2 * m
     patches = fast_block_patches(n_logical)
-    return CompilationSummary(
-        scheme="plaq_serial",
-        l_side=inst.l_side,
+    return dict(
         data_patches=2 * l2,
         routing_patches=patches - n_logical,
         aux_patches=2 * m,
@@ -272,24 +267,17 @@ def _serial(
         t_count_total=total_t,
         peak_parallel_t=1,
         consumption_rate=1.0,
-        rotation_count=rotations,
-        sigma=sigma,
     )
 
 
-def _row_parallel(
-    inst: FHInstance, sigma: int, load: Load, m: int | None
-) -> CompilationSummary:
+def _row_parallel(inst: FHInstance, sigma: int, r: float, m: int | None) -> dict[str, float]:
     """Row-parallel PLAQ: depth L(2 sigma + 82) per Trotter step.
 
     Consumes 2L magic states per d rounds; 3 routing patches per data patch.
     """
-    r, rotations = load
     l = inst.l_side
     per_step_t = l**2 * (12 + 4 * sigma)
-    return CompilationSummary(
-        scheme="plaq_L",
-        l_side=l,
+    return dict(
         data_patches=2 * l**2,
         routing_patches=6 * l**2,
         aux_patches=0,
@@ -298,8 +286,6 @@ def _row_parallel(
         t_count_total=r * per_step_t,
         peak_parallel_t=2 * l,
         consumption_rate=2 * l,
-        rotation_count=rotations,
-        sigma=sigma,
     )
 
 
@@ -308,21 +294,16 @@ def _full_parallel_step(sigma: int) -> tuple[int, int]:
     return 6 * sigma + 354, 12 + 4 * sigma
 
 
-def _full_parallel(
-    inst: FHInstance, sigma: int, load: Load, m: int | None
-) -> CompilationSummary:
+def _full_parallel(inst: FHInstance, sigma: int, r: float, m: int | None) -> dict[str, float]:
     """Fully parallel PLAQ: depth 6 sigma + 354 per Trotter step.
 
     Local fermion-to-qubit mapping at 1.5 patches per mode (3L^2 data+aux)
     and two factories per four-site unit cell (L^2 factories in total).
     """
-    r, rotations = load
     l = inst.l_side
     depth_per_step, states_per_site = _full_parallel_step(sigma)
     per_step_t = l**2 * states_per_site
-    return CompilationSummary(
-        scheme="plaq_L2",
-        l_side=l,
+    return dict(
         data_patches=2 * l**2,
         routing_patches=9 * l**2,
         aux_patches=l**2,
@@ -331,18 +312,15 @@ def _full_parallel(
         t_count_total=r * per_step_t,
         peak_parallel_t=l**2,
         consumption_rate=per_step_t / depth_per_step,
-        rotation_count=rotations,
-        sigma=sigma,
     )
 
 
-def _qsp(inst: FHInstance, sigma: int, load: Load, m: int | None) -> CompilationSummary:
+def _qsp(inst: FHInstance, sigma: int, queries: float, m: int | None) -> dict[str, float]:
     """QSP/qubitization compilation with the throttled SELECT schedule.
 
     Per query: one SELECT, two sequential PREPAREs, one phase rotation.
     Throttling caps peak parallel magic-state demand at N/4.
     """
-    queries, rotations = load
     l = inst.l_side
     n = inst.n_modes
     lg_n = math.ceil(math.log2(n))
@@ -357,9 +335,7 @@ def _qsp(inst: FHInstance, sigma: int, load: Load, m: int | None) -> Compilation
     )
     reactions_per_query = 32 * lg_n + 8 + 2 * prep.count + sigma
     aux = 3 * lg_n + 5
-    return CompilationSummary(
-        scheme="qsp",
-        l_side=l,
+    return dict(
         data_patches=n,
         routing_patches=3 * (n + aux),
         aux_patches=aux,
@@ -368,8 +344,6 @@ def _qsp(inst: FHInstance, sigma: int, load: Load, m: int | None) -> Compilation
         t_count_total=queries * t_per_query,
         peak_parallel_t=n / 4,
         consumption_rate=n / 12,
-        rotation_count=rotations,
-        sigma=sigma,
     )
 
 
@@ -445,19 +419,24 @@ def compile_scheme(
 ) -> tuple[CompilationSummary, ErrorBudget]:
     """Budget allocation, sigma selection, and compilation in one call.
 
-    A load or synthesis budget that leaves the float range or its domain
-    raises CompileError, laid by too_extreme to an instance field or ``m``.
+    Fills in the fields every scheme shares: scheme, l_side, rotation_count
+    and sigma. A load or synthesis budget that leaves the float range or its
+    domain raises CompileError, laid by too_extreme to an instance field or ``m``.
     """
     record = scheme_record(scheme)
     try:
-        load = record.load(inst, m, log_base)
-        budget = allocate_budget(inst.eps_total, load[1])
+        steps, rotations = record.load(inst, m, log_base)
+        budget = allocate_budget(inst.eps_total, rotations)
         sigma = synthesis_sigma(budget.eps_s_per_rotation)
     except (ArithmeticError, ValueError) as exc:
         if m is not None and m < 2:
             raise  # m's own precondition, not an extreme input
         raise too_extreme(instance_inputs(inst, m), f"compile {scheme}", exc) from exc
-    return record.compile(inst, sigma, load, m), budget
+    summary = CompilationSummary(
+        scheme=scheme, l_side=inst.l_side, rotation_count=rotations, sigma=sigma,
+        **record.compile(inst, sigma, steps, m),
+    )
+    return summary, budget
 
 
 def instance_inputs(inst: FHInstance, m: int | None) -> dict[str, float]:

@@ -54,7 +54,7 @@ def adder_cost(
     ``b`` is the block size for block_lookahead; ``r`` and ``eps`` are the
     runway count and approximation error for the runway adder.
     """
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be at least 1")
     if method == "ripple_cuccaro":
         return SubroutineCost(2 * n, TOFFOLI, 2 * n, 1)
@@ -92,8 +92,8 @@ def adder_cost(
 
 def qrom_cost(n_entries: int) -> SubroutineCost:
     """Serial QROM lookup: N-1 Toffolis (4N-4 T), ceil(lg N) clean ancillas."""
-    if n_entries < 1:
-        raise ValueError("table size must be at least 1")
+    if not n_entries >= 1:
+        raise ValueError("n_entries must be at least 1")
     ancillas = math.ceil(math.log2(n_entries)) if n_entries > 1 else 0
     return SubroutineCost(n_entries - 1, TOFFOLI, n_entries - 1, ancillas)
 
@@ -168,6 +168,6 @@ def shuttle_time(params: ShuttleParams, distance: float) -> float:
     Constant acceleration for the first half and deceleration for the
     second gives t = 2 sqrt(s / a).
     """
-    if distance < 0:
+    if not distance >= 0:
         raise ValueError("distance must be nonnegative")
     return 2 * math.sqrt(distance / params.acceleration)

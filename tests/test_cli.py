@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ftqcost.estimator as estimator_module
-import ftqcost.report as report_module
 from ftqcost.cli import main
 from ftqcost.config import (
     _FIELDS,
@@ -22,7 +21,7 @@ from ftqcost.config import (
 from ftqcost.errors import ConfigError
 from ftqcost.fermi_hubbard import SCHEMES
 from ftqcost.qec import PhysicalAssumptions, logical_error_rate
-from ftqcost.report import build_report, render_json
+from ftqcost.report import build_comparison, build_report, render_json
 
 BUNDLED = resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg")
 CUSTOM_FACTORY = "factory.name=custom factory.q_f=100 factory.out_infidelity=1e-20 "
@@ -366,18 +365,21 @@ class TestEstimateCommand:
         assert (code, out) == (2, "")
         assert err == "error: factory.q_f: invalid literal for int() with base 10: 'many'\n"
 
-    def test_one_nominal_estimate_per_band(self, bundled_config, monkeypatch):
+    def test_one_compile_per_band_and_per_compared_scheme(self, bundled_config, monkeypatch):
         calls = []
-        original = estimator_module.estimate
+        original = estimator_module.compile_scheme
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counting(scheme, *args, **kwargs):
+            calls.append(scheme)
+            return original(scheme, *args, **kwargs)
 
-        monkeypatch.setattr(estimator_module, "estimate", counting)
-        monkeypatch.setattr(report_module, "estimate", counting)
-        build_report(build_config(read_sections(bundled_config)), with_sensitivity=True)
-        assert len(calls) == 3
+        monkeypatch.setattr(estimator_module, "compile_scheme", counting)
+        config = build_config(read_sections(bundled_config))
+        build_report(config, with_sensitivity=True)
+        assert calls == [config.scheme]
+        calls.clear()
+        build_comparison(config, list(SCHEMES))
+        assert calls == list(SCHEMES)
 
 
 def every_field_given(path):

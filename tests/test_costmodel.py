@@ -295,6 +295,16 @@ class TestReactionLimited:
         plan = reaction_limited_plan(75e-6, 5e-6, 1)
         assert plan.time_seconds == pytest.approx(75e-6)
 
+    @pytest.mark.parametrize("field", ["t_prep", "tau_r", "n_gates"])
+    def test_plan_refuses_nan(self, field):
+        args = dict(t_prep=75e-6, tau_r=5e-6, n_gates=30)
+        with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+            reaction_limited_plan(**{**args, field: math.nan})
+
+    def test_baseline_refuses_nan(self):
+        with pytest.raises(ValueError, match="^n_gates must be positive$"):
+            sequential_baseline(math.nan, 15, PhysicalAssumptions(p=1e-3))
+
 
 class TestFastBlock:
     def test_patch_count(self):

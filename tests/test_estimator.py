@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 import ftqcost.estimator as estimator_module
 from ftqcost.config import build_config, read_sections
-from ftqcost.errors import BudgetInfeasibleError
+from ftqcost.errors import BudgetInfeasibleError, EstimatorError
 from ftqcost.estimator import (
+    SENSITIVITY_FRACTION,
     EstimateOptions,
+    SensitivityBand,
+    _perturbed,
     compare,
     estimate,
     sensitivity,
@@ -261,6 +264,39 @@ class TestSensitivity:
                 <= band.nominal.wall_time_seconds
                 <= band.high.wall_time_seconds
             )
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @settings(max_examples=50, deadline=None)
+    @given(
+        l_side=st.integers(min_value=1, max_value=40).map(lambda k: 2 * k),
+        log_p=st.floats(min_value=-5, max_value=-2, exclude_max=True),
+        eps_total=st.floats(min_value=1e-300, max_value=0.9),
+        cultivation=st.booleans(),
+    )
+    def test_band_is_three_independent_estimates(
+        self, scheme, l_side, log_p, eps_total, cultivation
+    ):
+        inst = FHInstance(l_side=l_side, t_hop=1.0, u_onsite=8.0, t_evol=300,
+                          eps_total=eps_total)
+        a = assume(10**log_p)
+        spec = spec_for(a.p)
+        if cultivation:
+            spec = cultivation_variant(spec)
+
+        def outcome(band):
+            try:
+                return band()
+            except (EstimatorError, ArithmeticError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        def three_estimates():
+            return SensitivityBand(
+                nominal=estimate(inst, scheme, a, spec),
+                high=estimate(inst, scheme, *_perturbed(a, spec, SENSITIVITY_FRACTION)),
+                low=estimate(inst, scheme, *_perturbed(a, spec, -SENSITIVITY_FRACTION)),
+            )
+
+        assert outcome(lambda: sensitivity(inst, scheme, a, spec)) == outcome(three_estimates)
 
     def test_favorable_threshold_never_increases_distance(self):
         inst = bench_instance()

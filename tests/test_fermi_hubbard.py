@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ftqcost.fermi_hubbard as fh_module
 from ftqcost.errors import CompileError
 from ftqcost.factories import (
     FactoryFleet,
@@ -38,9 +40,9 @@ def bench_instance(eps=0.01):
 
 
 def compiled_at(scheme, inst, sigma, m=None):
-    """The scheme's compilation at a given sigma, through its registry record."""
-    record = scheme_record(scheme)
-    return record.compile(inst, sigma, record.load(inst, m, DEFAULT_LOG_BASE), m)
+    """The scheme's compilation at a given sigma, through compile_scheme."""
+    with mock.patch.object(fh_module, "synthesis_sigma", return_value=sigma):
+        return compile_scheme(scheme, inst, m)[0]
 
 
 def chosen_sigma(scheme, inst):

@@ -83,3 +83,21 @@ def test_star_import_binds_every_public_name():
         "print(json.dumps(sorted(n for n in dir() if n[0] != '_' and n not in ('json', 'sys'))))"
     )
     assert bound == sorted(PUBLIC)
+
+
+def test_benchmark_tracer_finds_every_site(monkeypatch):
+    """The benchmark's tracer wraps module attributes by name: compile_scheme,
+    choose_distance and layout_at as ftqcost.estimator reaches them. It binds
+    compile_scheme's and choose_distance's parameters by name too. Only
+    report.load_defaults, which the package no longer has, may be absent."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    estimator = import_module("ftqcost.estimator")
+    original = estimator.compile_scheme
+    tracer = import_module("tracing").Tracer()
+    try:
+        tracer.install()
+        assert estimator.compile_scheme is not original
+        assert set(tracer.absent) == {"report.load_defaults"}
+    finally:
+        tracer.uninstall()
+    assert estimator.compile_scheme is original

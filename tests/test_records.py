@@ -48,7 +48,7 @@ NAN_CASES = [
     (CircuitProfile, dict(q_data=10, n_clifford=100, n_non_clifford=10,
                           p_clifford=1, p_non_clifford=1), field)
     for field in ("q_data", "n_clifford", "n_non_clifford", "p_clifford",
-                  "p_non_clifford", "m_layers", "k_storage")
+                  "p_non_clifford", "m_layers", "k_storage", "routing")
 ] + [
     (LogicalVolume, dict(patches=10, rounds=100, reactions=1), field)
     for field in ("patches", "rounds", "reactions")
@@ -71,6 +71,12 @@ def test_record_refuses_nan(record, valid, field):
         record(**{**valid, field: math.nan})
     if record is CircuitProfile:
         assert str(info.value).startswith(f"{field} must be ")
+
+
+def test_circuit_profile_refuses_negative_routing():
+    with pytest.raises(ValueError, match="^routing must be nonnegative$"):
+        CircuitProfile(10, 100, 0, 1, 1, routing=-100)
+    assert CircuitProfile(10, 100, 0, 1, 1, routing=0).routing_patches() == 0
 
 
 def test_budget_ledger_payload_is_the_error_budget():

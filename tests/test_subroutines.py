@@ -75,6 +75,10 @@ class TestAdders:
         with pytest.raises(ValueError):
             adder_cost(method, 64, **kwargs)
 
+    def test_nan_width_rejected(self):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            adder_cost("ripple_cuccaro", math.nan)
+
     @given(st.integers(min_value=8, max_value=4096))
     def test_lookahead_trades_depth_for_count(self, n):
         ripple = adder_cost("ripple_cuccaro", n)
@@ -94,6 +98,10 @@ class TestQrom:
 
     def test_t_equivalent(self):
         assert qrom_cost(1024).t_count == 4 * 1024 - 4
+
+    def test_nan_size_rejected(self):
+        with pytest.raises(ValueError, match="^n_entries must be at least 1$"):
+            qrom_cost(math.nan)
 
 
 class TestQroam:
@@ -167,6 +175,10 @@ class TestShuttle:
 
     def test_zero_distance(self):
         assert shuttle_time(ShuttleParams(), 0.0) == 0.0
+
+    def test_nan_distance_rejected(self):
+        with pytest.raises(ValueError, match="^distance must be nonnegative$"):
+            shuttle_time(ShuttleParams(), math.nan)
 
     @given(st.floats(min_value=1e-9, max_value=1.0))
     def test_scales_as_sqrt(self, s):
