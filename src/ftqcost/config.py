@@ -302,7 +302,10 @@ def expand_sweep(sections: Sections) -> list[Sections]:
                 parts = [v.strip() for v in value.split(",") if v.strip()]
                 ranged.append((section, key, parts))
     if len(ranged) > MAX_RANGED:
-        paths = ", ".join(f"{s}.{k}" for s, k, _ in ranged)
+        # Each key under its documented spelling; an unknown one as given.
+        paths = ", ".join(
+            _LOOKUP.get(s, {}).get(k, (f"{s}.{k}",))[0] for s, k, _ in ranged
+        )
         raise ConfigError(
             [f"sweep: at most {MAX_RANGED} ranged fields allowed, got {paths}"]
         )

@@ -27,32 +27,26 @@ from .fermi_hubbard import scheme_record
 
 SCHEMA_VERSION = "2.0"
 
-CSV_COLUMNS = (
-    "scheme",
-    "p",
-    "factory",
-    "cultivation",
-    "d",
-    "physical_qubits_total",
-    "wall_time_seconds",
-    "spacetime_volume",
-    "factory_count",
-    "t_count_total",
-    "bottleneck",
-)
+# Each headline number: its report key -> its ResourceEstimate attribute,
+# which is also its CSV column. The order is the table's and the CSV's.
+_HEADLINE = {
+    "code_distance": "d",
+    "physical_qubits_total": "physical_qubits_total",
+    "wall_time_seconds": "wall_time_seconds",
+    "spacetime_volume_patch_rounds": "spacetime_volume",
+    "factory_count": "factory_count",
+    "t_count_total": "t_count_total",
+    "bottleneck": "bottleneck",
+}
+
+CSV_COLUMNS = ("scheme", "p", "factory", "cultivation", *_HEADLINE.values())
 
 
 def estimate_payload(est: ResourceEstimate) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "scheme": est.scheme,
-        "code_distance": est.d,
-        "physical_qubits_total": est.physical_qubits_total,
+        **{key: getattr(est, attr) for key, attr in _HEADLINE.items()},
         "physical_qubits_by_role": dict(est.physical_qubits_by_role),
-        "wall_time_seconds": est.wall_time_seconds,
-        "spacetime_volume_patch_rounds": est.spacetime_volume,
-        "factory_count": est.factory_count,
-        "t_count_total": est.t_count_total,
-        "bottleneck": est.bottleneck,
         "warnings": list(est.warnings),
     }
     if est.budget_ledger is not None:
@@ -106,46 +100,44 @@ def estimate_config(config: RunConfig) -> ResourceEstimate:
     )
 
 
+def _report(
+    config: RunConfig, schemes: Iterable[str], estimates: Iterable[ResourceEstimate]
+) -> dict[str, Any]:
+    """The fields every report shares: the estimates of ``schemes``."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "inputs": config.resolved_inputs(),
+        "assumptions": _assumptions(config, schemes),
+        "estimates": [estimate_payload(est) for est in estimates],
+    }
+
+
 def build_report(config: RunConfig, with_sensitivity: bool = True) -> dict[str, Any]:
     """Full report for one config: estimate plus optional sensitivity band.
 
     With the band, the band's nominal is the report's estimate."""
-    if with_sensitivity:
-        band = sensitivity(
-            config.inst, config.scheme, config.assume, config.effective_spec,
-            config.options,
-        )
-        est = band.nominal
-    else:
-        est = estimate_config(config)
-    report: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "inputs": config.resolved_inputs(),
-        "assumptions": _assumptions(config, [config.scheme]),
-        "estimates": [estimate_payload(est)],
-    }
-    if with_sensitivity:
-        report["sensitivity"] = _band_payload(band)
+    if not with_sensitivity:
+        return _report(config, [config.scheme], [estimate_config(config)])
+    band = sensitivity(
+        config.inst, config.scheme, config.assume, config.effective_spec, config.options
+    )
+    report = _report(config, [config.scheme], [band.nominal])
+    report["sensitivity"] = _band_payload(band)
     return report
 
 
 def build_comparison(config: RunConfig, schemes: list[str]) -> dict[str, Any]:
     rows = compare(config.inst, schemes, config.assume, config.effective_spec, config.options)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "inputs": config.resolved_inputs(),
-        "assumptions": _assumptions(config, schemes),
-        "estimates": [estimate_payload(row.estimate) for row in rows],
-        "ratios": [
-            {
-                "scheme": row.estimate.scheme,
-                "time_ratio": row.time_ratio,
-                "qubit_ratio": row.qubit_ratio,
-                "volume_ratio": row.volume_ratio,
-            }
-            for row in rows
-        ],
-    }
+    report = _report(config, schemes, [row.estimate for row in rows])
+    report["ratios"] = [
+        {
+            "scheme": row.estimate.scheme,
+            "time_ratio": row.time_ratio,
+            "qubit_ratio": row.qubit_ratio,
+            "volume_ratio": row.volume_ratio,
+        }
+        for row in rows
+    ]
     return report
 
 
@@ -164,15 +156,7 @@ def render_table(report: dict[str, Any]) -> str:
     lines = []
     for est in report["estimates"]:
         lines.append(f"scheme: {est['scheme']}")
-        for key in (
-            "code_distance",
-            "physical_qubits_total",
-            "wall_time_seconds",
-            "spacetime_volume_patch_rounds",
-            "factory_count",
-            "t_count_total",
-            "bottleneck",
-        ):
+        for key in _HEADLINE:
             lines.append(f"  {key:32s} {_fmt(est[key])}")
         for warning in est["warnings"]:
             lines.append(f"  warning: {warning}")
@@ -187,13 +171,7 @@ def csv_row(config: RunConfig, est_payload: dict[str, Any]) -> dict[str, Any]:
         "p": config.assume.p,
         "factory": config.effective_spec.name,
         "cultivation": config.cultivation,
-        "d": est_payload["code_distance"],
-        "physical_qubits_total": est_payload["physical_qubits_total"],
-        "wall_time_seconds": est_payload["wall_time_seconds"],
-        "spacetime_volume": est_payload["spacetime_volume_patch_rounds"],
-        "factory_count": est_payload["factory_count"],
-        "t_count_total": est_payload["t_count_total"],
-        "bottleneck": est_payload["bottleneck"],
+        **{column: est_payload[key] for key, column in _HEADLINE.items()},
     }
 
 

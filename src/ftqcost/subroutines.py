@@ -103,8 +103,10 @@ def qroam_cost(n_entries: int, b_bits: int, lam: int) -> SubroutineCost:
 
     Uses b clean output ancillas plus b*lam dirty work ancillas.
     """
-    if n_entries < 1 or b_bits < 1:
-        raise ValueError("N and b must be at least 1")
+    if not n_entries >= 1:
+        raise ValueError("n_entries must be at least 1")
+    if not b_bits >= 1:
+        raise ValueError("b_bits must be at least 1")
     if not (1 <= lam <= n_entries):
         raise ValueError("blocking factor lam must lie in [1, N]")
     t = 8 * math.ceil(n_entries / lam) + 32 * b_bits * lam
@@ -120,8 +122,10 @@ def qroam_optimal(n_entries: int, b_bits: int) -> tuple[int, SubroutineCost]:
     Exhaustive over lam in [1, N] for N up to 2^20; above that, a local
     search seeded at the continuous optimum sqrt(N / 4b).
     """
-    if n_entries < 1 or b_bits < 1:
-        raise ValueError("N and b must be at least 1")
+    if not n_entries >= 1:
+        raise ValueError("n_entries must be at least 1")
+    if not b_bits >= 1:
+        raise ValueError("b_bits must be at least 1")
     if n_entries <= _BRUTE_FORCE_LIMIT:
         candidates = range(1, n_entries + 1)
     else:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from ftqcost.config import (
     sections_from_inputs,
 )
 from ftqcost.errors import ConfigError
+from ftqcost.estimator import EstimateOptions
 from ftqcost.fermi_hubbard import SCHEMES
 from ftqcost.qec import PhysicalAssumptions, logical_error_rate
 from ftqcost.report import build_comparison, build_report, render_json
@@ -467,6 +469,61 @@ HOSTILE = (
     "nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "1e-308", "1e-320", "1e305",
     "1e-300", "1" + "0" * 40, "0.5", "1", "2", "3", "7", "1e-4",
 )
+VALUES = st.one_of(
+    st.sampled_from(HOSTILE),
+    st.floats().map(repr),
+    st.integers(-(10**45), 10**45).map(str),
+)
+# The fields a hostile override may set: every one outside [output].
+OVERRIDE_PATHS = [path for path in FIELDS if not path.startswith("output.")]
+TABLE1_FLAGS = ("--logical", "--gates", "--p", "--e", "--t-se")
+
+
+def overrides(min_size, max_size):
+    return st.dictionaries(
+        st.sampled_from(OVERRIDE_PATHS), VALUES, min_size=min_size, max_size=max_size
+    )
+
+
+def with_factory(sets):
+    """``sets`` (path -> value), after a custom factory when it sets a factory field."""
+    if not any(path.startswith("factory.") for path in sets):
+        return sets
+    return {**dict(item.split("=") for item in CUSTOM_FACTORY.split()), **sets}
+
+
+def set_args(sets):
+    return [arg for item in sets.items() for arg in ("--set", "=".join(item))]
+
+
+def run_contract(argv, names=FIELDS):
+    """Exit code and standard output of ``main(argv)``, which must exit 0, 2 or
+    3 and open every exit-2 line with one of ``names``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        for line in err.getvalue().splitlines():
+            name, sep, _ = line.removeprefix("error: ").partition(": ")
+            assert line.startswith("error: ") and sep and name in names, line
+    return code, out.getvalue()
+
+
+def assert_invariants(assume, budget, d, qubits, wall_time, volume):
+    assert all(map(math.isfinite, (qubits, wall_time, volume)))
+    assert d >= 3 and d % 2 == 1
+    assert volume * logical_error_rate(assume, d) <= budget
+
+
+def assert_report_invariants(report):
+    assume = PhysicalAssumptions(**report["inputs"]["physical"])
+    for est in report["estimates"]:
+        assert_invariants(
+            assume, report["inputs"]["qec"]["E"], est["code_distance"],
+            est["physical_qubits_total"], est["wall_time_seconds"],
+            est["spacetime_volume_patch_rounds"],
+        )
 
 
 class TestInputContractProperty:
@@ -474,49 +531,77 @@ class TestInputContractProperty:
     invariants, exit 2 naming its fields, or exit 3."""
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        scheme=st.sampled_from(SCHEMES),
-        overrides=st.dictionaries(
-            st.sampled_from([path for path in FIELDS if not path.startswith("output.")]),
-            st.one_of(
-                st.sampled_from(HOSTILE),
-                st.floats().map(repr),
-                st.integers(-(10**45), 10**45).map(str),
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-        band=st.booleans(),
-    )
-    def test_exit_0_2_or_3(self, scheme, overrides, band):
-        sets = [f"algorithm.scheme={scheme}"]
-        if any(path.startswith("factory.") for path in overrides):
-            sets += CUSTOM_FACTORY.split()
-        sets += [f"{path}={value}" for path, value in overrides.items()]
+    @given(scheme=st.sampled_from(SCHEMES), sets=overrides(1, 3), band=st.booleans())
+    def test_exit_0_2_or_3(self, scheme, sets, band):
         argv = ["estimate", str(BUNDLED), "--format", "json"]
-        argv += [arg for item in sets for arg in ("--set", item)]
+        argv += set_args(with_factory({"algorithm.scheme": scheme, **sets}))
         if not band:
             argv.append("--no-sensitivity")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-
-        assert code in (0, 2, 3)
-        if code == 2:
-            for line in err.getvalue().splitlines():
-                path, sep, _ = line.removeprefix("error: ").partition(": ")
-                assert line.startswith("error: ") and sep and path in FIELDS, line
+        code, out = run_contract(argv)
         if code == 0:
-            report = json.loads(out.getvalue())
-            assume = PhysicalAssumptions(**report["inputs"]["physical"])
-            budget = report["inputs"]["qec"]["E"]
-            for est in report["estimates"]:
-                volume = est["spacetime_volume_patch_rounds"]
-                totals = est["physical_qubits_total"], est["wall_time_seconds"], volume
-                assert all(map(math.isfinite, totals))
-                d = est["code_distance"]
-                assert d >= 3 and d % 2 == 1
-                assert volume * logical_error_rate(assume, d) <= budget
+            assert_report_invariants(json.loads(out))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        schemes=st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=5),
+        sets=overrides(1, 3),
+    )
+    def test_compare_exit_0_2_or_3(self, schemes, sets):
+        argv = ["compare", str(BUNDLED), "--format", "json", "--schemes", ",".join(schemes)]
+        code, out = run_contract(argv + set_args(with_factory(sets)))
+        if code == 0:
+            report = json.loads(out)
+            assert [est["scheme"] for est in report["estimates"]] == schemes
+            assert_report_invariants(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        logical=st.one_of(st.integers(-10, 10**6), st.integers(-(10**45), 10**45)),
+        gates=VALUES,
+        optional=st.tuples(*[st.one_of(st.none(), VALUES)] * 3),
+    )
+    def test_table1_exit_0_2_or_3(self, logical, gates, optional):
+        # An optional flag drawn as None is left out and keeps its default.
+        flags = dict(zip(TABLE1_FLAGS, (str(logical), gates, *optional)))
+        flags = {flag: value for flag, value in flags.items() if value is not None}
+        # --flag=value, so that argparse cannot read "-inf" as an option.
+        argv = ["table1", "--format=json", *(f"{f}={v}" for f, v in flags.items())]
+        code, out = run_contract(argv, names=TABLE1_FLAGS)
+        if code == 0:
+            (est,) = json.loads(out)["estimates"]
+            assume = PhysicalAssumptions(
+                p=float(flags.get("--p", 1e-3)),
+                t_se=float(flags.get("--t-se", PhysicalAssumptions.t_se)),
+            )
+            assert_invariants(
+                assume, float(flags.get("--e", EstimateOptions.e_qec)), est["code_distance"],
+                est["physical_qubits_total"], est["wall_time_seconds"],
+                est["spacetime_volume_patch_rounds"],
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ranged=st.sampled_from(OVERRIDE_PATHS),
+        points=st.lists(VALUES, min_size=2, max_size=3),
+        sets=overrides(0, 2),
+    )
+    def test_sweep_exit_0_2_or_3(self, ranged, points, sets):
+        sets = with_factory({**sets, ranged: ",".join(points)})
+        code, out = run_contract(["sweep", str(BUNDLED), "--format", "csv", *set_args(sets)])
+        if code == 0:
+            sections = read_sections(str(BUNDLED))
+            for path, value in sets.items():
+                section, key = path.split(".")
+                sections.setdefault(section, {})[key.lower()] = value
+            configs = [build_config(point) for point in expand_sweep(sections)]
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert len(rows) == len(configs) == len(points)
+            for config, row in zip(configs, rows):
+                assert_invariants(
+                    config.assume, config.options.e_qec, int(row["d"]),
+                    float(row["physical_qubits_total"]), float(row["wall_time_seconds"]),
+                    float(row["spacetime_volume"]),
+                )
 
 
 class TestCompareCommand:
@@ -579,13 +664,16 @@ class TestSweepCommand:
     def test_too_many_ranged_fields(self, bundled_config, capsys):
         code, _, err = run(
             capsys, "sweep", bundled_config,
-            "--set", "physical.p=1e-3,1e-4",
-            "--set", "algorithm.scheme=plaq_L,qsp",
-            "--set", "algorithm.L=10,30",
-            "--set", "algorithm.T_evol=100,300",
+            "--set", "physical.p=1e-3,2e-3",
+            "--set", "algorithm.L=10,20",
+            "--set", "algorithm.T_evol=1,2",
+            "--set", "qec.E=0.1,0.2",
         )
         assert code == 2
-        assert "at most 3 ranged fields" in err
+        assert err == (
+            "error: sweep: at most 3 ranged fields allowed, "
+            "got algorithm.L, algorithm.T_evol, physical.p, qec.E\n"
+        )
 
 
 class TestOutputPath:

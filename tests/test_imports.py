@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from importlib import import_module
+from importlib import import_module, resources
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ import pytest
 import ftqcost
 
 SRC = Path(ftqcost.__file__).resolve().parent.parent
+PERFBENCH = SRC.parent / "perfbench"
 
 PUBLIC = (
     "BudgetInfeasibleError", "ComparisonRow", "CompilationSummary", "ConfigError",
@@ -90,7 +91,7 @@ def test_benchmark_tracer_finds_every_site(monkeypatch):
     choose_distance and layout_at as ftqcost.estimator reaches them. It binds
     compile_scheme's and choose_distance's parameters by name too. Only
     report.load_defaults, which the package no longer has, may be absent."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     estimator = import_module("ftqcost.estimator")
     original = estimator.compile_scheme
     tracer = import_module("tracing").Tracer()
@@ -101,3 +102,31 @@ def test_benchmark_tracer_finds_every_site(monkeypatch):
     finally:
         tracer.uninstall()
     assert estimator.compile_scheme is original
+
+
+def test_benchmark_tracer_sees_every_report_layer_call(monkeypatch, tmp_path):
+    """A CSV sweep, a band report and a comparison reach the report and
+    estimator functions through the module attributes the tracer wraps: a
+    direct call would leave a span name empty without marking it absent."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    cli = import_module("ftqcost.cli")
+    config_module = import_module("ftqcost.config")
+    reporting = import_module("ftqcost.report")
+    path = str(resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg"))
+    tracer = import_module("tracing").Tracer()
+    try:
+        tracer.install()
+        sweep = ["sweep", path, "--set", "physical.p=1e-3,5e-4"]
+        assert cli.main([*sweep, "--output", str(tmp_path / "sweep.csv")]) == 0
+        config = config_module.build_config(config_module.read_sections(path))
+        reporting.render_json(reporting.build_report(config))
+        reporting.build_comparison(config, ["plaq_L", "qsp"])
+    finally:
+        tracer.uninstall()
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
+    fired = {name for name, (count, _, _) in tracer.stats.items() if count}
+    assert not {
+        "report.csv_row", "report.render", "report.build_report",
+        "report.build_comparison", "estimator.estimate", "estimator.sensitivity",
+        "estimator.compare",
+    } - fired

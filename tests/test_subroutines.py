@@ -133,6 +133,19 @@ class TestQroam:
         for lam in range(1, n + 1):
             assert best.count <= qroam_cost(n, b, lam).count
 
+    @pytest.mark.parametrize(
+        "lookup, args, name",
+        [
+            (qroam_cost, (math.nan, 1, 1), "n_entries"),
+            (qroam_cost, (8, math.nan, 1), "b_bits"),
+            (qroam_optimal, (math.nan, 1), "n_entries"),
+            (qroam_optimal, (8, math.nan), "b_bits"),
+        ],
+    )
+    def test_nan_argument_rejected(self, lookup, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
+            lookup(*args)
+
     def test_vs_qrom_at_lambda_one(self):
         n, b = 4096, 8
         serial = qroam_cost(n, b, 1).count
