@@ -227,6 +227,7 @@ def build_config(sections: Sections) -> RunConfig:
     """
     problems: list[str] = []
     given: set[str] = set()
+    unparsed: set[str] = set()
     values = {target: dict(seed) for target, seed in _SEEDS.items()}
     for section, fields in sections.items():
         lookup = _LOOKUP.get(section)
@@ -244,7 +245,9 @@ def build_config(sections: Sections) -> RunConfig:
                 values[target][keyword] = field.cast(raw)
             except ValueError as exc:
                 problems.append(f"{path}: {exc}")
+                unparsed.add(path)
 
+    parsed = given - unparsed
     name = values["spec"]["name"]
     custom = name == "custom" and not given.isdisjoint(_CUSTOM_KEYS)
     required = _REQUIRED if custom else _REQUIRED_BUILTIN
@@ -255,15 +258,25 @@ def build_config(sections: Sections) -> RunConfig:
     options = _construct("options", EstimateOptions, values["options"], problems)
     if custom:
         spec = _construct("factory", FactorySpec, values["spec"], problems)
-    elif name != "custom":
+    elif name != "custom" or (assume is not None and "physical.p" in parsed):
+        if name == "custom":
+            # Default to the built-in design characterized nearest to p. With
+            # no valid p the design is unknown, and p's problem is filed.
+            name = "15to1x20to4-p4" if assume.p <= 3e-4 else "15to1x15to1-p3"
         try:
             spec = factory_by_name(name)
         except KeyError as exc:
             problems.append(f"factory.name: {exc.args[0]}")
-    else:
-        # Default to the built-in design characterized nearest to p.
-        p = assume.p if assume is not None else 1e-3
-        spec = factory_by_name("15to1x20to4-p4" if p <= 3e-4 else "15to1x15to1-p3")
+        else:
+            # A built-in design is estimated as it is: a field given with it
+            # must agree with it, or it would be dropped without a word.
+            problems += [
+                f"{path}: {values['spec'][keyword]!r} differs from the built-in "
+                f"factory {name}'s {getattr(spec, keyword)!r}"
+                for path, target, keyword, _ in _ENTRIES
+                if target == "spec" and keyword != "name" and path in parsed
+                and values["spec"][keyword] != getattr(spec, keyword)
+            ]
 
     # Every construction that failed above filed a problem.
     if problems:

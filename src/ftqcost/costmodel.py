@@ -19,17 +19,10 @@ from .qec import (
     MAGIC_LIMITED,
     PhysicalAssumptions,
     fast_block_patches,
+    fast_block_routing,
     patch_physical_qubits,
     require_valid_distance,
 )
-
-def fast_block_routing(q_data: int) -> float:
-    """Routing patches of the serial "fast block" layout.
-
-    Total protected patches come to 2Q + sqrt(8Q) + 1, i.e. the routing
-    share beyond the Q data patches is Q + sqrt(8Q) + 1.
-    """
-    return fast_block_patches(q_data) - q_data
 
 
 def ratio_routing(k: float, q_data: int) -> float:

@@ -1,9 +1,10 @@
 """End-to-end resource estimation.
 
-Chains error-budget allocation, scheme compilation, joint distance/fleet
-fixed-point selection, factory provisioning, and totals into a single
-ResourceEstimate; also provides the minimal-footprint quick estimator,
-the +/-5% sensitivity band, and multi-scheme comparison.
+Chains error-budget allocation, scheme compilation, distance selection on
+the protected patches alone, factory provisioning once at the chosen
+distance, and totals into a single ResourceEstimate; also provides the
+minimal-footprint quick estimator, the +/-5% sensitivity band, and
+multi-scheme comparison.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ from typing import TYPE_CHECKING, Any, Callable, Literal, NamedTuple
 
 from .errors import CompileError
 from .factories import DEFAULT_T_GATE_BUDGET, FactoryFleet, FactorySpec, provision
-from .qec import DEFAULT_QEC_BUDGET, fast_block_patches
+from .qec import (
+    DEFAULT_QEC_BUDGET, fast_block_routing, patch_physical_qubits, require_valid_distance,
+)
 from .subroutines import T_GATE, SubroutineCost, synthesis_sigma
 
 if TYPE_CHECKING:
@@ -206,61 +208,52 @@ def _base_patches(summary: CompilationSummary, *_: object) -> int:
 
 
 class Scheme(NamedTuple):
-    """A compilation scheme: its rotation load, computed once before sigma is
-    chosen; its own summary fields at sigma, given the load's steps or queries;
-    its fleet and, all the distance search reads, its protected patches at
-    distance d; and the knobs the report echoes from the resolved run config."""
+    """A compilation scheme: its rotation load at the algorithmic budget, computed
+    once before sigma is chosen; its own summary fields at sigma, given the load's
+    steps or queries (both get the resolved HWP register m); its fleet and, all the
+    distance search reads, its protected patches at distance d; and the knobs the
+    report echoes from the resolved run config."""
 
-    load: Callable[[FHInstance, int | None, LogBase], Load]
-    compile: Callable[[FHInstance, int, float, int | None], dict[str, float]]
+    load: Callable[[FHInstance, float, int, LogBase], Load]
+    compile: Callable[[FHInstance, int, float, int], dict[str, float]]
     fleet: Callable[[CompilationSummary, FactorySpec, int], FactoryFleet]
     patches: Callable[[CompilationSummary, FactorySpec, int, float], float] = _base_patches
     report_flags: Callable[[RunConfig], dict[str, Any]] = lambda _: {}
 
 
 def _hwp_m(inst: FHInstance, m: int | None) -> int:
-    if m is None:
-        m = inst.l_side**2
-    if m < 2:
-        # The Hamming-weight-phasing count formula degenerates at m=1
-        # (lg 1 = 0 erases the synthesis term), so m=1 is rejected.
-        raise ValueError("HWP ancilla count m must be at least 2")
-    return m
+    """The HWP register size: ``m``, or L^2 when it is not given."""
+    return inst.l_side**2 if m is None else m
 
 
-def _serial_load(inst: FHInstance, m: int | None, log_base: LogBase) -> Load:
-    m = _hwp_m(inst, m)
-    r = trotter_steps(inst, ALGORITHM_BUDGET_SHARE * inst.eps_total)
+def _serial_load(inst: FHInstance, eps_alg: float, m: int, log_base: LogBase) -> Load:
+    r = trotter_steps(inst, eps_alg)
     return r, r * 4 * (inst.l_side**2 / m) * math.log2(m)
 
 
-def _plaquette_load(inst: FHInstance, m: int | None, log_base: LogBase) -> Load:
-    r = trotter_steps(inst, ALGORITHM_BUDGET_SHARE * inst.eps_total)
+def _plaquette_load(inst: FHInstance, eps_alg: float, m: int, log_base: LogBase) -> Load:
+    r = trotter_steps(inst, eps_alg)
     return r, r * 4 * inst.l_side**2
 
 
-def _qsp_load(inst: FHInstance, m: int | None, log_base: LogBase) -> Load:
-    eps_alg = ALGORITHM_BUDGET_SHARE * inst.eps_total
+def _qsp_load(inst: FHInstance, eps_alg: float, m: int, log_base: LogBase) -> Load:
     queries = qsp_queries(qsp_alpha(inst), inst.t_evol, eps_alg, log_base)
     # 6 rotations per PREPARE, two PREPAREs per query, one phase rotation.
     return queries, queries * 13
 
 
-def _serial(inst: FHInstance, sigma: int, r: float, m: int | None) -> dict[str, float]:
+def _serial(inst: FHInstance, sigma: int, r: float, m: int) -> dict[str, float]:
     """Serial PLAQ compilation with Hamming-weight phasing on m ancillas.
 
     One pi/8 rotation per logical timestep in a fast-block layout.
     """
-    m = _hwp_m(inst, m)
     l2 = inst.l_side**2
     per_step_t = 4 * l2 * (7 + math.log2(m) * sigma / m)
     total_t = r * per_step_t
     # One Hamming-weight register of m ancillas per spin sector.
-    n_logical = 2 * l2 + 2 * m
-    patches = fast_block_patches(n_logical)
     return dict(
         data_patches=2 * l2,
-        routing_patches=patches - n_logical,
+        routing_patches=fast_block_routing(2 * l2 + 2 * m),
         aux_patches=2 * m,
         timestep_depth=total_t,
         reaction_depth=total_t,
@@ -270,7 +263,7 @@ def _serial(inst: FHInstance, sigma: int, r: float, m: int | None) -> dict[str, 
     )
 
 
-def _row_parallel(inst: FHInstance, sigma: int, r: float, m: int | None) -> dict[str, float]:
+def _row_parallel(inst: FHInstance, sigma: int, r: float, m: int) -> dict[str, float]:
     """Row-parallel PLAQ: depth L(2 sigma + 82) per Trotter step.
 
     Consumes 2L magic states per d rounds; 3 routing patches per data patch.
@@ -294,7 +287,7 @@ def _full_parallel_step(sigma: int) -> tuple[int, int]:
     return 6 * sigma + 354, 12 + 4 * sigma
 
 
-def _full_parallel(inst: FHInstance, sigma: int, r: float, m: int | None) -> dict[str, float]:
+def _full_parallel(inst: FHInstance, sigma: int, r: float, m: int) -> dict[str, float]:
     """Fully parallel PLAQ: depth 6 sigma + 354 per Trotter step.
 
     Local fermion-to-qubit mapping at 1.5 patches per mode (3L^2 data+aux)
@@ -315,7 +308,7 @@ def _full_parallel(inst: FHInstance, sigma: int, r: float, m: int | None) -> dic
     )
 
 
-def _qsp(inst: FHInstance, sigma: int, queries: float, m: int | None) -> dict[str, float]:
+def _qsp(inst: FHInstance, sigma: int, queries: float, m: int) -> dict[str, float]:
     """QSP/qubitization compilation with the throttled SELECT schedule.
 
     Per query: one SELECT, two sequential PREPAREs, one phase rotation.
@@ -368,7 +361,7 @@ def _shared_patches(
         raise ValueError("invalid consumption schedule: tau_m must be positive")
     tau_f = spec.tau_f
     batches = -(-tau_f.numerator * states // (tau_f.denominator * step * d))
-    shared = -(-spec.q_f * batches // (2 * d**2))
+    shared = -(-spec.q_f * batches // patch_physical_qubits(d))
     return _base_patches(summary) + f_r * summary.l_side**2 * shared
 
 
@@ -419,22 +412,28 @@ def compile_scheme(
 ) -> tuple[CompilationSummary, ErrorBudget]:
     """Budget allocation, sigma selection, and compilation in one call.
 
-    Fills in the fields every scheme shares: scheme, l_side, rotation_count
-    and sigma. A load or synthesis budget that leaves the float range or its
-    domain raises CompileError, laid by too_extreme to an instance field or ``m``.
+    Settles what every scheme shares before any runs, the HWP register ``m``
+    (L^2 when None, at least 2) and the algorithmic budget, and fills in scheme,
+    l_side, rotation_count and sigma. A load or synthesis budget that leaves the
+    float range or its domain raises CompileError, laid by too_extreme to an
+    instance field or ``m``.
     """
     record = scheme_record(scheme)
+    hwp_m = _hwp_m(inst, m)
+    if not hwp_m >= 2:
+        # The Hamming-weight-phasing count formula degenerates at m=1
+        # (lg 1 = 0 erases the synthesis term), so m=1 is rejected.
+        raise ValueError("HWP ancilla count m must be at least 2")
+    eps_alg = ALGORITHM_BUDGET_SHARE * inst.eps_total
     try:
-        steps, rotations = record.load(inst, m, log_base)
+        steps, rotations = record.load(inst, eps_alg, hwp_m, log_base)
         budget = allocate_budget(inst.eps_total, rotations)
         sigma = synthesis_sigma(budget.eps_s_per_rotation)
     except (ArithmeticError, ValueError) as exc:
-        if m is not None and m < 2:
-            raise  # m's own precondition, not an extreme input
         raise too_extreme(instance_inputs(inst, m), f"compile {scheme}", exc) from exc
     summary = CompilationSummary(
         scheme=scheme, l_side=inst.l_side, rotation_count=rotations, sigma=sigma,
-        **record.compile(inst, sigma, steps, m),
+        **record.compile(inst, sigma, steps, hwp_m),
     )
     return summary, budget
 
@@ -460,6 +459,7 @@ def layout_at(
     summary: CompilationSummary, spec: FactorySpec, d: int, f_r: float = DEFAULT_F_R
 ) -> SchemeLayout:
     """Protected patches and factory fleet at code distance d."""
+    require_valid_distance(d)
     if not (0 <= f_r <= 1):
         raise ValueError("f_r must lie in [0, 1]")
     record = scheme_record(summary.scheme)

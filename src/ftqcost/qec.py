@@ -90,8 +90,9 @@ class LogicalVolume:
 
 
 def require_valid_distance(d: int) -> None:
-    if d < 3 or d % 2 == 0:
-        raise InvalidDistanceError(f"code distance must be odd and >= 3, got {d}")
+    # Written so that NaN, infinities and non-integers fail it too.
+    if not (isinstance(d, int) and d >= 3 and d % 2 == 1):
+        raise InvalidDistanceError(f"code distance must be an odd integer >= 3, got {d!r}")
 
 
 def logical_error_rate(assume: PhysicalAssumptions, d: int) -> float:
@@ -113,6 +114,12 @@ def patch_physical_qubits(d: int) -> int:
 def fast_block_patches(q_data: int) -> int:
     """Total protected patches (data + routing) of the fast-block layout."""
     return 2 * q_data + math.isqrt(8 * q_data) + 1
+
+
+def fast_block_routing(q_data: int) -> int:
+    """Routing patches of the fast-block layout: the Q + sqrt(8Q) + 1 patches
+    beyond its Q data patches."""
+    return fast_block_patches(q_data) - q_data
 
 
 def wall_time(vol: LogicalVolume, assume: PhysicalAssumptions) -> float:

@@ -78,9 +78,10 @@ def _assumptions(config: RunConfig, schemes: Iterable[str]) -> dict[str, Any]:
     return flags
 
 
-def _band_payload(band: SensitivityBand) -> dict[str, Any]:
+def _band_payload(band: SensitivityBand, nominal: dict[str, Any]) -> dict[str, Any]:
+    """The band's payload, around ``nominal``, its nominal estimate's payload."""
     return {
-        "nominal": estimate_payload(band.nominal),
+        "nominal": nominal,
         "low": estimate_payload(band.low),
         "high": estimate_payload(band.high),
         "perturbed_fields": [
@@ -115,14 +116,15 @@ def _report(
 def build_report(config: RunConfig, with_sensitivity: bool = True) -> dict[str, Any]:
     """Full report for one config: estimate plus optional sensitivity band.
 
-    With the band, the band's nominal is the report's estimate."""
+    With the band, the band's nominal is the report's estimate, and one payload
+    (one dict) stands for it in both places."""
     if not with_sensitivity:
         return _report(config, [config.scheme], [estimate_config(config)])
     band = sensitivity(
         config.inst, config.scheme, config.assume, config.effective_spec, config.options
     )
     report = _report(config, [config.scheme], [band.nominal])
-    report["sensitivity"] = _band_payload(band)
+    report["sensitivity"] = _band_payload(band, report["estimates"][0])
     return report
 
 

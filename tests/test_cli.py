@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ftqcost.estimator as estimator_module
+import ftqcost.report as report_module
 from ftqcost.cli import main
 from ftqcost.config import (
     _FIELDS,
@@ -21,6 +22,7 @@ from ftqcost.config import (
 )
 from ftqcost.errors import ConfigError
 from ftqcost.estimator import EstimateOptions
+from ftqcost.factories import factory_by_name
 from ftqcost.fermi_hubbard import SCHEMES
 from ftqcost.qec import PhysicalAssumptions, logical_error_rate
 from ftqcost.report import build_comparison, build_report, render_json
@@ -367,6 +369,38 @@ class TestEstimateCommand:
         assert (code, out) == (2, "")
         assert err == "error: factory.q_f: invalid literal for int() with base 10: 'many'\n"
 
+    def test_field_differing_from_builtin_factory_exit_2(self, bundled_config, capsys):
+        code, out, err = run(
+            capsys, "estimate", bundled_config, "--set", "factory.q_f=5"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: factory.q_f: 5 differs from the built-in factory "
+            "15to1x15to1-p3's 39100\n"
+        )
+
+    def test_field_differing_from_default_by_p_factory_exit_2(self, bundled_config):
+        # Without a name or custom field, the factory is the built-in one for p.
+        sections = read_sections(bundled_config)
+        del sections["factory"]["name"]
+        sections["factory"]["valid_p"] = "1e-4"
+        with pytest.raises(ConfigError) as info:
+            build_config(sections)
+        assert info.value.problems == [
+            "factory.valid_p: 0.0001 differs from the built-in factory "
+            "15to1x15to1-p3's 0.001"
+        ]
+        # With no valid p the design is unknown: p's problem alone is filed.
+        sections["physical"]["p"] = "abc"
+        with pytest.raises(ConfigError) as info:
+            build_config(sections)
+        assert [line.split(":")[0] for line in info.value.problems] == ["physical.p"]
+
+    def test_field_equal_to_builtin_factory_passes(self, bundled_config):
+        sections = read_sections(bundled_config)
+        sections["factory"].update(q_f="39100", tau_f_rounds="97.5", valid_p="1e-3")
+        assert build_config(sections).spec == factory_by_name("15to1x15to1-p3")
+
     def test_one_compile_per_band_and_per_compared_scheme(self, bundled_config, monkeypatch):
         calls = []
         original = estimator_module.compile_scheme
@@ -382,6 +416,20 @@ class TestEstimateCommand:
         calls.clear()
         build_comparison(config, list(SCHEMES))
         assert calls == list(SCHEMES)
+
+    def test_one_payload_per_band_estimate(self, bundled_config, monkeypatch):
+        # The band's nominal is the report's estimate: its payload is built once.
+        calls = []
+        original = report_module.estimate_payload
+
+        def counting(est):
+            calls.append(est)
+            return original(est)
+
+        monkeypatch.setattr(report_module, "estimate_payload", counting)
+        report = build_report(build_config(read_sections(bundled_config)))
+        assert len(calls) == 3
+        assert report["sensitivity"]["nominal"] == report["estimates"][0]
 
 
 def every_field_given(path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftqcost import qec
 from ftqcost.costmodel import (
     GATE_LIMITED,
     MAGIC_LIMITED,
@@ -312,3 +313,8 @@ class TestFastBlock:
 
     def test_small(self):
         assert fast_block_patches(1) == 2 + 2 + 1
+
+    def test_routing_is_qecs_reexported(self):
+        # qec owns the fast-block geometry; costmodel re-exports it.
+        assert fast_block_routing is qec.fast_block_routing
+        assert fast_block_patches is qec.fast_block_patches

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ftqcost.fermi_hubbard as fh_module
-from ftqcost.errors import CompileError
+from ftqcost.errors import CompileError, InvalidDistanceError
 from ftqcost.factories import (
     FactoryFleet,
     FactorySpec,
@@ -17,6 +17,7 @@ from ftqcost.factories import (
     provision,
 )
 from ftqcost.fermi_hubbard import (
+    ALGORITHM_BUDGET_SHARE,
     DEFAULT_LOG_BASE,
     REGISTRY,
     SCHEMES,
@@ -278,11 +279,13 @@ class TestSchemeOrdering:
         assert serial.timestep_depth > row.timestep_depth > full.timestep_depth
 
     def test_rotation_counts_match_summaries(self):
+        # A load takes the algorithmic budget and the resolved HWP register.
         inst = bench_instance()
+        eps_alg = ALGORITHM_BUDGET_SHARE * inst.eps_total
         for scheme in SCHEMES:
             summary, _ = compile_scheme(scheme, inst)
             assert summary.rotation_count == pytest.approx(
-                scheme_record(scheme).load(inst, None, DEFAULT_LOG_BASE)[1]
+                scheme_record(scheme).load(inst, eps_alg, 30**2, DEFAULT_LOG_BASE)[1]
             )
 
 
@@ -349,6 +352,14 @@ class TestSchemePatches:
                     assert patches == layout.protected_patches
                     if scheme == "plaq_L2":
                         assert patches == _fraction_shared_patches(summary, spec, d, f_r)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, 15.5, 15.0, 4])
+    def test_layout_refuses_a_non_distance(self, scheme, d):
+        # Checked before provisioning, so that no float d reaches Fraction.
+        summary, _ = compile_scheme(scheme, bench_instance())
+        with pytest.raises(InvalidDistanceError):
+            layout_at(summary, factory_by_name("15to1x15to1-p3"), d)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_fleet_is_the_layouts_factory_fleet(self, scheme):
@@ -428,4 +439,13 @@ class TestCompileRange:
             compile_scheme("plaq_serial", bench_instance(), m=10**45)
         with pytest.raises(ValueError, match="m must be at least 2") as info:
             compile_scheme("plaq_serial", bench_instance(), m=1)
+        assert not isinstance(info.value, CompileError)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("m", [1, math.nan])
+    def test_m_below_2_is_refused_for_every_scheme(self, scheme, m):
+        # compile_scheme settles m before any scheme runs, so the rule holds
+        # for the schemes that do not read m too, and NaN fails it.
+        with pytest.raises(ValueError, match="HWP ancilla count m must be at least 2") as info:
+            compile_scheme(scheme, bench_instance(), m=m)
         assert not isinstance(info.value, CompileError)

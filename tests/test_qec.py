@@ -21,6 +21,11 @@ def assume(p=1e-3, **kw):
     return PhysicalAssumptions(p=p, **kw)
 
 
+# Not odd integers >= 3: small or even ones, and NaN, the infinities and
+# floats (15.0 included), which are no integers at all.
+NOT_DISTANCES = [0, 1, 2, 4, 10, math.nan, math.inf, -math.inf, 15.5, 15.0]
+
+
 class TestLogicalErrorRate:
     def test_d17_at_p_em3(self):
         assert logical_error_rate(assume(1e-3), 17) == pytest.approx(1e-10)
@@ -32,7 +37,7 @@ class TestLogicalErrorRate:
     def test_d9_at_p_em4(self):
         assert logical_error_rate(assume(1e-4), 9) == pytest.approx(1e-11)
 
-    @pytest.mark.parametrize("d", [0, 1, 2, 4, 10])
+    @pytest.mark.parametrize("d", NOT_DISTANCES)
     def test_invalid_distances_rejected(self, d):
         with pytest.raises(InvalidDistanceError):
             logical_error_rate(assume(), d)
@@ -53,6 +58,11 @@ class TestPatchQubits:
     def test_even_distance_rejected(self):
         with pytest.raises(InvalidDistanceError):
             patch_physical_qubits(8)
+
+    @pytest.mark.parametrize("d", NOT_DISTANCES)
+    def test_non_distances_rejected(self, d):
+        with pytest.raises(InvalidDistanceError):
+            patch_physical_qubits(d)
 
 
 class TestWallTime:
