@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import MagicStarvedError, UndefinedRatioError
+from .errors import UndefinedRatioError
 from .factories import FactoryFleet
 from .qec import (
     CNOT_TIMESTEPS,
@@ -85,10 +85,6 @@ def _cost(
 ) -> CostBreakdown:
     """The general_cost equations; ``fleet`` None drops every non-Clifford term."""
     q = patch_physical_qubits(d)
-    if fleet is not None and fleet.achieved_rate <= 0:
-        raise MagicStarvedError(
-            "circuit consumes magic states but the factory fleet produces none"
-        )
     r = profile.routing_patches()
     tau_c, tau_nc = _gate_times(d, assume, profile.k_storage)
     extra = 2 * (profile.m_layers - 1) * profile.p_clifford
@@ -98,8 +94,7 @@ def _cost(
         storage = profile.k_storage * (tau_c / assume.tau_r) * profile.p_non_clifford
         extra = max(extra, storage)
         gate_time += profile.n_non_clifford * tau_nc / profile.p_non_clifford
-        tau_m = profile.p_non_clifford / fleet.achieved_rate * assume.t_se
-        magic_time = profile.n_non_clifford * tau_m / profile.p_non_clifford
+        magic_time = fleet.supply_time(profile.n_non_clifford, assume.t_se)
         factory_qubits = fleet.physical_qubits
     patches = profile.q_data + r + extra
     time = max(gate_time, magic_time)
@@ -142,12 +137,12 @@ def general_cost(
     """Space and time for a circuit with non-Clifford gates.
 
     S = q(d) * [Q + R + max(2(M-1) P_c, k (tau_c/tau_r) P_nc)] + fleet qubits
-    T = max(N_c tau_c / (M P_c) + N_nc tau_nc / P_nc, N_nc tau_m / P_nc)
+    T = max(N_c tau_c / (M P_c) + N_nc tau_nc / P_nc, fleet.supply_time(N_nc))
 
     tau_nc is tau_r when the computation is reaction-limited (k > 0) and
-    2 tau_c + tau_r for teleported non-Cliffords otherwise. tau_m is the
-    fleet's time to deliver P_nc magic states. Without non-Cliffords this is
-    clifford_cost, and the fleet is neither checked nor counted.
+    2 tau_c + tau_r for teleported non-Cliffords otherwise. The second term is
+    the fleet's time to supply the N_nc magic states. Without non-Cliffords
+    this is clifford_cost, and the fleet is neither checked nor counted.
     """
     return _cost(profile, None if profile.n_non_clifford == 0 else fleet, d, assume)
 

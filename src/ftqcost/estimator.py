@@ -93,16 +93,16 @@ def _fit(
     layout_for: Callable[[int], SchemeLayout],
     timestep_depth: float, reaction_depth: float,
     data_aux_patches: float, routing_patches: float, e_qec: float, d_max: int,
-    **fields: Any,
+    t_count_total: float, **fields: Any,
 ) -> ResourceEstimate:
     """Smallest distance meeting the failure budget, and the totals there.
 
     The search reads only patches_at(d), the protected patches at candidate
     d; layout_for(d) adds the fleet and runs once, at the chosen d. The depth
     is timestep_depth timesteps of d rounds plus reaction_depth reaction
-    delays. Patches beyond data/aux and routing count as routing; ``fields``
-    fill the rest of the estimate. Totals that leave the float range raise
-    OverflowError.
+    delays; a fleet slower to supply t_count_total states makes it magic-limited.
+    Patches beyond data/aux and routing count as routing; ``fields`` fill the
+    rest. Totals that leave the float range raise OverflowError.
     """
 
     def volume(d: int, patches: float) -> LogicalVolume:
@@ -114,22 +114,28 @@ def _fit(
         assume, lambda d: volume(d, patches_at(d)), e_qec, d_max,
         volume(3, data_aux_patches + routing_patches),
     )
-    layout = layout_for(d)
-    vol = volume(d, layout.protected_patches)
+    patches, fleet = layout_for(d)
+    vol = volume(d, patches)
     q = patch_physical_qubits(d)
-    extra = layout.protected_patches - data_aux_patches - routing_patches
+    extra = patches - data_aux_patches - routing_patches
+    seconds = wall_time(vol, assume)
+    magic_limited, count, factory_qubits = False, 0, 0
+    if fleet is not None:
+        count, factory_qubits = fleet.count, fleet.physical_qubits
+        magic_limited = fleet.supply_time(t_count_total, assume.t_se) > seconds * (1 + 1e-12)
     est = ResourceEstimate(
         d=d,
-        physical_qubits_total=layout.protected_patches * q + layout.factory_qubits,
+        physical_qubits_total=patches * q + factory_qubits,
         physical_qubits_by_role={
             "data_aux": data_aux_patches * q,
             "routing": (routing_patches + extra) * q,
-            "factories": float(layout.factory_qubits),
+            "factories": float(factory_qubits),
         },
-        wall_time_seconds=wall_time(vol, assume),
+        wall_time_seconds=seconds,
         spacetime_volume=vol.patch_rounds(assume.reaction_rounds),
-        factory_count=layout.factory_count,
-        bottleneck=GATE_LIMITED,
+        factory_count=count,
+        t_count_total=t_count_total,
+        bottleneck=MAGIC_LIMITED if magic_limited else GATE_LIMITED,
         **fields,
     )
     totals = est.physical_qubits_total, est.wall_time_seconds, est.spacetime_volume
@@ -160,8 +166,7 @@ def _fit_compiled(
     """The estimate of one compiled scheme under ``assume`` and ``spec``.
 
     No scheme's protected patches depend on its fleet size, so the distance
-    search reads the patches alone and the fleet is provisioned once, at
-    the chosen d.
+    search reads the patches alone; the fleet is provisioned at the chosen d.
     """
     summary, budget = compiled
     warnings: list[str] = []
@@ -183,7 +188,7 @@ def _fit_compiled(
     ledger = budget._replace(e_qec=options.e_qec, t_gate_budget=options.t_gate_budget)
     patches = scheme_record(summary.scheme).patches
     try:
-        est = _fit(
+        return _fit(
             assume, lambda d: patches(summary, spec, d, options.f_r),
             lambda d: layout_at(summary, spec, d, f_r=options.f_r),
             summary.timestep_depth, summary.reaction_depth,
@@ -192,15 +197,6 @@ def _fit_compiled(
             scheme=summary.scheme, t_count_total=summary.t_count_total,
             budget_ledger=ledger, summary=summary, warnings=tuple(warnings),
         )
-
-        # Sustained fleet throughput versus the gate-level schedule decides the
-        # bottleneck; per-scheme layouts are provisioned to avoid starvation.
-        if est.factory_count > 0:
-            rate_per_second = (
-                est.factory_count * spec.n_out / (spec.tau_f_rounds * assume.t_se)
-            )
-            if est.t_count_total / rate_per_second > est.wall_time_seconds * (1 + 1e-12):
-                est = est._replace(bottleneck=MAGIC_LIMITED)
     except ArithmeticError as exc:
         inputs = instance_inputs(inst, options.hwp_m)
         inputs.update(
@@ -208,7 +204,6 @@ def _fit_compiled(
             q_f=spec.q_f, tau_f_rounds=spec.tau_f_rounds, n_out=spec.n_out,
         )
         raise too_extreme(inputs, f"estimate {summary.scheme}", exc) from exc
-    return est
 
 
 def simple_estimate(
@@ -228,7 +223,7 @@ def simple_estimate(
     if not 1 <= gate_count < math.inf:
         raise ValueError("gate_count must be finite and at least 1")
     try:
-        layout = SchemeLayout(ROUTING_FACTOR * q_logical, 0, 0)
+        layout = SchemeLayout(ROUTING_FACTOR * q_logical, fleet=None)
         return _fit(
             assume, lambda d: layout.protected_patches, lambda d: layout,
             timestep_depth=gate_count, reaction_depth=0.0,

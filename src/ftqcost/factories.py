@@ -13,6 +13,8 @@ from functools import cached_property
 from numbers import Rational
 from typing import NamedTuple
 
+from .errors import MagicStarvedError
+
 DEFAULT_T_GATE_BUDGET = 0.05
 """Error budget for the linearly accumulated T-state infidelity."""
 
@@ -72,6 +74,17 @@ class FactoryFleet:
     @property
     def physical_qubits(self) -> int:
         return self.count * self.spec.q_f
+
+    def supply_time(self, states: float, t_se: float) -> float:
+        """Seconds to make ``states`` magic states at ``t_se`` seconds per SE round."""
+        if self.count == 0:
+            raise MagicStarvedError(
+                "circuit consumes magic states but the factory fleet produces none"
+            )
+        rate = self.achieved_rate / t_se
+        if not 0 < rate < math.inf:
+            raise OverflowError("the factory fleet's supply rate leaves the float range")
+        return states / rate
 
 
 _CATALOG = (

@@ -195,8 +195,7 @@ class SchemeLayout(NamedTuple):
     """Distance-dependent physical layout of one compiled scheme."""
 
     protected_patches: float
-    factory_count: int
-    factory_qubits: int
+    fleet: FactoryFleet | None
 
 
 Load = tuple[float, float]
@@ -463,6 +462,4 @@ def layout_at(
     if not (0 <= f_r <= 1):
         raise ValueError("f_r must lie in [0, 1]")
     record = scheme_record(summary.scheme)
-    patches = record.patches(summary, spec, d, f_r)
-    fleet = record.fleet(summary, spec, d)
-    return SchemeLayout(patches, fleet.count, fleet.physical_qubits)
+    return SchemeLayout(record.patches(summary, spec, d, f_r), record.fleet(summary, spec, d))

@@ -173,7 +173,7 @@ class TestPlaqLParallel:
     def test_factory_provisioning_at_d25(self):
         summary = compiled_at("plaq_L", bench_instance(), sigma=33)
         layout = layout_at(summary, factory_by_name("15to1x15to1-p3"), 25)
-        assert layout.factory_count == 234
+        assert layout.fleet.count == 234
 
     def test_sigma_selection(self):
         assert chosen_sigma("plaq_L", bench_instance()) == 37
@@ -189,7 +189,7 @@ class TestPlaqL2Parallel:
     def test_factory_count_is_l_squared(self):
         summary = compiled_at("plaq_L2", bench_instance(), sigma=37)
         layout = layout_at(summary, factory_by_name("15to1x20to4-p4"), 15)
-        assert layout.factory_count == 900
+        assert layout.fleet.count == 900
 
     def test_protected_patches_include_shared_factory_area(self):
         spec = factory_by_name("15to1x20to4-p4")
@@ -265,7 +265,7 @@ class TestQsp:
     def test_factory_blocks(self):
         summary = compiled_at("qsp", bench_instance(), sigma=31)
         layout = layout_at(summary, factory_by_name("15to1x15to1-p3"), 31)
-        assert layout.factory_count == 450 * math.ceil(97.5 / (3 * 31))
+        assert layout.fleet.count == 450 * math.ceil(97.5 / (3 * 31))
 
 
 class TestSchemeOrdering:
@@ -368,7 +368,7 @@ class TestSchemePatches:
             fleet = REGISTRY[scheme].fleet(summary, spec, 25)
             layout = layout_at(summary, spec, 25)
             assert isinstance(fleet, FactoryFleet) and fleet.spec == spec
-            assert (fleet.count, fleet.physical_qubits) == layout[1:]
+            assert layout.fleet == fleet
 
     @settings(max_examples=300, deadline=None)
     @given(
