@@ -142,13 +142,17 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _load(args)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         raise ConfigError(["--schemes: at least one scheme is required"])
     unknown = sorted(set(schemes) - set(SCHEMES))
-    if unknown:
-        raise ConfigError([f"--schemes: unknown scheme {s!r}" for s in unknown])
+    repeated = sorted({s for s in schemes if schemes.count(s) > 1})
+    if unknown or repeated:
+        raise ConfigError(
+            [f"--schemes: unknown scheme {s!r}" for s in unknown]
+            + [f"--schemes: scheme {s!r} is given more than once" for s in repeated]
+        )
+    config = _load(args)
     report = reporting.build_comparison(config, schemes)
     fmt = args.format or config.output_format
     _emit(_render(report, fmt, config), args, config.output_path)

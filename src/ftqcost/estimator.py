@@ -100,7 +100,7 @@ def _fit(
     The search reads only patches_at(d), the protected patches at candidate
     d; layout_for(d) adds the fleet and runs once, at the chosen d. The depth
     is timestep_depth timesteps of d rounds plus reaction_depth reaction
-    delays; a fleet slower to supply t_count_total states makes it magic-limited.
+    delays; a fleet slower to supply t_count_total states makes the run magic-limited.
     Patches beyond data/aux and routing count as routing; ``fields`` fill the
     rest. Totals that leave the float range raise OverflowError.
     """
@@ -242,6 +242,12 @@ class SensitivityBand(NamedTuple):
     nominal: ResourceEstimate
     low: ResourceEstimate
     high: ResourceEstimate
+
+
+_PERTURBED_FIELDS = (
+    "factory.q_f", "factory.tau_f_rounds", "physical.p_star", "physical.prefactor_a"
+)
+"""The config fields _perturbed moves, by dotted path, for the report."""
 
 
 def _perturbed(

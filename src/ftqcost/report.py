@@ -17,6 +17,7 @@ from typing import Any, Iterable
 from .config import RunConfig
 from .estimator import (
     SENSITIVITY_FRACTION,
+    _PERTURBED_FIELDS,
     ResourceEstimate,
     SensitivityBand,
     compare,
@@ -84,12 +85,7 @@ def _band_payload(band: SensitivityBand, nominal: dict[str, Any]) -> dict[str, A
         "nominal": nominal,
         "low": estimate_payload(band.low),
         "high": estimate_payload(band.high),
-        "perturbed_fields": [
-            "factory.q_f",
-            "factory.tau_f_rounds",
-            "physical.p_star",
-            "physical.prefactor_a",
-        ],
+        "perturbed_fields": list(_PERTURBED_FIELDS),
         "perturbation_fraction": SENSITIVITY_FRACTION,
     }
 

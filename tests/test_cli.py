@@ -595,8 +595,12 @@ class TestInputContractProperty:
         sets=overrides(1, 3),
     )
     def test_compare_exit_0_2_or_3(self, schemes, sets):
+        # A repeated scheme is refused before the config is read.
+        repeated = len(set(schemes)) < len(schemes)
         argv = ["compare", str(BUNDLED), "--format", "json", "--schemes", ",".join(schemes)]
-        code, out = run_contract(argv + set_args(with_factory(sets)))
+        names = {"--schemes"} if repeated else FIELDS
+        code, out = run_contract(argv + set_args(with_factory(sets)), names=names)
+        assert code == 2 or not repeated
         if code == 0:
             report = json.loads(out)
             assert [est["scheme"] for est in report["estimates"]] == schemes
@@ -683,6 +687,13 @@ class TestCompareCommand:
             capsys, "compare", bundled_config, "--schemes", "plaq_L2,bogus"
         )
         assert code == 2
+
+    def test_repeated_scheme_exit_2(self, bundled_config, capsys):
+        code, out, err = run(
+            capsys, "compare", bundled_config, "--schemes", "qsp,plaq_L,qsp,qsp,plaq_L2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --schemes: scheme 'qsp' is given more than once\n"
 
     def test_empty_scheme_list_exit_2(self, bundled_config, capsys):
         code, out, err = run(capsys, "compare", bundled_config, "--schemes", ",")

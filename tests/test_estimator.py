@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from importlib import resources
 from unittest import mock
 
@@ -10,6 +11,7 @@ from ftqcost.config import build_config, read_sections
 from ftqcost.errors import BudgetInfeasibleError, EstimatorError
 from ftqcost.estimator import (
     SENSITIVITY_FRACTION,
+    _PERTURBED_FIELDS,
     EstimateOptions,
     SensitivityBand,
     _perturbed,
@@ -297,6 +299,18 @@ class TestSensitivity:
             )
 
         assert outcome(lambda: sensitivity(inst, scheme, a, spec)) == outcome(three_estimates)
+
+    @pytest.mark.parametrize("fraction", [SENSITIVITY_FRACTION, -SENSITIVITY_FRACTION])
+    def test_perturbed_fields_name_what_the_band_moves(self, fraction):
+        a, spec = assume(), spec_for(1e-3)
+        moved = zip(("physical", "factory"), (a, spec), _perturbed(a, spec, fraction))
+        changed = {
+            f"{section}.{name}"
+            for section, before, after in moved
+            for name, value in asdict(before).items()
+            if asdict(after)[name] != value
+        }
+        assert changed == set(_PERTURBED_FIELDS)
 
     def test_favorable_threshold_never_increases_distance(self):
         inst = bench_instance()

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import ftqcost.factories as factories
 from ftqcost.config import build_config, read_sections
+from ftqcost.errors import MagicStarvedError
 from ftqcost.estimator import SENSITIVITY_FRACTION, _perturbed
 from ftqcost.factories import (
+    FactoryFleet,
     FactorySpec,
     builtin_catalog,
     cultivation_variant,
@@ -89,6 +91,36 @@ class TestProvision:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             provision(f1(), -1)
+
+
+class TestSupplyTime:
+    def test_states_over_the_fleets_rate(self):
+        # 234 factories of one state per 97.5 rounds, at 1 us per round.
+        assert FactoryFleet(f1(), 234).supply_time(4680, 1e-6) == pytest.approx(
+            4680 * 97.5e-6 / 234, rel=1e-15
+        )
+        # Four states per batch: a quarter of the time per state.
+        assert FactoryFleet(f2(), 10).supply_time(400, 2e-6) == pytest.approx(
+            400 * 90 * 2e-6 / (10 * 4), rel=1e-15
+        )
+
+    def test_no_states_take_no_time(self):
+        assert FactoryFleet(f1(), 1).supply_time(0, 1e-6) == 0
+
+    def test_empty_fleet_is_starved(self):
+        with pytest.raises(MagicStarvedError, match="produces none"):
+            FactoryFleet(f1(), 0).supply_time(1, 1e-6)
+
+    @pytest.mark.parametrize(
+        "tau_f_rounds, t_se",
+        [(1e-320, 1e-6), (97.5, 1e-320), (1e-300, 1e-300), (1e308, 1e20)],
+    )
+    def test_rate_out_of_float_range_overflows(self, tau_f_rounds, t_se):
+        # An infinite rate would read as no supply time at all, and one that
+        # underflows to 0 as an endless one.
+        fleet = FactoryFleet(replace(f1(), tau_f_rounds=tau_f_rounds), 234)
+        with pytest.raises(OverflowError):
+            fleet.supply_time(1e12, t_se)
 
 
 class TestTauF:
