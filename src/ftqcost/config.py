@@ -15,7 +15,8 @@ record it feeds before any computation runs; each record's first violation
 and every unparsable or missing field are reported together with dotted
 field paths. An absent optional field takes the default of the dataclass
 field it feeds. In sweep mode, comma-separated values in at most MAX_RANGED
-fields expand to a cartesian grid.
+fields expand to a cartesian grid; sweep_configs casts the fixed fields once
+and, at each point, only the ranged ones.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
+from functools import partial
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple, get_args
+from typing import Any, Callable, Iterator, NamedTuple, get_args
 
 from .errors import ConfigError
 from .estimator import EstimateOptions
@@ -190,6 +192,11 @@ _ENTRIES = [entry for entries in _LOOKUP.values() for entry in entries.values()]
 _ALL_PATHS = frozenset(path for path, *_ in _ENTRIES)
 _REQUIRED = frozenset(path for path, _, _, field in _ENTRIES if field.required)
 _REQUIRED_BUILTIN = _REQUIRED - {path for path, target, *_ in _ENTRIES if target == "spec"}
+# The fields that describe a factory design, by (dotted path, keyword).
+_SPEC_FIELDS = [
+    (path, keyword) for path, target, keyword, _ in _ENTRIES
+    if target == "spec" and keyword != "name"
+]
 # Per input: the keyword arguments every build starts from.
 _SEEDS = {
     target: {
@@ -210,25 +217,25 @@ _GETTERS = {
 _ATTRIBUTE_PATHS = {keyword: path for path, _, keyword, _ in _ENTRIES}
 
 
-def _construct(section: str, factory, kwargs: dict[str, Any], problems: list[str]):
-    try:
-        return factory(**kwargs)
-    except ValueError as exc:
-        problems.append(f"{field_path(section, str(exc))}: {exc}")
-        return None
+class _Cast(NamedTuple):
+    """Sections cast key by key: per input, the keyword arguments it is built
+    from; the dotted paths given and those that did not cast; the problems
+    filed so far."""
+
+    values: dict[str, dict[str, Any]]
+    given: set[str]
+    unparsed: set[str]
+    problems: list[str]
 
 
-def build_config(sections: Sections) -> RunConfig:
-    """Validate one (non-ranged) section mapping into a RunConfig.
+def _seeded() -> _Cast:
+    return _Cast({target: dict(seed) for target, seed in _SEEDS.items()}, set(), set(), [])
 
-    One pass over the given keys looks each up in the field table, casts it
-    and files it under its input. Raises ConfigError listing the problems
-    found, each with its dotted field path.
-    """
-    problems: list[str] = []
-    given: set[str] = set()
-    unparsed: set[str] = set()
-    values = {target: dict(seed) for target, seed in _SEEDS.items()}
+
+def _cast(sections: Sections, into: _Cast) -> _Cast:
+    """Look each key of ``sections`` up in the field table, cast it and file
+    it under its input in ``into``, which is returned."""
+    values, given, unparsed, problems = into
     for section, fields in sections.items():
         lookup = _LOOKUP.get(section)
         if lookup is None:
@@ -246,46 +253,108 @@ def build_config(sections: Sections) -> RunConfig:
             except ValueError as exc:
                 problems.append(f"{path}: {exc}")
                 unparsed.add(path)
+    return into
 
+
+def _construct(section: str, factory, kwargs: dict[str, Any], problems: list[str]):
+    try:
+        return factory(**kwargs)
+    except ValueError as exc:
+        problems.append(f"{field_path(section, str(exc))}: {exc}")
+        return None
+
+
+def _factory(
+    kwargs: dict[str, Any], name: str, custom: bool, parsed: set[str], problems: list[str]
+) -> FactorySpec | None:
+    """The custom design ``kwargs`` describe, else the built-in ``name``."""
+    if custom:
+        return _construct("factory", FactorySpec, kwargs, problems)
+    try:
+        spec = factory_by_name(name)
+    except KeyError as exc:
+        problems.append(f"factory.name: {exc.args[0]}")
+        return None
+    # A built-in design is estimated as it is: a field given with it must
+    # agree with it, or it would be dropped without a word.
+    problems += [
+        f"{path}: {kwargs[keyword]!r} differs from the built-in "
+        f"factory {name}'s {getattr(spec, keyword)!r}"
+        for path, keyword in _SPEC_FIELDS
+        if path in parsed and kwargs[keyword] != getattr(spec, keyword)
+    ]
+    return spec
+
+
+def _built(memo: dict | None, key, args, build, problems: list[str]):
+    """``build(args, problems)``. A sweep's ``memo`` keeps each key's last
+    args, record and filed problems, and gives them again, without a build,
+    for args that are that very object."""
+    if memo is None:
+        return build(args, problems)
+    last = memo.get(key)
+    if last is None or last[0] is not args:
+        filed: list[str] = []
+        last = memo[key] = args, build(args, filed), filed
+    problems += last[2]
+    return last[1]
+
+
+_ASSUME = partial(_construct, "physical", PhysicalAssumptions)
+_INST = partial(_construct, "algorithm", FHInstance)
+_OPTIONS = partial(_construct, "options", EstimateOptions)
+
+
+def _resolve(cast: _Cast, memo: dict | None = None) -> RunConfig:
+    """Build the inputs of ``cast`` into a RunConfig, or raise ConfigError
+    listing the problems found, each with its dotted field path.
+
+    With a sweep's ``memo``, an input whose keyword arguments are the very
+    dict it was last built from is not built again. The factory is keyed on
+    its design's name too, since p may choose it.
+    """
+    values, given, unparsed, problems = cast
     parsed = given - unparsed
     name = values["spec"]["name"]
     custom = name == "custom" and not given.isdisjoint(_CUSTOM_KEYS)
     required = _REQUIRED if custom else _REQUIRED_BUILTIN
     problems += [f"{path}: missing required field" for path in required - given]
 
-    assume = _construct("physical", PhysicalAssumptions, values["assume"], problems)
-    inst = _construct("algorithm", FHInstance, values["inst"], problems)
-    options = _construct("options", EstimateOptions, values["options"], problems)
-    if custom:
-        spec = _construct("factory", FactorySpec, values["spec"], problems)
-    elif name != "custom" or (assume is not None and "physical.p" in parsed):
-        if name == "custom":
+    assume = _built(memo, "assume", values["assume"], _ASSUME, problems)
+    inst = _built(memo, "inst", values["inst"], _INST, problems)
+    options = _built(memo, "options", values["options"], _OPTIONS, problems)
+    if custom or name != "custom" or (assume is not None and "physical.p" in parsed):
+        if not custom and name == "custom":
             # Default to the built-in design characterized nearest to p. With
             # no valid p the design is unknown, and p's problem is filed.
             name = "15to1x20to4-p4" if assume.p <= 3e-4 else "15to1x15to1-p3"
-        try:
-            spec = factory_by_name(name)
-        except KeyError as exc:
-            problems.append(f"factory.name: {exc.args[0]}")
-        else:
-            # A built-in design is estimated as it is: a field given with it
-            # must agree with it, or it would be dropped without a word.
-            problems += [
-                f"{path}: {values['spec'][keyword]!r} differs from the built-in "
-                f"factory {name}'s {getattr(spec, keyword)!r}"
-                for path, target, keyword, _ in _ENTRIES
-                if target == "spec" and keyword != "name" and path in parsed
-                and values["spec"][keyword] != getattr(spec, keyword)
-            ]
+        spec = _built(
+            memo, ("spec", name), values["spec"],
+            lambda kwargs, filed: _factory(kwargs, name, custom, parsed, filed),
+            problems,
+        )
 
     # Every construction that failed above filed a problem.
     if problems:
         raise ConfigError(sorted(set(problems)))
-    effective = cultivation_variant(spec) if values[""]["cultivation"] else spec
+    effective = (
+        _built(memo, "cultivation", spec, lambda s, _: cultivation_variant(s), problems)
+        if values[""]["cultivation"] else spec
+    )
     return RunConfig(
         assume=assume, inst=inst, spec=spec, options=options,
         absent=_ALL_PATHS - given, effective_spec=effective, **values[""],
     )
+
+
+def build_config(sections: Sections) -> RunConfig:
+    """Validate one (non-ranged) section mapping into a RunConfig.
+
+    One pass over the given keys looks each up in the field table, casts it
+    and files it under its input. Raises ConfigError listing the problems
+    found, each with its dotted field path.
+    """
+    return _resolve(_cast(sections, _seeded()))
 
 
 def sections_from_inputs(inputs: dict[str, Any]) -> Sections:
@@ -301,13 +370,10 @@ def sections_from_inputs(inputs: dict[str, Any]) -> Sections:
     return sections
 
 
-def expand_sweep(sections: Sections) -> list[Sections]:
-    """Cartesian expansion of comma-separated field values.
-
-    Grid order is lexicographic in (section, field) order with earlier
-    fields varying slowest, so sweep output row order is stable.
-    """
-    ranged: list[tuple[str, str, list[str]]] = []
+def _ranged(sections: Sections) -> list[tuple[str, str, list[str]]]:
+    """Each ranged field, (section, key, its values), in grid order:
+    lexicographic in (section, field), earlier fields varying slowest."""
+    ranged = []
     for section in sorted(sections):
         for key in sorted(sections[section]):
             value = sections[section][key]
@@ -322,8 +388,16 @@ def expand_sweep(sections: Sections) -> list[Sections]:
         raise ConfigError(
             [f"sweep: at most {MAX_RANGED} ranged fields allowed, got {paths}"]
         )
-    if not ranged:
-        return [sections]
+    return ranged
+
+
+def expand_sweep(sections: Sections) -> list[Sections]:
+    """Cartesian expansion of comma-separated field values.
+
+    Grid order is lexicographic in (section, field) order with earlier
+    fields varying slowest, so sweep output row order is stable.
+    """
+    ranged = _ranged(sections)
     grids = []
     for combo in itertools.product(*(values for _, _, values in ranged)):
         point = {s: dict(fields) for s, fields in sections.items()}
@@ -331,3 +405,39 @@ def expand_sweep(sections: Sections) -> list[Sections]:
             point[section][key] = value
         grids.append(point)
     return grids
+
+
+def sweep_configs(sections: Sections) -> Iterator[RunConfig]:
+    """``build_config`` of each point of ``expand_sweep(sections)``, lazily.
+
+    The fixed fields are cast once. Each point casts its ranged fields
+    alone, and builds again only the inputs those fields feed, so that each
+    input the point shares with the last is the same record. Too many ranged
+    fields raise ConfigError at once; a point that does not build raises
+    when it is reached.
+    """
+    ranged = _ranged(sections)
+    keys = {(section, key) for section, key, _ in ranged}
+    base = _cast(
+        {s: {k: v for k, v in f.items() if (s, k) not in keys} for s, f in sections.items()},
+        _seeded(),
+    )
+    # An input a ranged field feeds gets its own dict at every point, whether
+    # the field casts or not; every other input keeps the base's dict, which
+    # _resolve reads as unchanged. So a factory dict that is the base's also
+    # means the same custom keys and the same parsed factory fields.
+    touched = {_LOOKUP[s][k][1] for s, k in keys if k in _LOOKUP.get(s, ())}
+
+    def points() -> Iterator[RunConfig]:
+        memo: dict = {}
+        for combo in itertools.product(*(values for _, _, values in ranged)):
+            values = dict(base.values)
+            for target in touched:
+                values[target] = dict(values[target])
+            point: Sections = {}
+            for (section, key, _), raw in zip(ranged, combo):
+                point.setdefault(section, {})[key] = raw
+            cast = _Cast(values, set(base.given), set(base.unparsed), list(base.problems))
+            yield _resolve(_cast(point, cast), memo)
+
+    return points()

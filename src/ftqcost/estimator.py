@@ -3,15 +3,15 @@
 Chains error-budget allocation, scheme compilation, distance selection on
 the protected patches alone, factory provisioning once at the chosen
 distance, and totals into a single ResourceEstimate; also provides the
-minimal-footprint quick estimator, the +/-5% sensitivity band, and
-multi-scheme comparison.
+minimal-footprint quick estimator, the +/-5% sensitivity band,
+multi-scheme comparison, and the estimates of a grid of points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import BudgetInfeasibleError
 from .factories import DEFAULT_T_GATE_BUDGET, FactorySpec, t_budget_check
@@ -154,6 +154,28 @@ def estimate(
     """Full pipeline for one Fermi-Hubbard instance and scheme."""
     compiled = compile_scheme(scheme, inst, m=options.hwp_m, log_base=options.log_base)
     return _fit_compiled(compiled, inst, assume, spec, options)
+
+
+def estimate_points(
+    points: Iterable[
+        tuple[FHInstance, str, PhysicalAssumptions, FactorySpec, EstimateOptions]
+    ],
+) -> Iterator[ResourceEstimate]:
+    """``estimate(*point)`` for each point, in order, as each is reached.
+
+    Each distinct (scheme, inst, hwp_m, log_base) is compiled once, at its
+    first point, and every point is fitted to its compilation; what is
+    compiled is kept for this call only.
+    """
+    compiled: dict[tuple, tuple[CompilationSummary, ErrorBudget]] = {}
+    for inst, scheme, assume, spec, options in points:
+        key = scheme, inst, options.hwp_m, options.log_base
+        compilation = compiled.get(key)
+        if compilation is None:
+            compilation = compiled[key] = compile_scheme(
+                scheme, inst, m=options.hwp_m, log_base=options.log_base
+            )
+        yield _fit_compiled(compilation, inst, assume, spec, options)
 
 
 def _fit_compiled(

@@ -81,10 +81,15 @@ class FactoryFleet:
             raise MagicStarvedError(
                 "circuit consumes magic states but the factory fleet produces none"
             )
-        rate = self.achieved_rate / t_se
+        # Rounds first, then seconds: a per-second rate could overflow at a
+        # tiny t_se although the time itself is representable.
+        rate = self.achieved_rate
         if not 0 < rate < math.inf:
             raise OverflowError("the factory fleet's supply rate leaves the float range")
-        return states / rate
+        seconds = states / rate * t_se
+        if states and not 0 < seconds < math.inf:
+            raise OverflowError("the factory fleet's supply time leaves the float range")
+        return seconds
 
 
 _CATALOG = (

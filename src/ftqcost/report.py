@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .config import RunConfig
 from .estimator import (
@@ -22,6 +23,7 @@ from .estimator import (
     SensitivityBand,
     compare,
     estimate,
+    estimate_points,
     sensitivity,
 )
 from .fermi_hubbard import scheme_record
@@ -97,6 +99,17 @@ def estimate_config(config: RunConfig) -> ResourceEstimate:
     )
 
 
+def estimate_configs(
+    configs: Iterable[RunConfig],
+) -> Iterator[tuple[RunConfig, ResourceEstimate]]:
+    """Each config with its nominal estimate, in order, as each is reached:
+    a config is built, then estimated, before the next is built."""
+    configs, runs = itertools.tee(configs)
+    return zip(configs, estimate_points(
+        (c.inst, c.scheme, c.assume, c.effective_spec, c.options) for c in runs
+    ))
+
+
 def _report(
     config: RunConfig, schemes: Iterable[str], estimates: Iterable[ResourceEstimate]
 ) -> dict[str, Any]:
@@ -109,13 +122,18 @@ def _report(
     }
 
 
+def nominal_report(config: RunConfig, est: ResourceEstimate) -> dict[str, Any]:
+    """The report of ``est``, the nominal estimate of ``config``, without a band."""
+    return _report(config, [config.scheme], [est])
+
+
 def build_report(config: RunConfig, with_sensitivity: bool = True) -> dict[str, Any]:
     """Full report for one config: estimate plus optional sensitivity band.
 
     With the band, the band's nominal is the report's estimate, and one payload
     (one dict) stands for it in both places."""
     if not with_sensitivity:
-        return _report(config, [config.scheme], [estimate_config(config)])
+        return nominal_report(config, estimate_config(config))
     band = sensitivity(
         config.inst, config.scheme, config.assume, config.effective_spec, config.options
     )

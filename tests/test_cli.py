@@ -6,7 +6,7 @@ import math
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ftqcost.estimator as estimator_module
@@ -17,15 +17,25 @@ from ftqcost.config import (
     RunConfig,
     build_config,
     expand_sweep,
+    field_path,
     read_sections,
     sections_from_inputs,
 )
-from ftqcost.errors import ConfigError
+from ftqcost.errors import BudgetInfeasibleError, CompileError, ConfigError
 from ftqcost.estimator import EstimateOptions
 from ftqcost.factories import factory_by_name
 from ftqcost.fermi_hubbard import SCHEMES
 from ftqcost.qec import PhysicalAssumptions, logical_error_rate
-from ftqcost.report import build_comparison, build_report, render_json
+from ftqcost.report import (
+    build_comparison,
+    build_report,
+    csv_row,
+    estimate_config,
+    estimate_payload,
+    render_csv,
+    render_json,
+    render_table,
+)
 
 BUNDLED = resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg")
 CUSTOM_FACTORY = "factory.name=custom factory.q_f=100 factory.out_infidelity=1e-20 "
@@ -195,6 +205,21 @@ class TestEstimateCommand:
             "--set", "qec.d_max=5",
         )
         assert code == 3
+
+    def test_tiny_round_time_keeps_the_supply_time(self, bundled_config, capsys):
+        # The fleet's rate per second overflows at t_se=1e-320; its time does not.
+        tiny = ["--set", "physical.t_se=1e-320", "--set", "physical.tau_r=1e-320"]
+        code, out, err = run(capsys, "estimate", bundled_config, *tiny)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        for est in [*report["estimates"], report["sensitivity"]["low"]]:
+            assert 0 < est["wall_time_seconds"] < math.inf
+            assert math.isfinite(est["physical_qubits_total"])
+        code, out, err = run(capsys, "estimate", bundled_config, *tiny[:2])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: physical.t_se: t_se must be large enough that tau_r / t_se is finite\n"
+        )
 
     def test_tiny_factory_batch_time_still_provisions(self, bundled_config, capsys):
         code, out, _ = run(
@@ -574,6 +599,102 @@ def assert_report_invariants(report):
         )
 
 
+def outcome(run):
+    """Exit code, standard output and standard error of ``run()``, with the
+    error lines main prints for each error it exits on."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run()
+        except ConfigError as exc:
+            code = 2
+            print("".join(f"error: {p}\n" for p in exc.problems), end="", file=err)
+        except CompileError as exc:
+            code = 2
+            print(f"error: {field_path('algorithm', str(exc))}: {exc}", file=err)
+        except BudgetInfeasibleError as exc:
+            code = 3
+            print(f"error: {exc}", file=err)
+        except Exception as exc:  # the same fault, if any, on both sides
+            code = f"{type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def reference_sweep(sections, fmt):
+    """A sweep written as a loop: build_config and estimate each point in grid
+    order, stopping at the first error."""
+    parts = []
+    for point in expand_sweep(sections):
+        config = build_config(point)
+        if fmt == "csv":
+            parts.append(csv_row(config, estimate_payload(estimate_config(config))))
+        else:
+            parts.append(build_report(config, with_sensitivity=False))
+    if fmt == "csv":
+        text = render_csv(parts)
+    elif fmt == "json":
+        text = render_json(parts)
+    else:
+        text = "".join(render_table(report) for report in parts)
+    print(text, end="")
+    return 0
+
+
+# A few in-range values per field, so that grids reach their later points.
+PLAUSIBLE = {
+    "physical.p": ("1e-3", "5e-4", "2e-4", "1e-4"),
+    "physical.p_star": ("0.01", "0.02"),
+    "physical.prefactor_a": ("0.1", "0.03"),
+    "physical.t_se": ("1e-6", "2e-6"),
+    "physical.tau_r": ("1e-6", "1e-5"),
+    "algorithm.scheme": SCHEMES,
+    "algorithm.L": ("4", "6", "10"),
+    "algorithm.t_hop": ("1.0", "2"),
+    "algorithm.U": ("8", "0.0", "-0.0", "4"),
+    "algorithm.T_evol": ("10", "30"),
+    "algorithm.eps_total": ("0.01", "0.05"),
+    "algorithm.m": ("2", "16"),
+    "algorithm.f_r": ("0", "0.5", "1"),
+    "algorithm.log_base": ("natural", "base2"),
+    "factory.name": ("15to1x15to1-p3", "15to1x20to4-p4", "custom"),
+    "factory.q_f": ("100", "39100"),
+    "factory.tau_f_rounds": ("97.5", "10"),
+    "factory.n_out": ("1", "4"),
+    "factory.out_infidelity": ("1e-20", "3.3e-14"),
+    "factory.valid_p": ("1e-3", "1e-4"),
+    "factory.cultivation": ("true", "false"),
+    "qec.E": ("0.05", "0.01"),
+    "qec.d_max": ("3", "25", "101"),
+    "qec.t_gate_budget": ("0.05", "1"),
+}
+# The factory the fixed fields give: the bundled built-in, a custom design,
+# or a built-in inferred from p (no name, no custom keys).
+FACTORY_BASES = {
+    "bundled": {},
+    "custom": dict(item.split("=") for item in CUSTOM_FACTORY.split()),
+    "inferred": {"factory.name": "custom"},
+}
+
+
+@st.composite
+def sweep_grids(draw):
+    """(fixed sets, ranged sets): 1-3 ranged fields of 1-3 values, one value
+    in eight hostile, and a hostile fixed field in one grid of four. A field
+    of one value is ranged by a trailing comma."""
+    fixed = dict(FACTORY_BASES[draw(st.sampled_from(sorted(FACTORY_BASES)))])
+    if draw(st.integers(0, 3)) == 3:
+        fixed.update(draw(overrides(1, 1)))
+    paths = draw(st.lists(st.sampled_from(OVERRIDE_PATHS), min_size=1, max_size=3, unique=True))
+    ranged = {}
+    for path in paths:
+        value = st.integers(0, 7).flatmap(
+            lambda i, path=path: VALUES if i == 7 else st.sampled_from(PLAUSIBLE[path])
+        )
+        values = draw(st.lists(value, min_size=1, max_size=3))
+        ranged[path] = ",".join(values) + ("," if len(values) == 1 else "")
+    return fixed, ranged
+
+
 class TestInputContractProperty:
     """Every input ends one of three ways: a finite estimate meeting the
     invariants, exit 2 naming its fields, or exit 3."""
@@ -656,6 +777,28 @@ class TestInputContractProperty:
                 )
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(grid=sweep_grids())
+    # Point 0 is infeasible (exit 3) before point 1's d_max fails to cast.
+    @example(grid=({}, {"qec.d_max": "3,?"}))
+    @example(grid=({"factory.name": "custom"}, {"physical.p": "1e-3,1e-4"}))
+    @example(grid=({}, {"algorithm.U": "0.0,-0.0", "factory.cultivation": "true,false"}))
+    @example(grid=({}, {"algorithm.m": "2,16", "algorithm.log_base": "natural,base2",
+                        "algorithm.scheme": "plaq_serial,qsp"}))
+    def test_sweep_matches_a_point_by_point_loop(self, grid):
+        fixed, ranged = grid
+        sets = {**fixed, **ranged}
+        sections = read_sections(str(BUNDLED))
+        for path, value in sets.items():
+            section, key = path.split(".")
+            sections.setdefault(section, {})[key.lower()] = value
+        for fmt in ("csv", "json", "table"):
+            argv = ["sweep", str(BUNDLED), "--format", fmt, *set_args(sets)]
+            assert outcome(lambda: main(argv)) == outcome(
+                lambda: reference_sweep(sections, fmt)
+            )
+
+
 class TestCompareCommand:
     def test_all_schemes(self, bundled_config, capsys):
         code, out, _ = run(capsys, "compare", bundled_config, "--format", "json")
@@ -719,6 +862,38 @@ class TestSweepCommand:
             capsys, "estimate", bundled_config, "--format", "csv"
         )
         assert sweep_out == est_out
+
+    def test_each_scheme_and_instance_compiled_once(self, bundled_config, monkeypatch, capsys):
+        calls = []
+        original = estimator_module.compile_scheme
+
+        def counting(scheme, inst, *args, **kwargs):
+            calls.append((scheme, inst.l_side))
+            return original(scheme, inst, *args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "compile_scheme", counting)
+        code, out, _ = run(
+            capsys, "sweep", bundled_config,
+            "--set", "physical.p=1e-3,5e-4,2e-4",
+            "--set", "algorithm.scheme=plaq_L,qsp",
+            "--set", "algorithm.L=6,10",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3 * 2 * 2
+        assert sorted(calls) == sorted(
+            (s, l_side) for s in ("plaq_L", "qsp") for l_side in (6, 10)
+        )
+
+    def test_each_point_echoes_its_own_inputs(self, bundled_config, capsys):
+        # -0.0 == 0.0, so only the point's own record echoes its sign.
+        code, out, _ = run(
+            capsys, "sweep", bundled_config, "--format", "json",
+            "--set", "algorithm.U=0.0,-0.0", "--set", "algorithm.L=4",
+        )
+        assert code == 0
+        reports = json.loads(out)
+        assert [math.copysign(1, r["inputs"]["algorithm"]["U"]) for r in reports] == [1, -1]
+        assert '"U": -0.0' in out
 
     def test_too_many_ranged_fields(self, bundled_config, capsys):
         code, _, err = run(

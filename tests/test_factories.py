@@ -116,9 +116,16 @@ class TestSupplyTime:
         [(1e-320, 1e-6), (97.5, 1e-320), (1e-300, 1e-300), (1e308, 1e20)],
     )
     def test_rate_out_of_float_range_overflows(self, tau_f_rounds, t_se):
-        # An infinite rate would read as no supply time at all, and one that
-        # underflows to 0 as an endless one.
+        # An infinite rate per round would read as no supply time at all, and
+        # one that underflows to 0 as an endless one; so would a time that
+        # leaves the float range. A rate per second that leaves it is no fault:
+        # 2.4 states per round at 1e-320 s per round take 1e12 / 2.4 rounds.
         fleet = FactoryFleet(replace(f1(), tau_f_rounds=tau_f_rounds), 234)
+        if (tau_f_rounds, t_se) == (97.5, 1e-320):
+            seconds = fleet.supply_time(1e12, t_se)
+            assert seconds == pytest.approx(1e12 / 2.4 * 1e-320)
+            assert 4.1e-309 < seconds < 4.2e-309
+            return
         with pytest.raises(OverflowError):
             fleet.supply_time(1e12, t_se)
 
