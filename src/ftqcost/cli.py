@@ -132,8 +132,9 @@ def _render(report: dict, fmt: str, config: RunConfig) -> str:
     if fmt == "json":
         return reporting.render_json(report)
     if fmt == "csv":
-        rows = [reporting.csv_row(config, est) for est in report["estimates"]]
-        return reporting.render_csv(rows)
+        return reporting.render_csv(
+            reporting.csv_row(config, est) for est in report["estimates"]
+        )
     return reporting.render_table(report)
 
 
@@ -168,10 +169,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = reporting.estimate_configs(sweep_configs(base))
     fmt = args.format or "csv"
     if fmt == "csv":
-        # A row needs the estimate alone, not the report around it.
+        # A row needs the estimate's headline alone, not the report around it.
         text = reporting.render_csv(
-            reporting.csv_row(config, reporting.estimate_payload(est))
-            for config, est in points
+            reporting.csv_row(config, reporting.headline(est)) for config, est in points
         )
     else:
         reports = [reporting.nominal_report(config, est) for config, est in points]

@@ -286,18 +286,17 @@ def _factory(
     return spec
 
 
-def _built(memo: dict | None, key, args, build, problems: list[str]):
-    """``build(args, problems)``. A sweep's ``memo`` keeps each key's last
-    args, record and filed problems, and gives them again, without a build,
-    for args that are that very object."""
-    if memo is None:
+def _built(records: dict | None, key: tuple, args, build, problems: list[str]):
+    """``build(args, problems)``. A sweep's ``records`` keep each key's record
+    and filed problems, and give them again, without a build, for that key."""
+    if records is None:
         return build(args, problems)
-    last = memo.get(key)
-    if last is None or last[0] is not args:
+    hit = records.get(key)
+    if hit is None:
         filed: list[str] = []
-        last = memo[key] = args, build(args, filed), filed
-    problems += last[2]
-    return last[1]
+        hit = records[key] = build(args, filed), filed
+    problems += hit[1]
+    return hit[0]
 
 
 _ASSUME = partial(_construct, "physical", PhysicalAssumptions)
@@ -305,13 +304,21 @@ _INST = partial(_construct, "algorithm", FHInstance)
 _OPTIONS = partial(_construct, "options", EstimateOptions)
 
 
-def _resolve(cast: _Cast, memo: dict | None = None) -> RunConfig:
+def _cultivated(spec: FactorySpec, problems: list[str]) -> FactorySpec | None:
+    """The cultivation variant of ``spec``, or None with its problem filed."""
+    return _construct("factory", cultivation_variant, {"spec": spec}, problems)
+
+
+def _resolve(
+    cast: _Cast, records: dict | None = None, raws: dict[str, tuple] | None = None
+) -> RunConfig:
     """Build the inputs of ``cast`` into a RunConfig, or raise ConfigError
     listing the problems found, each with its dotted field path.
 
-    With a sweep's ``memo``, an input whose keyword arguments are the very
-    dict it was last built from is not built again. The factory is keyed on
-    its design's name too, since p may choose it.
+    A sweep passes its call's ``records`` and, per input, the point's ``raws``:
+    the raw strings of the ranged fields that feed it. An input is built once
+    per call for each of its raws; the factory is keyed on its design's name
+    too, since p may choose it.
     """
     values, given, unparsed, problems = cast
     parsed = given - unparsed
@@ -320,27 +327,28 @@ def _resolve(cast: _Cast, memo: dict | None = None) -> RunConfig:
     required = _REQUIRED if custom else _REQUIRED_BUILTIN
     problems += [f"{path}: missing required field" for path in required - given]
 
-    assume = _built(memo, "assume", values["assume"], _ASSUME, problems)
-    inst = _built(memo, "inst", values["inst"], _INST, problems)
-    options = _built(memo, "options", values["options"], _OPTIONS, problems)
+    get = (raws or {}).get
+    assume = _built(records, ("assume", get("assume")), values["assume"], _ASSUME, problems)
+    inst = _built(records, ("inst", get("inst")), values["inst"], _INST, problems)
+    options = _built(records, ("options", get("options")), values["options"], _OPTIONS, problems)
+    spec = effective = None
     if custom or name != "custom" or (assume is not None and "physical.p" in parsed):
         if not custom and name == "custom":
             # Default to the built-in design characterized nearest to p. With
             # no valid p the design is unknown, and p's problem is filed.
             name = "15to1x20to4-p4" if assume.p <= 3e-4 else "15to1x15to1-p3"
-        spec = _built(
-            memo, ("spec", name), values["spec"],
+        spec_key = get("spec"), name
+        effective = spec = _built(
+            records, ("spec", *spec_key), values["spec"],
             lambda kwargs, filed: _factory(kwargs, name, custom, parsed, filed),
             problems,
         )
+        if spec is not None and values[""]["cultivation"]:
+            effective = _built(records, ("cultivation", *spec_key), spec, _cultivated, problems)
 
     # Every construction that failed above filed a problem.
     if problems:
         raise ConfigError(sorted(set(problems)))
-    effective = (
-        _built(memo, "cultivation", spec, lambda s, _: cultivation_variant(s), problems)
-        if values[""]["cultivation"] else spec
-    )
     return RunConfig(
         assume=assume, inst=inst, spec=spec, options=options,
         absent=_ALL_PATHS - given, effective_spec=effective, **values[""],
@@ -411,8 +419,8 @@ def sweep_configs(sections: Sections) -> Iterator[RunConfig]:
     """``build_config`` of each point of ``expand_sweep(sections)``, lazily.
 
     The fixed fields are cast once. Each point casts its ranged fields
-    alone, and builds again only the inputs those fields feed, so that each
-    input the point shares with the last is the same record. Too many ranged
+    alone, and each input is built once per call for each combination of
+    the raw strings of the ranged fields that feed it. Too many ranged
     fields raise ConfigError at once; a point that does not build raises
     when it is reached.
     """
@@ -422,22 +430,24 @@ def sweep_configs(sections: Sections) -> Iterator[RunConfig]:
         {s: {k: v for k, v in f.items() if (s, k) not in keys} for s, f in sections.items()},
         _seeded(),
     )
-    # An input a ranged field feeds gets its own dict at every point, whether
-    # the field casts or not; every other input keeps the base's dict, which
-    # _resolve reads as unchanged. So a factory dict that is the base's also
-    # means the same custom keys and the same parsed factory fields.
-    touched = {_LOOKUP[s][k][1] for s, k in keys if k in _LOOKUP.get(s, ())}
+    # The input each ranged field feeds; an unknown field feeds none. Such an
+    # input gets its own dict at every point, whether the field casts or not;
+    # every other input keeps the base's.
+    feeds = [_LOOKUP.get(s, {}).get(k, (None, None))[1] for s, k, _ in ranged]
+    touched = set(feeds) - {None}
 
     def points() -> Iterator[RunConfig]:
-        memo: dict = {}
+        records: dict = {}
         for combo in itertools.product(*(values for _, _, values in ranged)):
             values = dict(base.values)
             for target in touched:
                 values[target] = dict(values[target])
             point: Sections = {}
-            for (section, key, _), raw in zip(ranged, combo):
+            raws: dict[str, tuple] = {}
+            for (section, key, _), target, raw in zip(ranged, feeds, combo):
                 point.setdefault(section, {})[key] = raw
+                raws[target] = (*raws.get(target, ()), raw)
             cast = _Cast(values, set(base.given), set(base.unparsed), list(base.problems))
-            yield _resolve(_cast(point, cast), memo)
+            yield _resolve(_cast(point, cast), records, raws)
 
     return points()

@@ -153,7 +153,7 @@ def estimate(
 ) -> ResourceEstimate:
     """Full pipeline for one Fermi-Hubbard instance and scheme."""
     compiled = compile_scheme(scheme, inst, m=options.hwp_m, log_base=options.log_base)
-    return _fit_compiled(compiled, inst, assume, spec, options)
+    return _plan(compiled, spec, options)(inst, assume)
 
 
 def estimate_points(
@@ -164,68 +164,87 @@ def estimate_points(
     """``estimate(*point)`` for each point, in order, as each is reached.
 
     Each distinct (scheme, inst, hwp_m, log_base) is compiled once, at its
-    first point, and every point is fitted to its compilation; what is
-    compiled is kept for this call only.
+    first point, and each distinct (scheme, inst, spec, options) planned once;
+    every point is fitted to its plan. Both are kept for this call only.
     """
     compiled: dict[tuple, tuple[CompilationSummary, ErrorBudget]] = {}
+    plans: dict[tuple, Callable] = {}
     for inst, scheme, assume, spec, options in points:
-        key = scheme, inst, options.hwp_m, options.log_base
-        compilation = compiled.get(key)
-        if compilation is None:
-            compilation = compiled[key] = compile_scheme(
-                scheme, inst, m=options.hwp_m, log_base=options.log_base
-            )
-        yield _fit_compiled(compilation, inst, assume, spec, options)
+        key = scheme, inst, spec, options
+        plan = plans.get(key)
+        if plan is None:
+            compile_key = scheme, inst, options.hwp_m, options.log_base
+            compilation = compiled.get(compile_key)
+            if compilation is None:
+                compilation = compiled[compile_key] = compile_scheme(
+                    scheme, inst, m=options.hwp_m, log_base=options.log_base
+                )
+            plan = plans[key] = _plan(compilation, spec, options)
+        yield plan(inst, assume)
 
 
-def _fit_compiled(
-    compiled: tuple[CompilationSummary, ErrorBudget],
-    inst: FHInstance,
-    assume: PhysicalAssumptions,
-    spec: FactorySpec,
+def _plan(
+    compiled: tuple[CompilationSummary, ErrorBudget], spec: FactorySpec,
     options: EstimateOptions,
-) -> ResourceEstimate:
-    """The estimate of one compiled scheme under ``assume`` and ``spec``.
+) -> Callable[[FHInstance, PhysicalAssumptions], ResourceEstimate]:
+    """The fit of a compiled scheme, as a function of ``inst`` and ``assume``.
 
-    No scheme's protected patches depend on its fleet size, so the distance
-    search reads the patches alone; the fleet is provisioned at the chosen d.
+    What reads no PhysicalAssumptions field is settled here, once: the
+    T-budget warning, the ledger, and the protected patches and layout at d,
+    each computed at most once per d. No scheme's protected patches depend on
+    its fleet size, so the distance search reads the patches alone; the
+    fleet is provisioned at the chosen d.
     """
     summary, budget = compiled
-    warnings: list[str] = []
-    if not math.isclose(spec.valid_p, assume.p, rel_tol=0.5):
-        warnings.append(
-            f"factory {spec.name} characterized at p={spec.valid_p}, "
-            f"estimating at p={assume.p}"
-        )
-
     check = t_budget_check(summary.t_count_total, spec, budget=options.t_gate_budget)
-    if not check.passed:
-        warnings.append(
-            "T-state error budget exceeded: "
-            f"accumulated {check.accumulated_error:.3g} > {check.budget}; "
-            f"a factory with infidelity <= {check.required_infidelity:.3g} is required"
-        )
-
+    t_warnings = () if check.passed else (
+        "T-state error budget exceeded: "
+        f"accumulated {check.accumulated_error:.3g} > {check.budget}; "
+        f"a factory with infidelity <= {check.required_infidelity:.3g} is required",
+    )
     # The knobs actually used, not allocate_budget's defaults, go in the ledger.
     ledger = budget._replace(e_qec=options.e_qec, t_gate_budget=options.t_gate_budget)
-    patches = scheme_record(summary.scheme).patches
-    try:
-        return _fit(
-            assume, lambda d: patches(summary, spec, d, options.f_r),
-            lambda d: layout_at(summary, spec, d, f_r=options.f_r),
-            summary.timestep_depth, summary.reaction_depth,
-            summary.data_patches + summary.aux_patches, summary.routing_patches,
-            options.e_qec, options.d_max,
-            scheme=summary.scheme, t_count_total=summary.t_count_total,
-            budget_ledger=ledger, summary=summary, warnings=tuple(warnings),
-        )
-    except ArithmeticError as exc:
-        inputs = instance_inputs(inst, options.hwp_m)
-        inputs.update(
-            t_se=assume.t_se, tau_r=assume.tau_r,
-            q_f=spec.q_f, tau_f_rounds=spec.tau_f_rounds, n_out=spec.n_out,
-        )
-        raise too_extreme(inputs, f"estimate {summary.scheme}", exc) from exc
+    patches, f_r = scheme_record(summary.scheme).patches, options.f_r
+    patches_at = _ByDistance(lambda d: patches(summary, spec, d, f_r)).__getitem__
+    layout_for = _ByDistance(lambda d: layout_at(summary, spec, d, f_r=f_r)).__getitem__
+
+    def fit(inst: FHInstance, assume: PhysicalAssumptions) -> ResourceEstimate:
+        warnings = t_warnings
+        if not math.isclose(spec.valid_p, assume.p, rel_tol=0.5):
+            warnings = (
+                f"factory {spec.name} characterized at p={spec.valid_p}, "
+                f"estimating at p={assume.p}",
+                *warnings,
+            )
+        try:
+            return _fit(
+                assume, patches_at, layout_for,
+                summary.timestep_depth, summary.reaction_depth,
+                summary.data_patches + summary.aux_patches, summary.routing_patches,
+                options.e_qec, options.d_max,
+                scheme=summary.scheme, t_count_total=summary.t_count_total,
+                budget_ledger=ledger, summary=summary, warnings=warnings,
+            )
+        except ArithmeticError as exc:
+            inputs = instance_inputs(inst, options.hwp_m)
+            inputs.update(
+                t_se=assume.t_se, tau_r=assume.tau_r,
+                q_f=spec.q_f, tau_f_rounds=spec.tau_f_rounds, n_out=spec.n_out,
+            )
+            raise too_extreme(inputs, f"estimate {summary.scheme}", exc) from exc
+
+    return fit
+
+
+class _ByDistance(dict):
+    """``at(d)`` by d, each computed once, at its first lookup."""
+
+    def __init__(self, at: Callable[[int], Any]) -> None:
+        self.at = at
+
+    def __missing__(self, d: int) -> Any:
+        value = self[d] = self.at(d)
+        return value
 
 
 def simple_estimate(
@@ -309,9 +328,13 @@ def sensitivity(
     """Nominal and +/-fraction estimates: the perturbed constants do not enter
     the compilation, so the scheme is compiled once and fitted three times."""
     compiled = compile_scheme(scheme, inst, m=options.hwp_m, log_base=options.log_base)
-    nominal = _fit_compiled(compiled, inst, assume, spec, options)
-    adverse = _fit_compiled(compiled, inst, *_perturbed(assume, spec, fraction), options)
-    favorable = _fit_compiled(compiled, inst, *_perturbed(assume, spec, -fraction), options)
+
+    def fit(assume: PhysicalAssumptions, spec: FactorySpec) -> ResourceEstimate:
+        return _plan(compiled, spec, options)(inst, assume)
+
+    nominal = fit(assume, spec)
+    adverse = fit(*_perturbed(assume, spec, fraction))
+    favorable = fit(*_perturbed(assume, spec, -fraction))
     return SensitivityBand(nominal=nominal, low=favorable, high=adverse)
 
 

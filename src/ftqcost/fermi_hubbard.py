@@ -413,9 +413,9 @@ def compile_scheme(
 
     Settles what every scheme shares before any runs, the HWP register ``m``
     (L^2 when None, at least 2) and the algorithmic budget, and fills in scheme,
-    l_side, rotation_count and sigma. A load or synthesis budget that leaves the
-    float range or its domain raises CompileError, laid by too_extreme to an
-    instance field or ``m``.
+    l_side, rotation_count and sigma. A load, synthesis budget or summary that
+    leaves the float range or its domain raises CompileError, laid by
+    too_extreme to an instance field or ``m``.
     """
     record = scheme_record(scheme)
     hwp_m = _hwp_m(inst, m)
@@ -428,12 +428,12 @@ def compile_scheme(
         steps, rotations = record.load(inst, eps_alg, hwp_m, log_base)
         budget = allocate_budget(inst.eps_total, rotations)
         sigma = synthesis_sigma(budget.eps_s_per_rotation)
+        summary = CompilationSummary(
+            scheme=scheme, l_side=inst.l_side, rotation_count=rotations, sigma=sigma,
+            **record.compile(inst, sigma, steps, hwp_m),
+        )
     except (ArithmeticError, ValueError) as exc:
         raise too_extreme(instance_inputs(inst, m), f"compile {scheme}", exc) from exc
-    summary = CompilationSummary(
-        scheme=scheme, l_side=inst.l_side, rotation_count=rotations, sigma=sigma,
-        **record.compile(inst, sigma, steps, hwp_m),
-    )
     return summary, budget
 
 

@@ -13,7 +13,8 @@ import csv
 import io
 import itertools
 import json
-from typing import Any, Iterable, Iterator
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Sequence
 
 from .config import RunConfig
 from .estimator import (
@@ -43,15 +44,18 @@ _HEADLINE = {
 }
 
 CSV_COLUMNS = ("scheme", "p", "factory", "cultivation", *_HEADLINE.values())
+_HEADLINE_VALUES = itemgetter(*_HEADLINE)
+
+
+def headline(est: ResourceEstimate) -> dict[str, Any]:
+    """The scheme and headline numbers of ``est`` by report key: all a CSV row reads."""
+    return {"scheme": est.scheme, **{key: getattr(est, attr) for key, attr in _HEADLINE.items()}}
 
 
 def estimate_payload(est: ResourceEstimate) -> dict[str, Any]:
-    payload: dict[str, Any] = {
-        "scheme": est.scheme,
-        **{key: getattr(est, attr) for key, attr in _HEADLINE.items()},
-        "physical_qubits_by_role": dict(est.physical_qubits_by_role),
-        "warnings": list(est.warnings),
-    }
+    payload = headline(est)
+    payload["physical_qubits_by_role"] = dict(est.physical_qubits_by_role)
+    payload["warnings"] = list(est.warnings)
     if est.budget_ledger is not None:
         payload["budget_ledger"] = est.budget_ledger._asdict()
     if est.summary is not None:
@@ -181,20 +185,17 @@ def render_table(report: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def csv_row(config: RunConfig, est_payload: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "scheme": est_payload["scheme"],
-        "p": config.assume.p,
-        "factory": config.effective_spec.name,
-        "cultivation": config.cultivation,
-        **{column: est_payload[key] for key, column in _HEADLINE.items()},
-    }
+def csv_row(config: RunConfig, est_payload: dict[str, Any]) -> tuple:
+    """The CSV row, in CSV_COLUMNS order, of an estimate's payload or headline."""
+    return (
+        est_payload["scheme"], config.assume.p, config.effective_spec.name,
+        config.cultivation, *_HEADLINE_VALUES(est_payload),
+    )
 
 
-def render_csv(rows: Iterable[dict[str, Any]]) -> str:
+def render_csv(rows: Iterable[Sequence[Any]]) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rows)
     return buffer.getvalue()

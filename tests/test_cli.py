@@ -233,6 +233,30 @@ class TestEstimateCommand:
         assert code == 0
         assert json.loads(out)["estimates"][0]["factory_count"] >= 1
 
+    def test_tiny_cultivated_batch_time_exits_2(self, bundled_config, capsys):
+        # A fifth of 5e-324 rounds is 0: the cultivation variant names its field.
+        code, out, err = run(
+            capsys, "estimate", bundled_config, "--no-sensitivity", *set_args(with_factory(
+                {"factory.tau_f_rounds": "5e-324", "factory.cultivation": "true"}
+            )),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: factory.tau_f_rounds: tau_f_rounds must be positive\n"
+
+    def test_degenerate_compiled_summary_exits_2(self, bundled_config, capsys):
+        # The T count underflows below the peak parallel demand.
+        tiny = "2.875848668965422e-281"
+        code, out, err = run(
+            capsys, "estimate", bundled_config, "--no-sensitivity",
+            "--set", "algorithm.scheme=qsp",
+            "--set", f"algorithm.T_evol={tiny}", "--set", f"algorithm.eps_total={tiny}",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: algorithm.T_evol: t_evol = {tiny} is too extreme to compile qsp: "
+            "t_count_total must be at least peak_parallel_t\n"
+        )
+
     def test_overrides_change_output(self, bundled_config, capsys):
         _, base, _ = run(capsys, "estimate", bundled_config, "--format", "json")
         _, low_p, _ = run(
@@ -782,6 +806,8 @@ class TestInputContractProperty:
     # Point 0 is infeasible (exit 3) before point 1's d_max fails to cast.
     @example(grid=({}, {"qec.d_max": "3,?"}))
     @example(grid=({"factory.name": "custom"}, {"physical.p": "1e-3,1e-4"}))
+    @example(grid=({"factory.name": "custom", "factory.cultivation": "true"},
+                   {"physical.p": "1e-3,1e-4"}))
     @example(grid=({}, {"algorithm.U": "0.0,-0.0", "factory.cultivation": "true,false"}))
     @example(grid=({}, {"algorithm.m": "2,16", "algorithm.log_base": "natural,base2",
                         "algorithm.scheme": "plaq_serial,qsp"}))
@@ -883,6 +909,40 @@ class TestSweepCommand:
         assert sorted(calls) == sorted(
             (s, l_side) for s in ("plaq_L", "qsp") for l_side in (6, 10)
         )
+
+    def test_plans_and_rows_counted_once(self, bundled_config, monkeypatch, capsys):
+        # A 3 p x 2 scheme x 2 L grid has 4 plans: each checks its T budget
+        # once and lays out each distance it chooses once; every row is built.
+        calls = {"layout_at": [], "t_budget_check": [], "csv_row": []}
+        for module, name in (
+            (estimator_module, "layout_at"), (estimator_module, "t_budget_check"),
+            (report_module, "csv_row"),
+        ):
+            def counting(*args, original=getattr(module, name), seen=calls[name], **kwargs):
+                seen.append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        code, out, _ = run(
+            capsys, "sweep", bundled_config,
+            "--set", "physical.p=1e-3,9.5e-4,9e-4",
+            "--set", "algorithm.scheme=plaq_L,qsp",
+            "--set", "algorithm.L=6,10",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + len(calls["csv_row"]) == 1 + 3 * 2 * 2
+        assert len(calls["t_budget_check"]) == 2 * 2
+        layouts = [(summary, d) for summary, _, d in calls["layout_at"]]
+        assert len(set(layouts)) == len(layouts) < 3 * 2 * 2
+
+    def test_first_point_cultivation_variant_exits_2(self, bundled_config, capsys):
+        code, out, err = run(
+            capsys, "sweep", bundled_config, *set_args(with_factory(
+                {"factory.tau_f_rounds": "5e-324,97.5", "factory.cultivation": "true"}
+            )),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: factory.tau_f_rounds: tau_f_rounds must be positive\n"
 
     def test_each_point_echoes_its_own_inputs(self, bundled_config, capsys):
         # -0.0 == 0.0, so only the point's own record echoes its sign.

@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from importlib import resources
 from unittest import mock
 
@@ -17,6 +17,7 @@ from ftqcost.estimator import (
     _perturbed,
     compare,
     estimate,
+    estimate_points,
     sensitivity,
     simple_estimate,
 )
@@ -322,6 +323,56 @@ class TestSensitivity:
             spec_for(1e-3),
         )
         assert better.d <= nominal.d
+
+
+# Factories a plan is keyed on: the built-ins, an equal copy of one, a custom
+# design, one whose infidelity breaks the T budget, and a cultivation variant.
+PLAN_SPECS = (
+    factory_by_name("15to1x15to1-p3"),
+    replace(factory_by_name("15to1x15to1-p3")),
+    factory_by_name("15to1x20to4-p4"),
+    FactorySpec("custom", 100, 10.0, 1, 1e-20, 1e-3),
+    FactorySpec("leaky", 5000, 50.0, 1, 1e-6, 1e-3),
+    cultivation_variant(factory_by_name("15to1x15to1-p3")),
+)
+PLAN_OPTIONS = tuple(
+    EstimateOptions(f_r=f_r, e_qec=e_qec, d_max=d_max) for f_r, e_qec, d_max in
+    ((0.5, 0.01, 101), (0.0, 0.01, 101), (1.0, 0.05, 101), (0.5, 0.01, 21))
+)
+
+
+@st.composite
+def interleaved_points(draw):
+    """Points on one instance, up to three distinct ones visited in a drawn
+    order with repeats (A, B, A), differing in scheme, factory, options and p."""
+    inst = FHInstance(draw(st.sampled_from((4, 6))), 1.0, 8.0, 10.0, 0.01)
+    distinct = draw(st.lists(st.tuples(
+        st.sampled_from(SCHEMES), st.sampled_from(PLAN_SPECS),
+        st.sampled_from(PLAN_OPTIONS), st.sampled_from((1e-4, 5e-4, 1e-3, 5e-3)),
+    ), min_size=1, max_size=3))
+    order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=8))
+    return [(inst, scheme, assume(p), spec, options)
+            for scheme, spec, options, p in map(distinct.__getitem__, order)]
+
+
+def outcomes(estimates):
+    """The estimates, up to and with the first error as its type and message."""
+    out = []
+    try:
+        for est in estimates:
+            out.append(est)
+    except Exception as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+class TestEstimatePoints:
+    @settings(max_examples=150, deadline=None)
+    @given(points=interleaved_points())
+    def test_shared_plans_match_estimate_one_by_one(self, points):
+        assert outcomes(estimate_points(points)) == outcomes(
+            estimate(*point) for point in points
+        )
 
 
 class TestCompare:
