@@ -21,12 +21,12 @@ and, at each point, only the ranged ones.
 
 from __future__ import annotations
 
-import configparser
+import io
 import itertools
 import math
 from functools import partial
 from operator import attrgetter
-from typing import Any, Callable, Iterator, NamedTuple, get_args
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_args
 
 from .errors import ConfigError
 from .estimator import EstimateOptions
@@ -72,15 +72,85 @@ class RunConfig(NamedTuple):
 
 
 def read_sections(path: str) -> Sections:
-    """The sections of an INI file, values read raw: ``%`` is not special."""
-    parser = configparser.ConfigParser(interpolation=None)
+    """The sections of an INI file, in one pass over its lines, as
+    ``configparser.ConfigParser(interpolation=None)`` reads them into
+    ``{name: dict(parser[name])}``.
+
+    A line whose first non-blank character is ``#`` or ``;`` is a comment.
+    ``[name]`` opens a section; the options of ``DEFAULT`` fill in every
+    other section. ``key = value`` or ``key: value`` sets a key, lower-cased,
+    at the first ``=`` or ``:``. A line indented deeper than its key's line
+    continues the value, and blank lines inside a value are kept. Values are
+    read raw: ``%`` is not special, and a ``#`` after a value is part of it.
+    A repeated section or key, a key before any section header, a line that
+    is neither and bytes that do not decode raise ConfigError, worded as
+    configparser words them.
+    """
     try:
-        read = parser.read(path)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError([f"{path}: {' '.join(str(exc).split())}"]) from exc
-    if not read:
-        raise ConfigError([f"config file not found or unreadable: {path}"])
-    return {name: dict(parser[name]) for name in parser.sections()}
+        with open(path, encoding=io.text_encoding(None)) as lines:
+            return _parse(lines, path)
+    except OSError:
+        raise ConfigError([f"config file not found or unreadable: {path}"]) from None
+    except UnicodeDecodeError as exc:
+        raise _unparsable(path, str(exc)) from exc
+
+
+def _unparsable(path: str, reason: str) -> ConfigError:
+    return ConfigError([f"{path}: {' '.join(reason.split())}"])
+
+
+def _parse(lines: Iterable[str], path: str) -> Sections:
+    sections: Sections = {}
+    defaults: dict[str, str] = {}
+    seen: set[tuple[str, str]] = set()  # (section, key) pairs read
+    fields = name = key = None  # the open section, its name and its last key
+    indent = 0  # of the last header, key or bad line
+    bad: list[str] = []  # the lines that are neither a header nor a key
+    for lineno, line in enumerate(lines, 1):
+        value = line.strip()
+        if not value or value[0] in "#;":
+            if not value and key:
+                fields[key] += "\n"
+            continue
+        level = len(line) - len(line.lstrip())
+        if key and level > indent:
+            fields[key] += "\n" + value
+            continue
+        indent = level
+        end = value.rfind("]")
+        if value[0] == "[" and end > 1:
+            name, key = value[1:end], None
+            if name in sections:
+                raise _unparsable(path, f"While reading from {path!r} [line {lineno:2d}]: "
+                                        f"section {name!r} already exists")
+            fields = defaults if name == "DEFAULT" else sections.setdefault(name, {})
+            continue
+        if fields is None:
+            raise _unparsable(path, f"File contains no section headers.\n"
+                                    f"file: {path!r}, line: {lineno}\n{line!r}")
+        equals, colon = value.find("="), value.find(":")
+        at = equals if colon < 0 or 0 <= equals < colon else colon
+        if at < 0:
+            bad.append(f"\n\t[line {lineno:2d}]: {line!r}")
+            continue
+        key = value[:at].rstrip().lower()
+        if not key:
+            bad.append(f"\n\t[line {lineno:2d}]: {line!r}")
+        if (name, key) in seen:
+            raise _unparsable(path, f"While reading from {path!r} [line {lineno:2d}]: "
+                                    f"option {key!r} in section {name!r} already exists")
+        seen.add((name, key))
+        fields[key] = value[at + 1:].lstrip()
+    if bad:
+        raise _unparsable(path, f"Source contains parsing errors: {path!r}{''.join(bad)}")
+    for fields in sections.values():
+        for key, value in defaults.items():
+            fields.setdefault(key, value)
+    # A value ends at its last non-blank line.
+    return {
+        name: {key: value.rstrip() for key, value in fields.items()}
+        for name, fields in sections.items()
+    }
 
 
 def field_path(section: str, message: str) -> str:
@@ -182,8 +252,8 @@ def _entry(section: str, key: str, field: _Field) -> tuple[str, str, str, _Field
     return f"{section}.{key}", target, keyword, field
 
 
-# Derived once at import. Per section: configparser's lower-cased spelling
-# -> its entry.
+# Derived once at import. Per section: the lower-cased spelling read_sections
+# gives a key -> its entry.
 _LOOKUP = {
     section: {key.lower(): _entry(section, key, field) for key, field in fields.items()}
     for section, fields in _FIELDS.items()

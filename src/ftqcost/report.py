@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .config import RunConfig
 from .estimator import (
@@ -162,7 +162,62 @@ def build_comparison(config: RunConfig, schemes: list[str]) -> dict[str, Any]:
 
 
 def render_json(report: dict[str, Any] | list[dict[str, Any]]) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    for a tree of dicts with str keys, lists and tuples over str, int,
+    float, bool and None (these exact types), written in one recursive pass."""
+    out: list[str] = []
+    _write_json(report, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_json(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The JSON text of a scalar, by its exact type.
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(value: Any, newline: str, put: Callable[[str], None]) -> None:
+    """``put`` the JSON text of ``value``, its nested lines indented two
+    spaces past ``newline``, the line break and indent its closing bracket
+    sits at."""
+    scalar = _SCALAR_JSON.get(type(value))
+    if scalar is not None:
+        put(scalar(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _fmt(value: Any) -> str:

@@ -61,6 +61,14 @@ def test_estimator_path_skips_costmodel(entry):
     assert "ftqcost.costmodel" not in loaded
 
 
+def test_cli_does_not_load_configparser():
+    """The config reader is ftqcost's own, so a cold start does not import
+    the standard library's INI engine."""
+    assert fresh_json(
+        "import ftqcost.cli\nprint(json.dumps('configparser' in sys.modules))"
+    ) is False
+
+
 def test_public_names_are_unchanged():
     assert ftqcost.__all__ == list(PUBLIC)
 
