@@ -68,3 +68,18 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_HOMES})
+
+
+def checked(record):
+    """The NamedTuple class ``record``, made to check its fields however it is built.
+
+    A NamedTuple body may not define ``__new__``, so the record defines
+    ``_new(cls, <its fields, in order>)``: it raises ValueError on a bad field
+    and returns ``tuple.__new__(cls, <the fields>)``. ``_new`` becomes
+    ``__new__``, with the fields' defaults, and ``_make``, through which
+    ``_replace`` builds, calls it: each build runs the check in one frame."""
+    record._new.__defaults__ = tuple(record._field_defaults.values())
+    record.__new__ = staticmethod(record._new)
+    record._make = classmethod(lambda cls, values: cls(*values))
+    del record._new
+    return record

@@ -82,10 +82,10 @@ def _parser() -> argparse.ArgumentParser:
     t1.add_argument("--gates", type=float, required=True, help="T/Toffoli gate count G")
     t1.add_argument("--p", type=float, default=1e-3, help="physical error rate")
     t1.add_argument(
-        "--e", type=float, default=EstimateOptions.e_qec, help="failure budget E"
+        "--e", type=float, help="failure budget E", default=EstimateOptions._field_defaults["e_qec"]
     )
     t1.add_argument(
-        "--t-se", type=float, default=PhysicalAssumptions.t_se,
+        "--t-se", type=float, default=PhysicalAssumptions._field_defaults["t_se"],
         help="SE round time, seconds",
     )
     t1.add_argument("--format", choices=("table", "json"), default="table")

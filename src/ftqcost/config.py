@@ -13,10 +13,11 @@ One field table, ``_FIELDS``, names every key with its cast and the
 RunConfig attribute it resolves to. Every value is validated by the input
 record it feeds before any computation runs; each record's first violation
 and every unparsable or missing field are reported together with dotted
-field paths. An absent optional field takes the default of the dataclass
-field it feeds. In sweep mode, comma-separated values in at most MAX_RANGED
-fields expand to a cartesian grid; sweep_configs casts the fixed fields once
-and, at each point, only the ranged ones.
+field paths. An absent optional field takes the default, in
+``_field_defaults``, of the record it feeds. In sweep mode, comma-separated
+values in at most MAX_RANGED fields expand to a cartesian grid;
+sweep_configs casts the fixed fields once and, at each point, only the
+ranged ones.
 """
 
 from __future__ import annotations
@@ -437,15 +438,10 @@ def build_config(sections: Sections) -> RunConfig:
 
 def sections_from_inputs(inputs: dict[str, Any]) -> Sections:
     """Inverse of RunConfig.resolved_inputs, enabling report round-trips."""
-    sections: Sections = {}
-    for section, fields in inputs.items():
-        out: dict[str, str] = {}
-        for key, value in fields.items():
-            if value is None:
-                continue
-            out[key.lower()] = str(value)
-        sections[section] = out
-    return sections
+    return {
+        section: {key.lower(): str(value) for key, value in fields.items() if value is not None}
+        for section, fields in inputs.items()
+    }
 
 
 def _ranged(sections: Sections) -> list[tuple[str, str, list[str]]]:

@@ -8,9 +8,9 @@ reaction-limited (time-optimal) batching plan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import checked
 from .errors import UndefinedRatioError
 from .factories import FactoryFleet
 from .qec import (
@@ -30,8 +30,8 @@ def ratio_routing(k: float, q_data: int) -> float:
     return k * q_data
 
 
-@dataclass(frozen=True)
-class CircuitProfile:
+@checked
+class CircuitProfile(NamedTuple):
     """Abstract summary of a logical circuit for the cost equations."""
 
     q_data: int
@@ -43,15 +43,19 @@ class CircuitProfile:
     k_storage: float = 0.0
     routing: float | None = None
 
-    def __post_init__(self) -> None:
+    def _new(cls, q_data, n_clifford, n_non_clifford, p_clifford, p_non_clifford,
+             m_layers, k_storage, routing):
+        self = tuple.__new__(cls, (q_data, n_clifford, n_non_clifford, p_clifford,
+                                   p_non_clifford, m_layers, k_storage, routing))
         for name in ("q_data", "p_clifford", "p_non_clifford", "m_layers"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
         for name in ("n_clifford", "n_non_clifford", "k_storage"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.routing is not None and not self.routing >= 0:
+        if routing is not None and not routing >= 0:
             raise ValueError("routing must be nonnegative")
+        return self
 
     def routing_patches(self) -> float:
         if self.routing is None:
@@ -195,12 +199,8 @@ def reaction_limited_plan(
     g_opt = max(1, math.ceil(t_prep / tau_r))
     time = math.ceil(n_gates / g_opt) * t_prep
     return ReactionPlan(
-        t_prep_seconds=t_prep,
-        tau_r_seconds=tau_r,
-        n_gates=n_gates,
-        g_opt=g_opt,
-        time_seconds=time,
-        logical_qubits=g_opt * modules_qubits,
+        t_prep_seconds=t_prep, tau_r_seconds=tau_r, n_gates=n_gates, g_opt=g_opt,
+        time_seconds=time, logical_qubits=g_opt * modules_qubits,
     )
 
 

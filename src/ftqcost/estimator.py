@@ -10,9 +10,9 @@ multi-scheme comparison, and the estimates of a grid of points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
+from . import checked
 from .errors import BudgetInfeasibleError
 from .factories import DEFAULT_T_GATE_BUDGET, FactorySpec, t_budget_check
 from .fermi_hubbard import (
@@ -48,10 +48,10 @@ ROUTING_FACTOR = 1.5
 """Patches per logical qubit in the minimal-footprint estimate, routing included."""
 
 
-@dataclass(frozen=True)
-class EstimateOptions:
-    """Knobs of the estimation pipeline. With PhysicalAssumptions, these field
-    defaults are the one table of defaults that config, CLI and report use."""
+@checked
+class EstimateOptions(NamedTuple):
+    """Knobs of the estimation pipeline. Its ``_field_defaults``, with those of
+    PhysicalAssumptions, are the one table of defaults config, CLI and report use."""
 
     e_qec: float = DEFAULT_QEC_BUDGET
     d_max: int = DEFAULT_MAX_DISTANCE
@@ -60,17 +60,18 @@ class EstimateOptions:
     log_base: LogBase = DEFAULT_LOG_BASE
     t_gate_budget: float = DEFAULT_T_GATE_BUDGET
 
-    def __post_init__(self) -> None:
-        if not (0 < self.e_qec < 1):
+    def _new(cls, e_qec, d_max, f_r, hwp_m, log_base, t_gate_budget):
+        if not (0 < e_qec < 1):
             raise ValueError("e_qec must lie in (0, 1)")
-        if not (0 < self.t_gate_budget <= 1):
+        if not (0 < t_gate_budget <= 1):
             raise ValueError("t_gate_budget must lie in (0, 1]")
-        if not (0 <= self.f_r <= 1):
+        if not (0 <= f_r <= 1):
             raise ValueError("f_r must lie in [0, 1]")
-        if self.hwp_m is not None and not self.hwp_m >= 2:
+        if hwp_m is not None and not hwp_m >= 2:
             raise ValueError("hwp_m must be at least 2")
-        if not self.d_max >= 3:
+        if not d_max >= 3:
             raise ValueError("d_max must be at least 3")
+        return tuple.__new__(cls, (e_qec, d_max, f_r, hwp_m, log_base, t_gate_budget))
 
 
 class ResourceEstimate(NamedTuple):
@@ -306,11 +307,8 @@ def _perturbed(
             f"no distance meets the failure budget at the {fraction:+.0%} band's "
             f"threshold p_star={p_star:g}, which is not above p={assume.p:g}"
         )
-    assume2 = replace(
-        assume, p_star=p_star, prefactor_a=assume.prefactor_a * (1 + fraction)
-    )
-    spec2 = replace(
-        spec,
+    assume2 = assume._replace(p_star=p_star, prefactor_a=assume.prefactor_a * (1 + fraction))
+    spec2 = spec._replace(
         q_f=max(1, round(spec.q_f * (1 + fraction))),
         tau_f_rounds=spec.tau_f_rounds * (1 + fraction),
     )

@@ -7,26 +7,26 @@ size, and an output infidelity. No distillation protocol is simulated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from numbers import Rational
 from typing import NamedTuple
 
+from . import checked
 from .errors import MagicStarvedError
 
 DEFAULT_T_GATE_BUDGET = 0.05
 """Error budget for the linearly accumulated T-state infidelity."""
 
 
-@dataclass(frozen=True)
-class FactorySpec:
+@checked
+class FactorySpec(NamedTuple):
     """One magic-state factory design.
 
     ``tau_f_rounds`` is the latency of one output batch in SE rounds; it may
     be fractional (e.g. 97.5) and is handled exactly during provisioning.
-    ``valid_p`` records the physical error rate the design was characterized
-    at.
+    ``valid_p`` records the physical error rate, in (0, 1), the design was
+    characterized at.
     """
 
     name: str
@@ -36,20 +36,23 @@ class FactorySpec:
     out_infidelity: float
     valid_p: float
 
-    def __post_init__(self) -> None:
-        if not self.q_f > 0:
+    def _new(cls, name, q_f, tau_f_rounds, n_out, out_infidelity, valid_p):
+        if not q_f > 0:
             raise ValueError("q_f must be positive")
-        if not self.tau_f_rounds > 0:
+        if not tau_f_rounds > 0:
             raise ValueError("tau_f_rounds must be positive")
-        if not self.n_out >= 1:
+        if not n_out >= 1:
             raise ValueError("n_out must be at least 1")
-        if not (0.0 < self.out_infidelity < 1.0):
+        if not (0.0 < out_infidelity < 1.0):
             raise ValueError("out_infidelity must lie in (0, 1)")
+        if not (0.0 < valid_p < 1.0):
+            raise ValueError("valid_p must lie in (0, 1)")
+        return tuple.__new__(cls, (name, q_f, tau_f_rounds, n_out, out_infidelity, valid_p))
 
-    @cached_property
+    @property
     def tau_f(self) -> Fraction:
-        """``tau_f_rounds`` as an exact rational, parsed once per spec."""
-        return _as_fraction(self.tau_f_rounds)
+        """``tau_f_rounds`` as an exact rational, parsed once per value."""
+        return _exact_rounds(self.tau_f_rounds)
 
     @property
     def rate_per_round(self) -> float:
@@ -57,14 +60,15 @@ class FactorySpec:
         return self.n_out / self.tau_f_rounds
 
 
-@dataclass(frozen=True)
-class FactoryFleet:
+@checked
+class FactoryFleet(NamedTuple):
     spec: FactorySpec
     count: int
 
-    def __post_init__(self) -> None:
-        if not self.count >= 0:
+    def _new(cls, spec, count):
+        if not count >= 0:
             raise ValueError("count must be nonnegative")
+        return tuple.__new__(cls, (spec, count))
 
     @property
     def achieved_rate(self) -> float:
@@ -93,24 +97,11 @@ class FactoryFleet:
 
 
 _CATALOG = (
-    FactorySpec(
-        name="15to1x15to1-p3",
-        q_f=39100,
-        tau_f_rounds=97.5,
-        n_out=1,
-        out_infidelity=3.3e-14,
-        valid_p=1e-3,
-    ),
-    FactorySpec(
-        name="15to1x20to4-p4",
-        q_f=16400,
-        tau_f_rounds=90.0,
-        n_out=4,
-        out_infidelity=2.4e-15,
-        valid_p=1e-4,
-    ),
+    FactorySpec("15to1x15to1-p3", q_f=39100, tau_f_rounds=97.5, n_out=1,
+                out_infidelity=3.3e-14, valid_p=1e-3),
+    FactorySpec("15to1x20to4-p4", q_f=16400, tau_f_rounds=90.0, n_out=4,
+                out_infidelity=2.4e-15, valid_p=1e-4),
 )
-# Built once: every lookup shares one frozen spec, so tau_f is parsed once.
 _BY_NAME = {spec.name: spec for spec in _CATALOG}
 
 
@@ -137,6 +128,11 @@ def _as_fraction(x) -> Fraction:
     if abs(snapped - x) <= 1e-9 * abs(x):
         return snapped
     return Fraction(x)
+
+
+@lru_cache(maxsize=256)
+def _exact_rounds(rounds: float) -> Fraction:
+    return _as_fraction(rounds)
 
 
 def provision(spec: FactorySpec, required_rate) -> FactoryFleet:
@@ -166,8 +162,7 @@ def cultivation_variant(spec: FactorySpec) -> FactorySpec:
     cultivation error rates are not yet at this level, so reports must flag
     the assumption.
     """
-    return replace(
-        spec,
+    return spec._replace(
         name=spec.name + "+cultivation",
         q_f=math.ceil(spec.q_f / 5),
         tau_f_rounds=spec.tau_f_rounds / 5,
@@ -192,9 +187,6 @@ def t_budget_check(
     accumulated = total_t_count * spec.out_infidelity
     required = budget / total_t_count if total_t_count > 0 else 1.0
     return TBudgetResult(
-        passed=accumulated <= budget,
-        accumulated_error=accumulated,
-        headroom=budget - accumulated,
-        budget=budget,
-        required_infidelity=min(required, 1.0),
+        passed=accumulated <= budget, accumulated_error=accumulated,
+        headroom=budget - accumulated, budget=budget, required_infidelity=min(required, 1.0),
     )

@@ -10,10 +10,10 @@ factory fleet and protected patches at distance d, and its report flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Literal, NamedTuple
 
+from . import checked
 from .errors import CompileError
 from .factories import DEFAULT_T_GATE_BUDGET, FactoryFleet, FactorySpec, provision
 from .qec import (
@@ -36,8 +36,8 @@ ALGORITHM_BUDGET_SHARE = 0.99
 """Share of the total error budget given to the algorithmic (Trotter/QSP) error."""
 
 
-@dataclass(frozen=True)
-class FHInstance:
+@checked
+class FHInstance(NamedTuple):
     """A square-lattice Fermi-Hubbard time-evolution problem."""
 
     l_side: int
@@ -46,17 +46,18 @@ class FHInstance:
     t_evol: float
     eps_total: float
 
-    def __post_init__(self) -> None:
-        if self.l_side < 2 or self.l_side % 2:
+    def _new(cls, l_side, t_hop, u_onsite, t_evol, eps_total):
+        if l_side < 2 or l_side % 2:
             raise ValueError("l_side must be an even integer >= 2")
-        if not self.t_hop > 0:
+        if not t_hop > 0:
             raise ValueError("t_hop must be positive")
-        if not self.u_onsite >= 0:
+        if not u_onsite >= 0:
             raise ValueError("u_onsite must be nonnegative")
-        if not self.t_evol > 0:
+        if not t_evol > 0:
             raise ValueError("t_evol must be positive")
-        if not (0 < self.eps_total < 1):
+        if not (0 < eps_total < 1):
             raise ValueError("eps_total must lie in (0, 1)")
+        return tuple.__new__(cls, (l_side, t_hop, u_onsite, t_evol, eps_total))
 
     @property
     def n_modes(self) -> int:
@@ -87,10 +88,7 @@ def allocate_budget(eps_total: float, rotation_count: float) -> ErrorBudget:
     if eps_s == 0:
         raise FloatingPointError("the per-rotation synthesis budget underflows to 0")
     return ErrorBudget(
-        eps_total=eps_total,
-        eps_algorithm=eps_alg,
-        eps_synthesis=eps_syn,
-        eps_s_per_rotation=eps_s,
+        eps_total=eps_total, eps_algorithm=eps_alg, eps_synthesis=eps_syn, eps_s_per_rotation=eps_s,
     )
 
 
@@ -125,9 +123,7 @@ def qsp_queries(
     if not (0 < eps_qsp < 1):
         raise ValueError("eps_qsp must lie in (0, 1)")
     at = alpha * t_evol
-    log = math.log(1 / eps_qsp)
-    if log_base == "base2":
-        log = math.log2(1 / eps_qsp)
+    log = math.log2(1 / eps_qsp) if log_base == "base2" else math.log(1 / eps_qsp)
     return 2 * (at + (3 ** (2 / 3) / 2) * at ** (1 / 3) * log ** (2 / 3))
 
 
@@ -163,8 +159,8 @@ def prepare_cost(l_side: int, sigma: int) -> SubroutineCost:
     return SubroutineCost(t, T_GATE, t, 0)
 
 
-@dataclass(frozen=True)
-class CompilationSummary:
+@checked
+class CompilationSummary(NamedTuple):
     """Logical-level output of one compilation scheme.
 
     consumption_rate is the magic-state provisioning rate in states per d
@@ -184,11 +180,16 @@ class CompilationSummary:
     rotation_count: float
     sigma: int
 
-    def __post_init__(self) -> None:
-        if self.scheme not in REGISTRY:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.t_count_total < self.peak_parallel_t:
+    def _new(cls, scheme, l_side, data_patches, routing_patches, aux_patches, timestep_depth,
+             reaction_depth, t_count_total, peak_parallel_t, consumption_rate,
+             rotation_count, sigma):
+        if scheme not in REGISTRY:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        if t_count_total < peak_parallel_t:
             raise ValueError("t_count_total must be at least peak_parallel_t")
+        return tuple.__new__(cls, (scheme, l_side, data_patches, routing_patches, aux_patches,
+                                   timestep_depth, reaction_depth, t_count_total,
+                                   peak_parallel_t, consumption_rate, rotation_count, sigma))
 
 
 class SchemeLayout(NamedTuple):
@@ -438,14 +439,8 @@ def compile_scheme(
 
 
 def instance_inputs(inst: FHInstance, m: int | None) -> dict[str, float]:
-    """The instance's fields, and ``m`` as ``hwp_m`` when given, by attribute."""
-    inputs = {
-        name: getattr(inst, name)
-        for name in ("l_side", "t_hop", "u_onsite", "t_evol", "eps_total")
-    }
-    if m is not None:
-        inputs["hwp_m"] = m
-    return inputs
+    """The instance's fields, and ``m`` as ``hwp_m`` when given, by name."""
+    return inst._asdict() if m is None else {**inst._asdict(), "hwp_m": m}
 
 
 def too_extreme(inputs: dict[str, float], action: str, exc: Exception) -> CompileError:

@@ -8,17 +8,17 @@ timestep is ``d`` SE rounds, where ``d`` is the code distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from . import checked
 from .errors import BudgetInfeasibleError, InvalidDistanceError
 
 DEFAULT_QEC_BUDGET = 0.05
 DEFAULT_MAX_DISTANCE = 99
 
 
-@dataclass(frozen=True)
-class PhysicalAssumptions:
+@checked
+class PhysicalAssumptions(NamedTuple):
     """Hardware-level parameters of the surface-code layer.
 
     Attributes:
@@ -35,21 +35,20 @@ class PhysicalAssumptions:
     t_se: float = 1e-6
     tau_r: float = 1e-6
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.p_star <= 1.0):
-            raise ValueError(f"p_star must lie in (0, 1], got {self.p_star}")
-        if not (0.0 < self.p < self.p_star):
-            raise ValueError(
-                f"p must lie in (0, p_star), got p={self.p}, p_star={self.p_star}"
-            )
-        if not self.prefactor_a > 0:
+    def _new(cls, p, p_star, prefactor_a, t_se, tau_r):
+        if not (0.0 < p_star <= 1.0):
+            raise ValueError(f"p_star must lie in (0, 1], got {p_star}")
+        if not (0.0 < p < p_star):
+            raise ValueError(f"p must lie in (0, p_star), got p={p}, p_star={p_star}")
+        if not prefactor_a > 0:
             raise ValueError("prefactor_a must be positive")
-        if not self.t_se > 0:
+        if not t_se > 0:
             raise ValueError("t_se must be positive")
-        if not self.tau_r > 0:
+        if not tau_r > 0:
             raise ValueError("tau_r must be positive")
-        if not math.isfinite(self.tau_r / self.t_se):
+        if not math.isfinite(tau_r / t_se):
             raise ValueError("t_se must be large enough that tau_r / t_se is finite")
+        return tuple.__new__(cls, (p, p_star, prefactor_a, t_se, tau_r))
 
     @property
     def reaction_rounds(self) -> int:
@@ -67,8 +66,8 @@ MAGIC_LIMITED = "magic-limited"
 """Bottleneck labels: the gate schedule, or the magic-state supply, sets the time."""
 
 
-@dataclass(frozen=True)
-class LogicalVolume:
+@checked
+class LogicalVolume(NamedTuple):
     """Protected logical footprint times depth, the currency of QEC costing.
 
     ``patches`` counts protected logical qubits including routing space but
@@ -80,9 +79,10 @@ class LogicalVolume:
     rounds: float
     reactions: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not (self.patches >= 0 and self.rounds >= 0 and self.reactions >= 0):
+    def _new(cls, patches, rounds, reactions):
+        if not (patches >= 0 and rounds >= 0 and reactions >= 0):
             raise ValueError("volume components must be nonnegative")
+        return tuple.__new__(cls, (patches, rounds, reactions))
 
     def patch_rounds(self, reaction_rounds: int = 1) -> float:
         """Total volume with reaction delays folded in as SE rounds."""

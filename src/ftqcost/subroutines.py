@@ -8,25 +8,28 @@ terms only; lg denotes log base 2 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal, NamedTuple
+
+from . import checked
 
 TOFFOLI = "toffoli"
 T_GATE = "t"
 
 
-@dataclass(frozen=True)
-class SubroutineCost:
+@checked
+class SubroutineCost(NamedTuple):
     count: float
     count_kind: Literal["toffoli", "t"]
     reaction_depth: float
     clean_ancillas: float
     dirty_ancillas: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not (self.count >= 0 and self.reaction_depth >= 0
-                and self.clean_ancillas >= 0 and self.dirty_ancillas >= 0):
+    def _new(cls, count, count_kind, reaction_depth, clean_ancillas, dirty_ancillas):
+        if not (count >= 0 and reaction_depth >= 0
+                and clean_ancillas >= 0 and dirty_ancillas >= 0):
             raise ValueError("all cost fields must be nonnegative")
+        return tuple.__new__(cls, (count, count_kind, reaction_depth, clean_ancillas,
+                                   dirty_ancillas))
 
     @property
     def t_count(self) -> float:
@@ -144,14 +147,15 @@ def synthesis_sigma(eps_s: float) -> int:
     return math.ceil(0.57 * math.log2(1 / eps_s) + 8.83)
 
 
-@dataclass(frozen=True)
-class ShuttleParams:
+@checked
+class ShuttleParams(NamedTuple):
     acceleration: float = 5500.0
     site_separation: float = 12e-6
 
-    def __post_init__(self) -> None:
-        if not (self.acceleration > 0 and self.site_separation > 0):
+    def _new(cls, acceleration, site_separation):
+        if not (acceleration > 0 and site_separation > 0):
             raise ValueError("acceleration and site_separation must be positive")
+        return tuple.__new__(cls, (acceleration, site_separation))
 
     def patch_width(self, d: int) -> float:
         """Physical width of one distance-d patch, in meters.

@@ -243,6 +243,18 @@ class TestEstimateCommand:
         assert (code, out) == (2, "")
         assert err == "error: factory.tau_f_rounds: tau_f_rounds must be positive\n"
 
+    def test_custom_factory_valid_p_outside_0_1_exits_2(self, tmp_path, capsys):
+        # The error rate a design was characterized at is a probability; a
+        # report once warned "characterized at p=-5.0" and exited 0.
+        config = tmp_path / "valid_p.cfg"
+        config.write_text(BUNDLED.read_text().replace(
+            "name = 15to1x15to1-p3",
+            "q_f = 1000\ntau_f_rounds = 50\nn_out = 1\nout_infidelity = 1e-10\nvalid_p = -5",
+        ))
+        code, out, err = run(capsys, "estimate", str(config))
+        assert (code, out) == (2, "")
+        assert err == "error: factory.valid_p: valid_p must lie in (0, 1)\n"
+
     def test_degenerate_compiled_summary_exits_2(self, bundled_config, capsys):
         # The T count underflows below the peak parallel demand.
         tiny = "2.875848668965422e-281"
@@ -768,10 +780,11 @@ class TestInputContractProperty:
             (est,) = json.loads(out)["estimates"]
             assume = PhysicalAssumptions(
                 p=float(flags.get("--p", 1e-3)),
-                t_se=float(flags.get("--t-se", PhysicalAssumptions.t_se)),
+                t_se=float(flags.get("--t-se", PhysicalAssumptions._field_defaults["t_se"])),
             )
             assert_invariants(
-                assume, float(flags.get("--e", EstimateOptions.e_qec)), est["code_distance"],
+                assume, float(flags.get("--e", EstimateOptions._field_defaults["e_qec"])),
+                est["code_distance"],
                 est["physical_qubits_total"], est["wall_time_seconds"],
                 est["spacetime_volume_patch_rounds"],
             )

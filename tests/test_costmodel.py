@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -201,7 +200,7 @@ class TestOneEquationBody:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        profiles.map(lambda prof: replace(prof, n_non_clifford=0)),
+        profiles.map(lambda prof: prof._replace(n_non_clifford=0)),
         st.builds(FactoryFleet, spec=specs, count=st.just(0) | st.integers(0, 10**6)),
         distances,
         timings,

@@ -1,4 +1,3 @@
-from dataclasses import asdict, replace
 from importlib import resources
 from unittest import mock
 
@@ -308,8 +307,8 @@ class TestSensitivity:
         changed = {
             f"{section}.{name}"
             for section, before, after in moved
-            for name, value in asdict(before).items()
-            if asdict(after)[name] != value
+            for name, value in before._asdict().items()
+            if after._asdict()[name] != value
         }
         assert changed == set(_PERTURBED_FIELDS)
 
@@ -329,7 +328,7 @@ class TestSensitivity:
 # design, one whose infidelity breaks the T budget, and a cultivation variant.
 PLAN_SPECS = (
     factory_by_name("15to1x15to1-p3"),
-    replace(factory_by_name("15to1x15to1-p3")),
+    factory_by_name("15to1x15to1-p3")._replace(),
     factory_by_name("15to1x20to4-p4"),
     FactorySpec("custom", 100, 10.0, 1, 1e-20, 1e-3),
     FactorySpec("leaky", 5000, 50.0, 1, 1e-6, 1e-3),

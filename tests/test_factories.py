@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -120,7 +119,7 @@ class TestSupplyTime:
         # one that underflows to 0 as an endless one; so would a time that
         # leaves the float range. A rate per second that leaves it is no fault:
         # 2.4 states per round at 1e-320 s per round take 1e12 / 2.4 rounds.
-        fleet = FactoryFleet(replace(f1(), tau_f_rounds=tau_f_rounds), 234)
+        fleet = FactoryFleet(f1()._replace(tau_f_rounds=tau_f_rounds), 234)
         if (tau_f_rounds, t_se) == (97.5, 1e-320):
             seconds = fleet.supply_time(1e12, t_se)
             assert seconds == pytest.approx(1e12 / 2.4 * 1e-320)
@@ -135,7 +134,7 @@ class TestTauF:
         spec = f1()
         assert spec.tau_f == Fraction(195, 2)
         assert spec.tau_f is spec.tau_f
-        assert replace(spec, tau_f_rounds=2.4).tau_f == Fraction(12, 5)
+        assert spec._replace(tau_f_rounds=2.4).tau_f == Fraction(12, 5)
         assert cultivation_variant(spec).tau_f == Fraction(39, 2)
 
 
@@ -172,7 +171,7 @@ class TestTauF:
 
     @pytest.mark.parametrize("tau", [1e-300, 5e-10, 1e-12])
     def test_tiny_batch_time_is_not_snapped_to_zero(self, tau):
-        spec = replace(f1(), tau_f_rounds=tau)
+        spec = f1()._replace(tau_f_rounds=tau)
         assert spec.tau_f == Fraction(tau)
         assert provision(spec, Fraction(1, 25)).count == 1
 
@@ -227,6 +226,8 @@ class TestSpecValidation:
             dict(n_out=0),
             dict(out_infidelity=0.0),
             dict(out_infidelity=1.0),
+            dict(valid_p=-5.0),
+            dict(valid_p=1.0),
         ],
     )
     def test_invalid_fields(self, kw):

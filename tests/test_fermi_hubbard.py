@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -429,7 +428,7 @@ class TestCompileRange:
         ],
     )
     def test_out_of_range_input_names_its_field(self, field, value, scheme):
-        inst = replace(bench_instance(), **{field: value})
+        inst = bench_instance()._replace(**{field: value})
         with pytest.raises(CompileError) as info:
             compile_scheme(scheme, inst)
         assert str(info.value).startswith(f"{field} = {value!r} is too extreme")

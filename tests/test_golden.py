@@ -89,7 +89,7 @@ def test_sweep_matches_golden(case, tmp_path):
 
 
 def test_former_defaults_variable_is_ignored(tmp_path, monkeypatch):
-    # Defaults come from the dataclasses alone; no file is read for them.
+    # Defaults come from the records' _field_defaults alone; no file is read for them.
     monkeypatch.setenv("FTQCOST_DEFAULTS", str(tmp_path / "missing.json"))
     out = tmp_path / "estimate_plaq_L2.json"
     assert main([*CASES["estimate_plaq_L2"], "--output", str(out)]) == 0
@@ -124,8 +124,10 @@ class TestUnknownScheme:
 
     def test_layout_at(self):
         summary, _ = fh.compile_scheme("plaq_L", bench_instance())
-        # CompilationSummary refuses unknown names, so relabel a valid one.
-        object.__setattr__(summary, "scheme", "bogus")
+        # CompilationSummary refuses unknown names, so build a relabelled
+        # copy of a valid one past its check.
+        summary = tuple.__new__(fh.CompilationSummary, ("bogus", *summary[1:]))
+        assert summary.scheme == "bogus"
         with pytest.raises(ValueError) as info:
             fh.layout_at(summary, factory_by_name("15to1x15to1-p3"), 15)
         assert str(info.value) == self.MESSAGE

@@ -69,6 +69,16 @@ def test_cli_does_not_load_configparser():
     ) is False
 
 
+@pytest.mark.parametrize("entry", ["ftqcost.cli", "ftqcost.subroutines"])
+def test_cold_start_loads_neither_dataclasses_nor_inspect(entry):
+    """Every record is a NamedTuple, so a cold start pays neither for
+    ``dataclasses`` nor for the ``inspect`` it would pull in."""
+    assert fresh_json(
+        f"import {entry}\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+    ) == []
+
+
 def test_public_names_are_unchanged():
     assert ftqcost.__all__ == list(PUBLIC)
 

@@ -5,19 +5,26 @@ The draws cover every scheme, even L in [4, 80], p log-uniform in
 factories with and without cultivation, three reaction times and f_r in
 [0, 1]. One property checks the bottleneck label against the fleet's own
 supply rule; the others are metamorphic: they change one input and check the
-direction in which the estimate moves.
+direction in which the estimate moves. Each perturbed input is built with
+``_replace``, so it passes its record's check.
 """
 
 import math
-from dataclasses import replace
+from importlib import resources
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from ftqcost.config import build_config, read_sections
+from ftqcost.errors import BudgetInfeasibleError
 from ftqcost.estimator import EstimateOptions, estimate, sensitivity
 from ftqcost.factories import builtin_catalog, cultivation_variant
 from ftqcost.fermi_hubbard import SCHEMES, FHInstance, compile_scheme, layout_at
 from ftqcost.qec import GATE_LIMITED, MAGIC_LIMITED, PhysicalAssumptions
+from ftqcost.report import estimate_config
+
+BUNDLED = str(resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg"))
 
 
 @st.composite
@@ -59,7 +66,7 @@ class TestMetamorphic:
     def test_raising_p_never_lowers_d_or_wall_time(self, run, factor):
         scheme, inst, assume, spec, options = run
         before = estimate(inst, scheme, assume, spec, options)
-        after = estimate(inst, scheme, replace(assume, p=assume.p * factor), spec, options)
+        after = estimate(inst, scheme, assume._replace(p=assume.p * factor), spec, options)
         assert after.d >= before.d
         assert after.wall_time_seconds >= before.wall_time_seconds
 
@@ -68,7 +75,7 @@ class TestMetamorphic:
     def test_raising_tau_r_never_lowers_wall_time(self, run, factor):
         scheme, inst, assume, spec, options = run
         before = estimate(inst, scheme, assume, spec, options)
-        slower = replace(assume, tau_r=assume.tau_r * factor)
+        slower = assume._replace(tau_r=assume.tau_r * factor)
         after = estimate(inst, scheme, slower, spec, options)
         assert after.wall_time_seconds >= before.wall_time_seconds
 
@@ -76,8 +83,8 @@ class TestMetamorphic:
     @given(run=runs(), e_qec=st.floats(1e-3, 0.1), factor=st.floats(0.01, 0.99))
     def test_lowering_e_never_lowers_d(self, run, e_qec, factor):
         scheme, inst, assume, spec, options = run
-        before = estimate(inst, scheme, assume, spec, replace(options, e_qec=e_qec))
-        stricter = replace(options, e_qec=e_qec * factor)
+        before = estimate(inst, scheme, assume, spec, options._replace(e_qec=e_qec))
+        stricter = options._replace(e_qec=e_qec * factor)
         assert estimate(inst, scheme, assume, spec, stricter).d >= before.d
 
     @settings(max_examples=200, deadline=None)
@@ -91,3 +98,130 @@ class TestMetamorphic:
             <= band.nominal.wall_time_seconds
             <= band.high.wall_time_seconds
         )
+
+
+def fitted(scheme, inst, assume, spec, options):
+    """The estimate, or None when no distance up to d_max fits."""
+    try:
+        return estimate(inst, scheme, assume, spec, options)
+    except BudgetInfeasibleError:
+        return None
+
+
+def assert_never_lower(before, after):
+    """``after``'s d and wall time are at least ``before``'s. No fit counts as
+    a d above every d_max, so a harder input that fits never follows one that
+    does not."""
+    if after is None:
+        return
+    assert before is not None
+    assert after.d >= before.d
+    assert after.wall_time_seconds >= before.wall_time_seconds
+
+
+class TestHarderInputsNeverLowerDOrWallTime:
+    """The five relations that hold on d and wall time: each makes the
+    logical error rate larger or the circuit bigger. Total qubits and the
+    volume are not pinned: neither is monotone in these inputs (README, Model
+    notes)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=runs(), factor=st.floats(1.01, 3))
+    def test_raising_prefactor_a(self, run, factor):
+        scheme, inst, assume, spec, options = run
+        worse = assume._replace(prefactor_a=assume.prefactor_a * factor)
+        assert_never_lower(fitted(*run), fitted(scheme, inst, worse, spec, options))
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=runs(), factor=st.floats(0.4, 0.99))
+    def test_lowering_p_star(self, run, factor):
+        scheme, inst, assume, spec, options = run
+        worse = assume._replace(p_star=assume.p_star * factor)
+        assert_never_lower(fitted(*run), fitted(scheme, inst, worse, spec, options))
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=runs(), factor=st.floats(1.01, 3))
+    def test_raising_t_evol(self, run, factor):
+        scheme, inst, assume, spec, options = run
+        longer = inst._replace(t_evol=inst.t_evol * factor)
+        assert_never_lower(fitted(*run), fitted(scheme, longer, assume, spec, options))
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=runs(), factor=st.floats(0.1, 0.99))
+    def test_lowering_eps_total(self, run, factor):
+        scheme, inst, assume, spec, options = run
+        stricter = inst._replace(eps_total=inst.eps_total * factor)
+        assert_never_lower(fitted(*run), fitted(scheme, stricter, assume, spec, options))
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=runs())
+    def test_growing_l_by_two(self, run):
+        scheme, inst, assume, spec, options = run
+        bigger = inst._replace(l_side=inst.l_side + 2)
+        assert_never_lower(fitted(*run), fitted(scheme, bigger, assume, spec, options))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        run=runs(), factor=st.floats(1.01, 1.5),
+        t_se=st.floats(math.log(1e-7), math.log(1e-5)),
+        tau_r=st.floats(math.log(1e-7), math.log(1e-5)),
+    )
+    def test_raising_t_se_at_the_same_reaction_rounds(self, run, factor, t_se, tau_r):
+        """Raising t_se can lower d when it drops a reaction round from the
+        volume (README, Model notes); while the rounds stay, it never does."""
+        scheme, inst, assume, spec, options = run
+        assume = assume._replace(t_se=math.exp(t_se), tau_r=math.exp(tau_r))
+        slower = assume._replace(t_se=assume.t_se * factor)
+        if slower.reaction_rounds != assume.reaction_rounds:
+            reject()
+        before = fitted(scheme, inst, assume, spec, options)
+        assert_never_lower(before, fitted(scheme, inst, slower, spec, options))
+
+
+def bundled(sets):
+    """The config and nominal estimate of the bundled config with ``sets``
+    (dotted path -> value) applied, as ``--set`` applies them."""
+    sections = read_sections(BUNDLED)
+    for path, value in sets.items():
+        section, key = path.split(".")
+        sections[section][key.lower()] = value
+    config = build_config(sections)
+    return config, estimate_config(config)
+
+
+class TestModelNotes:
+    """The examples of README "Model notes": one input moved, then d,
+    wall time, volume and qubits compared."""
+
+    def test_raising_t_se_drops_a_reaction_round_and_lowers_d(self):
+        sets = {
+            "physical.p": "1.92e-4", "physical.tau_r": "5.07e-6", "algorithm.L": "22",
+            "algorithm.T_evol": "20", "algorithm.eps_total": "0.005",
+            "factory.name": "15to1x20to4-p4",
+        }
+        c1, e1 = bundled({**sets, "physical.t_se": "1.00e-6"})
+        c2, e2 = bundled({**sets, "physical.t_se": "1.05e-6"})
+        assert (c1.assume.reaction_rounds, c2.assume.reaction_rounds) == (6, 5)
+        assert (e1.d, e2.d) == (17, 15)
+        assert e1.wall_time_seconds == pytest.approx(1263.765, rel=1e-5)
+        assert e2.wall_time_seconds == pytest.approx(1181.743, rel=1e-5)
+
+    def test_plaq_l2_volume_falls_as_l_grows(self):
+        sets = {"physical.p": "6.72e-4", "algorithm.T_evol": "337.8",
+                "algorithm.eps_total": "0.0317", "algorithm.f_r": "0.18"}
+        _, e1 = bundled({**sets, "algorithm.L": "62"})
+        _, e2 = bundled({**sets, "algorithm.L": "64"})
+        assert (e1.d, e2.d) == (27, 29)
+        assert e2.spacetime_volume < e1.spacetime_volume
+        assert e2.wall_time_seconds > e1.wall_time_seconds
+
+    @pytest.mark.parametrize("sets, moved, values, d", [
+        ({"algorithm.L": "10"}, "physical.p", ("7.4e-4", "8.14e-4"), (25, 27)),
+        ({"algorithm.scheme": "qsp", "algorithm.L": "20"}, "qec.E", ("0.005", "0.002"),
+         (31, 33)),
+    ], ids=["p", "E"])
+    def test_total_qubits_fall_as_d_rises(self, sets, moved, values, d):
+        (_, e1), (_, e2) = (bundled({**sets, moved: value}) for value in values)
+        assert (e1.d, e2.d) == d
+        assert e2.physical_qubits_total < e1.physical_qubits_total
+        assert e2.wall_time_seconds > e1.wall_time_seconds
