@@ -18,14 +18,10 @@ import sys
 from typing import Sequence
 
 from . import report as reporting
-# perfbench's tracer wraps build_config, expand_sweep and read_sections as
-# names of this module, so they stay bound here although a sweep now reaches
-# its grid through sweep_configs.
 from .config import (
     OUTPUT_FORMATS,
     RunConfig,
     build_config,
-    expand_sweep,
     field_path,
     read_sections,
     sweep_configs,

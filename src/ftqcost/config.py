@@ -465,24 +465,8 @@ def _ranged(sections: Sections) -> list[tuple[str, str, list[str]]]:
     return ranged
 
 
-def expand_sweep(sections: Sections) -> list[Sections]:
-    """Cartesian expansion of comma-separated field values.
-
-    Grid order is lexicographic in (section, field) order with earlier
-    fields varying slowest, so sweep output row order is stable.
-    """
-    ranged = _ranged(sections)
-    grids = []
-    for combo in itertools.product(*(values for _, _, values in ranged)):
-        point = {s: dict(fields) for s, fields in sections.items()}
-        for (section, key, _), value in zip(ranged, combo):
-            point[section][key] = value
-        grids.append(point)
-    return grids
-
-
 def sweep_configs(sections: Sections) -> Iterator[RunConfig]:
-    """``build_config`` of each point of ``expand_sweep(sections)``, lazily.
+    """``build_config`` of each point of the ranged fields' grid, lazily.
 
     The fixed fields are cast once. Each point casts its ranged fields
     alone, and each input is built once per call for each combination of

@@ -15,13 +15,12 @@ from .errors import UndefinedRatioError
 from .factories import FactoryFleet
 from .qec import (
     CNOT_TIMESTEPS,
-    GATE_LIMITED,
-    MAGIC_LIMITED,
     PhysicalAssumptions,
     fast_block_patches,
     fast_block_routing,
     patch_physical_qubits,
     require_valid_distance,
+    run_time,
 )
 
 
@@ -101,7 +100,7 @@ def _cost(
         magic_time = fleet.supply_time(profile.n_non_clifford, assume.t_se)
         factory_qubits = fleet.physical_qubits
     patches = profile.q_data + r + extra
-    time = max(gate_time, magic_time)
+    time, bottleneck = run_time(gate_time, magic_time)
     return CostBreakdown(
         space_physical=q * patches + factory_qubits,
         space_by_role={
@@ -113,7 +112,7 @@ def _cost(
         time_seconds=time,
         gate_time_seconds=gate_time,
         magic_time_seconds=magic_time,
-        bottleneck=MAGIC_LIMITED if magic_time > gate_time else GATE_LIMITED,
+        bottleneck=bottleneck,
         volume_patch_rounds=patches * time / assume.t_se,
     )
 
@@ -145,8 +144,9 @@ def general_cost(
 
     tau_nc is tau_r when the computation is reaction-limited (k > 0) and
     2 tau_c + tau_r for teleported non-Cliffords otherwise. The second term is
-    the fleet's time to supply the N_nc magic states. Without non-Cliffords
-    this is clifford_cost, and the fleet is neither checked nor counted.
+    the fleet's time to supply the N_nc magic states; qec.run_time takes the
+    max and names the bottleneck. Without non-Cliffords this is clifford_cost,
+    and the fleet is neither checked nor counted.
     """
     return _cost(profile, None if profile.n_non_clifford == 0 else fleet, d, assume)
 

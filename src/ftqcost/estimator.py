@@ -1,8 +1,8 @@
 """End-to-end resource estimation.
 
-Chains error-budget allocation, scheme compilation, distance selection on
-the protected patches alone, factory provisioning once at the chosen
-distance, and totals into a single ResourceEstimate; also provides the
+Chains error-budget allocation, scheme compilation, the distance search,
+factory provisioning, the run time (qec.run_time) and totals into a single
+ResourceEstimate; also provides the
 minimal-footprint quick estimator, the +/-5% sensitivity band,
 multi-scheme comparison, and the estimates of a grid of points.
 """
@@ -32,12 +32,11 @@ from .fermi_hubbard import (
 from .qec import (
     DEFAULT_MAX_DISTANCE,
     DEFAULT_QEC_BUDGET,
-    GATE_LIMITED,
-    MAGIC_LIMITED,
     LogicalVolume,
     PhysicalAssumptions,
     choose_distance,
     patch_physical_qubits,
+    run_time,
     wall_time,
 )
 
@@ -90,40 +89,39 @@ class ResourceEstimate(NamedTuple):
 
 
 def _fit(
-    assume: PhysicalAssumptions, patches_at: Callable[[int], float],
-    layout_for: Callable[[int], SchemeLayout],
-    timestep_depth: float, reaction_depth: float,
-    data_aux_patches: float, routing_patches: float, e_qec: float, d_max: int,
-    t_count_total: float, **fields: Any,
+    assume: PhysicalAssumptions, volume_at: Callable[[int], LogicalVolume],
+    floor: LogicalVolume, layout_for: Callable[[int], SchemeLayout],
+    supply_for: Callable[[int], float], data_aux_patches: float, routing_patches: float,
+    e_qec: float, d_max: int, **fields: Any,
 ) -> ResourceEstimate:
     """Smallest distance meeting the failure budget, and the totals there.
 
-    The search reads only patches_at(d), the protected patches at candidate
-    d; layout_for(d) adds the fleet and runs once, at the chosen d. The depth
-    is timestep_depth timesteps of d rounds plus reaction_depth reaction
-    delays; a fleet slower to supply t_count_total states makes the run magic-limited.
-    Patches beyond data/aux and routing count as routing; ``fields`` fill the
-    rest. Totals that leave the float range raise OverflowError.
+    qec.run_time sets the span from the gate schedule, whose volume on the
+    protected patches at d is volume_at(d), and from supply_for(d), the SE
+    rounds the fleet at d takes to make the T states; the volume counts the
+    patches over that span. A supply only stretches a volume, so the first
+    fit on volume_at, searched from ``floor``, is a lower bound; the search
+    goes on from it only if the supply stretches the volume there. Patches
+    beyond data/aux and routing count as routing; ``fields`` fill the rest.
+    Totals that leave the float range raise OverflowError.
     """
+    rr = assume.reaction_rounds
 
-    def volume(d: int, patches: float) -> LogicalVolume:
-        return LogicalVolume(patches, timestep_depth * d, reaction_depth)
+    def spanned(d: int) -> LogicalVolume:
+        gate = volume_at(d)
+        rounds, _ = run_time(gate.rounds + gate.reactions * rr, supply_for(d))
+        return LogicalVolume(gate.patches, rounds, 0)
 
-    # Every scheme's patches(d) is at least its base patches, and the rounds
-    # grow with d, so the volume at d = 3 on base patches floors every candidate.
-    d = choose_distance(
-        assume, lambda d: volume(d, patches_at(d)), e_qec, d_max,
-        volume(3, data_aux_patches + routing_patches),
-    )
+    d = choose_distance(assume, volume_at, e_qec, d_max, floor)
+    vol = spanned(d)
+    if vol.patch_rounds(rr) > volume_at(d).patch_rounds(rr):  # the supply stretches it
+        d = choose_distance(assume, spanned, e_qec, d_max, d_min=d)
+        vol = spanned(d)
     patches, fleet = layout_for(d)
-    vol = volume(d, patches)
+    seconds, bottleneck = run_time(wall_time(volume_at(d), assume), supply_for(d) * assume.t_se)
+    count, factory_qubits = (0, 0) if fleet is None else (fleet.count, fleet.physical_qubits)
     q = patch_physical_qubits(d)
     extra = patches - data_aux_patches - routing_patches
-    seconds = wall_time(vol, assume)
-    magic_limited, count, factory_qubits = False, 0, 0
-    if fleet is not None:
-        count, factory_qubits = fleet.count, fleet.physical_qubits
-        magic_limited = fleet.supply_time(t_count_total, assume.t_se) > seconds * (1 + 1e-12)
     est = ResourceEstimate(
         d=d,
         physical_qubits_total=patches * q + factory_qubits,
@@ -133,10 +131,9 @@ def _fit(
             "factories": float(factory_qubits),
         },
         wall_time_seconds=seconds,
-        spacetime_volume=vol.patch_rounds(assume.reaction_rounds),
+        spacetime_volume=vol.patch_rounds(rr),
         factory_count=count,
-        t_count_total=t_count_total,
-        bottleneck=MAGIC_LIMITED if magic_limited else GATE_LIMITED,
+        bottleneck=bottleneck,
         **fields,
     )
     totals = est.physical_qubits_total, est.wall_time_seconds, est.spacetime_volume
@@ -191,13 +188,13 @@ def _plan(
     """The fit of a compiled scheme, as a function of ``inst`` and ``assume``.
 
     What reads no PhysicalAssumptions field is settled here, once: the
-    T-budget warning, the ledger, and the protected patches and layout at d,
-    each computed at most once per d. No scheme's protected patches depend on
-    its fleet size, so the distance search reads the patches alone; the
-    fleet is provisioned at the chosen d.
+    T-budget warning, the ledger, and the gate schedule's volume, layout and
+    supply rounds at d, each computed at most once per d. No scheme's
+    protected patches depend on its fleet size.
     """
     summary, budget = compiled
-    check = t_budget_check(summary.t_count_total, spec, budget=options.t_gate_budget)
+    t_count = summary.t_count_total
+    check = t_budget_check(t_count, spec, budget=options.t_gate_budget)
     t_warnings = () if check.passed else (
         "T-state error budget exceeded: "
         f"accumulated {check.accumulated_error:.3g} > {check.budget}; "
@@ -206,8 +203,13 @@ def _plan(
     # The knobs actually used, not allocate_budget's defaults, go in the ledger.
     ledger = budget._replace(e_qec=options.e_qec, t_gate_budget=options.t_gate_budget)
     patches, f_r = scheme_record(summary.scheme).patches, options.f_r
-    patches_at = _ByDistance(lambda d: patches(summary, spec, d, f_r)).__getitem__
+    data_aux = summary.data_patches + summary.aux_patches
+    volume_at, floor = _volumes(
+        lambda d: patches(summary, spec, d, f_r), summary.timestep_depth,
+        summary.reaction_depth, data_aux + summary.routing_patches,
+    )
     layout_for = _ByDistance(lambda d: layout_at(summary, spec, d, f_r=f_r)).__getitem__
+    supply_for = _ByDistance(lambda d: layout_for(d).fleet.supply_time(t_count, 1.0)).__getitem__
 
     def fit(inst: FHInstance, assume: PhysicalAssumptions) -> ResourceEstimate:
         warnings = t_warnings
@@ -219,11 +221,8 @@ def _plan(
             )
         try:
             return _fit(
-                assume, patches_at, layout_for,
-                summary.timestep_depth, summary.reaction_depth,
-                summary.data_patches + summary.aux_patches, summary.routing_patches,
-                options.e_qec, options.d_max,
-                scheme=summary.scheme, t_count_total=summary.t_count_total,
+                assume, volume_at, floor, layout_for, supply_for, data_aux, summary.routing_patches,
+                options.e_qec, options.d_max, scheme=summary.scheme, t_count_total=t_count,
                 budget_ledger=ledger, summary=summary, warnings=warnings,
             )
         except ArithmeticError as exc:
@@ -235,6 +234,16 @@ def _plan(
             raise too_extreme(inputs, f"estimate {summary.scheme}", exc) from exc
 
     return fit
+
+
+def _volumes(
+    patches_at: Callable[[int], float], depth: float, reactions: float, base_patches: float,
+) -> tuple[Callable[[int], LogicalVolume], LogicalVolume]:
+    """The gate schedule's volume at each d, built once per d: patches_at(d)
+    patches over depth timesteps of d rounds plus reactions reaction delays;
+    and, as patches_at(d) >= base_patches, the floor under all of them."""
+    volume_at = _ByDistance(lambda d: LogicalVolume(patches_at(d), depth * d, reactions))
+    return volume_at.__getitem__, LogicalVolume(base_patches, depth * 3, reactions)
 
 
 class _ByDistance(dict):
@@ -266,9 +275,9 @@ def simple_estimate(
         raise ValueError("gate_count must be finite and at least 1")
     try:
         layout = SchemeLayout(ROUTING_FACTOR * q_logical, fleet=None)
+        volume_at, floor = _volumes(lambda d: layout.protected_patches, gate_count, 0.0, q_logical)
         return _fit(
-            assume, lambda d: layout.protected_patches, lambda d: layout,
-            timestep_depth=gate_count, reaction_depth=0.0,
+            assume, volume_at, floor, lambda d: layout, lambda d: 0.0,
             data_aux_patches=q_logical, routing_patches=0, e_qec=e_qec, d_max=d_max,
             scheme="simple", t_count_total=gate_count,
         )

@@ -66,6 +66,15 @@ MAGIC_LIMITED = "magic-limited"
 """Bottleneck labels: the gate schedule, or the magic-state supply, sets the time."""
 
 
+def run_time(gate: float, supply: float) -> tuple[float, str]:
+    """The span of a run, the longer of its gate schedule's and its magic-state
+    supply's times (in one unit), and the label of the clock that sets it. A
+    supply that keeps pace to a relative 1e-12, float noise, is no bottleneck."""
+    if supply > gate * (1 + 1e-12):
+        return supply, MAGIC_LIMITED
+    return gate, GATE_LIMITED
+
+
 @checked
 class LogicalVolume(NamedTuple):
     """Protected logical footprint times depth, the currency of QEC costing.
@@ -156,15 +165,17 @@ def choose_distance(
     budget_e: float = DEFAULT_QEC_BUDGET,
     d_max: int = DEFAULT_MAX_DISTANCE,
     volume_floor: LogicalVolume | None = None,
+    d_min: int = 3,
 ) -> int:
     """Smallest odd distance whose expected logical-failure count fits the budget.
 
-    Accepts the first odd d >= 3 with volume(d) * p_L(d) <= budget_e, where
-    the volume may itself depend on d (depth in timesteps scales with d,
-    routing terms may shrink with d). Terminates because p_L decays
-    geometrically while the volume grows polynomially. ``volume_floor``, a
-    volume that no candidate's volume falls below, lets the scan skip the
-    distances the suppression law alone rules out; the result is the same.
+    Accepts the first odd d >= d_min (an odd distance below which the caller
+    knows none fits) with volume(d) * p_L(d) <= budget_e, where the volume
+    may itself depend on d (depth in timesteps scales with d, routing terms
+    may shrink with d). Terminates because p_L decays geometrically while
+    the volume grows polynomially. ``volume_floor``, a volume that no
+    candidate's volume falls below, lets the scan skip the distances the
+    suppression law alone rules out; the result is the same.
 
     Raises:
         BudgetInfeasibleError: if no d <= d_max satisfies the bound.
@@ -172,7 +183,7 @@ def choose_distance(
     if not (0.0 < budget_e < 1.0):
         raise ValueError("budget_e must lie in (0, 1)")
     rr = assume.reaction_rounds
-    start = _first_candidate(assume, volume_floor, budget_e, rr, d_max)
+    start = max(d_min, _first_candidate(assume, volume_floor, budget_e, rr, d_max))
     for d in range(start, d_max + 1, 2):
         vol = volume_at(d)
         if vol.patch_rounds(rr) * logical_error_rate(assume, d) <= budget_e:

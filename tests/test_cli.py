@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 from importlib import resources
@@ -15,8 +16,8 @@ from ftqcost.cli import main
 from ftqcost.config import (
     _FIELDS,
     RunConfig,
+    _ranged,
     build_config,
-    expand_sweep,
     field_path,
     read_sections,
     sections_from_inputs,
@@ -654,6 +655,20 @@ def outcome(run):
         except Exception as exc:  # the same fault, if any, on both sides
             code = f"{type(exc).__name__}: {exc}"
     return code, out.getvalue(), err.getvalue()
+
+
+def expand_sweep(sections):
+    """The sweep's grid written out, one sections dict per point: the oracle
+    sweep_configs is checked against. Grid order is lexicographic in
+    (section, field), earlier fields varying slowest."""
+    ranged = _ranged(sections)
+    grids = []
+    for combo in itertools.product(*(values for _, _, values in ranged)):
+        point = {s: dict(fields) for s, fields in sections.items()}
+        for (section, key, _), value in zip(ranged, combo):
+            point[section][key] = value
+        grids.append(point)
+    return grids
 
 
 def reference_sweep(sections, fmt):

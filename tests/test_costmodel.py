@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from ftqcost import qec
 from ftqcost.costmodel import (
-    GATE_LIMITED,
-    MAGIC_LIMITED,
     CircuitProfile,
     clifford_cost,
     fast_block_patches,
@@ -20,7 +18,7 @@ from ftqcost.costmodel import (
 )
 from ftqcost.errors import MagicStarvedError, UndefinedRatioError
 from ftqcost.factories import FactoryFleet, factory_by_name, provision
-from ftqcost.qec import PhysicalAssumptions
+from ftqcost.qec import GATE_LIMITED, MAGIC_LIMITED, PhysicalAssumptions
 
 
 def assume(**kw):
@@ -189,10 +187,8 @@ class TestOneEquationBody:
         assert cost.space_by_role["teleport"] == pytest.approx(q * extra, rel=1e-12)
         assert cost.gate_time_seconds == pytest.approx(gate, rel=1e-12)
         assert cost.magic_time_seconds == pytest.approx(magic, rel=1e-12)
-        assert cost.time_seconds == max(cost.gate_time_seconds, cost.magic_time_seconds)
-        assert cost.bottleneck == (
-            MAGIC_LIMITED if cost.magic_time_seconds > cost.gate_time_seconds
-            else GATE_LIMITED
+        assert (cost.time_seconds, cost.bottleneck) == qec.run_time(
+            cost.gate_time_seconds, cost.magic_time_seconds
         )
         assert cost.volume_patch_rounds == pytest.approx(
             (prof.q_data + r + extra) * max(gate, magic) / a.t_se, rel=1e-12

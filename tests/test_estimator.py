@@ -417,13 +417,14 @@ class TestDistanceFixedPointProperty:
             assert prev_volume * logical_error_rate(a, prev) > e
 
 
-def _scan_from_3(assume, volume_at, budget_e, d_max, volume_floor=None):
+def _scan_from_3(assume, volume_at, budget_e, d_max, volume_floor=None, d_min=3):
     return choose_distance(assume, volume_at, budget_e, d_max)
 
 
 class TestDistanceLowerBound:
-    """estimate's volume floor changes how many candidates a search reads,
-    never the distance it chooses or the error it raises."""
+    """estimate's volume floor, and the first fit a stretched search starts
+    from, change how many candidates a search reads, never the distance it
+    chooses or the error it raises."""
 
     @settings(max_examples=200, deadline=None)
     @given(

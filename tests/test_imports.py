@@ -108,7 +108,8 @@ def test_benchmark_tracer_finds_every_site(monkeypatch):
     """The benchmark's tracer wraps module attributes by name: compile_scheme,
     choose_distance and layout_at as ftqcost.estimator reaches them. It binds
     compile_scheme's and choose_distance's parameters by name too. Only
-    report.load_defaults, which the package no longer has, may be absent."""
+    report.load_defaults and cli.expand_sweep, which the package no longer
+    has, may be absent."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     estimator = import_module("ftqcost.estimator")
     original = estimator.compile_scheme
@@ -116,7 +117,7 @@ def test_benchmark_tracer_finds_every_site(monkeypatch):
     try:
         tracer.install()
         assert estimator.compile_scheme is not original
-        assert set(tracer.absent) == {"report.load_defaults"}
+        assert set(tracer.absent) == {"report.load_defaults", "config.expand_sweep"}
     finally:
         tracer.uninstall()
     assert estimator.compile_scheme is original

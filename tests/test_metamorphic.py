@@ -3,10 +3,10 @@
 The draws cover every scheme, even L in [4, 80], p log-uniform in
 [1e-4, 2e-3], T_evol in [10, 1000], eps_total in [1e-3, 0.05], both built-in
 factories with and without cultivation, three reaction times and f_r in
-[0, 1]. One property checks the bottleneck label against the fleet's own
-supply rule; the others are metamorphic: they change one input and check the
-direction in which the estimate moves. Each perturbed input is built with
-``_replace``, so it passes its record's check.
+[0, 1]. One property checks the wall time, bottleneck, volume and distance
+against qec.run_time; the others are metamorphic: they change one input and
+check the direction in which the estimate moves. Each perturbed input is
+built with ``_replace``, so it passes its record's check.
 """
 
 import math
@@ -21,7 +21,15 @@ from ftqcost.errors import BudgetInfeasibleError
 from ftqcost.estimator import EstimateOptions, estimate, sensitivity
 from ftqcost.factories import builtin_catalog, cultivation_variant
 from ftqcost.fermi_hubbard import SCHEMES, FHInstance, compile_scheme, layout_at
-from ftqcost.qec import GATE_LIMITED, MAGIC_LIMITED, PhysicalAssumptions
+from ftqcost.qec import (
+    GATE_LIMITED,
+    MAGIC_LIMITED,
+    LogicalVolume,
+    PhysicalAssumptions,
+    logical_error_rate,
+    run_time,
+    wall_time,
+)
 from ftqcost.report import estimate_config
 
 BUNDLED = str(resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg"))
@@ -43,21 +51,66 @@ def runs(draw):
     return draw(st.sampled_from(SCHEMES)), inst, assume, spec, options
 
 
-class TestOneSupplyRule:
+class TestOneRunTimeRule:
+    """Every estimate's span is qec.run_time's: the gate schedule's time or,
+    when slower, the fleet's time to supply the T states, and the volume
+    counts the patches over that span."""
+
     @settings(max_examples=300, deadline=None)
     @given(run=runs())
-    def test_magic_limited_exactly_when_the_fleet_is_slower(self, run):
+    def test_span_volume_and_distance_follow_run_time(self, run):
         scheme, inst, assume, spec, options = run
         est = estimate(inst, scheme, assume, spec, options)
         summary, _ = compile_scheme(scheme, inst)
-        fleet = layout_at(summary, spec, est.d, f_r=options.f_r).fleet
+        rr, t_count = assume.reaction_rounds, summary.t_count_total
+
+        def at(d):
+            """Patches, gate seconds, gate rounds and fleet at d."""
+            patches, fleet = layout_at(summary, spec, d, f_r=options.f_r)
+            gate = LogicalVolume(patches, summary.timestep_depth * d, summary.reaction_depth)
+            rounds = gate.rounds + gate.reactions * rr
+            return patches, wall_time(gate, assume), rounds, fleet
+
+        def stretched_fails(d):
+            patches, _, rounds, fleet = at(d)
+            span, _ = run_time(rounds, fleet.supply_time(t_count, 1.0))
+            return patches * span * logical_error_rate(assume, d) > options.e_qec
+
+        patches, gate, rounds, fleet = at(est.d)
         assert fleet.count == est.factory_count
-        supply = fleet.supply_time(summary.t_count_total, assume.t_se)
-        slower = supply > est.wall_time_seconds * (1 + 1e-12)
-        assert est.bottleneck == (MAGIC_LIMITED if slower else GATE_LIMITED)
+        supply = fleet.supply_time(t_count, assume.t_se)
+        assert (est.wall_time_seconds, est.bottleneck) == run_time(gate, supply)
+        # The supply's time bounds the span, up to run_time's 1e-12 tie slack.
+        assert est.wall_time_seconds * (1 + 1e-12) >= t_count / fleet.achieved_rate * assume.t_se
+        span, _ = run_time(rounds, fleet.supply_time(t_count, 1.0))
+        assert est.spacetime_volume == pytest.approx(patches * span, rel=1e-12)
+        assert est.spacetime_volume * logical_error_rate(assume, est.d) <= options.e_qec
+        assert est.d == 3 or stretched_fails(est.d - 2)
         # Measured, not proven: every other scheme's fleet is provisioned to
         # its own consumption rate, so only plaq_L2's L^2 factories fall short.
         assert scheme == "plaq_L2" or est.bottleneck == GATE_LIMITED
+
+    def test_magic_limited_wall_time_is_the_supply_time(self):
+        # A row of the sweep golden: the gate schedule takes 19 137.6 s at
+        # d = 15, the 100 factories 32 029.2 s to make the T states.
+        config, est = bundled({"algorithm.L": "10", "physical.p": "1e-4"})
+        fleet = layout_at(est.summary, config.effective_spec, est.d, config.options.f_r).fleet
+        supply = fleet.supply_time(est.t_count_total, config.assume.t_se)
+        assert (est.d, est.bottleneck, fleet.count) == (15, MAGIC_LIMITED, 100)
+        assert est.wall_time_seconds == supply == pytest.approx(32029.24647, rel=1e-9)
+
+    def test_supply_stretched_past_the_budget_raises_d(self):
+        # The patches alone first fit at d = 15; the supply's span breaks E there.
+        config, est = bundled({"algorithm.L": "10", "physical.p": "1.5e-4"})
+        assume, summary = config.assume, est.summary
+        patches, fleet = layout_at(summary, config.effective_spec, 15, config.options.f_r)
+        gate = LogicalVolume(patches, summary.timestep_depth * 15, summary.reaction_depth)
+        supply = patches * fleet.supply_time(est.t_count_total, 1.0)
+        fails = [v * logical_error_rate(assume, 15) > config.options.e_qec
+                 for v in (gate.patch_rounds(assume.reaction_rounds), supply)]
+        assert fails == [False, True]
+        assert (est.d, est.bottleneck) == (17, MAGIC_LIMITED)
+        assert est.wall_time_seconds == pytest.approx(32029.24647, rel=1e-9)
 
 
 class TestMetamorphic:

@@ -8,11 +8,14 @@ from ftqcost.costmodel import CircuitProfile, clifford_cost
 from ftqcost.errors import BudgetInfeasibleError, InvalidDistanceError
 from ftqcost.qec import (
     CNOT_TIMESTEPS,
+    GATE_LIMITED,
+    MAGIC_LIMITED,
     LogicalVolume,
     PhysicalAssumptions,
     choose_distance,
     logical_error_rate,
     patch_physical_qubits,
+    run_time,
     wall_time,
 )
 
@@ -93,10 +96,29 @@ class TestWallTime:
         assert total == pytest.approx(parts)
 
 
+class TestRunTime:
+    @given(st.floats(min_value=0, max_value=1e12), st.floats(min_value=0, max_value=1e12))
+    def test_span_is_the_longer_clock_and_names_it(self, gate, supply):
+        span, bottleneck = run_time(gate, supply)
+        tie = gate < supply <= gate * (1 + 1e-12)
+        assert span == (gate if tie else max(gate, supply))
+        assert bottleneck == (GATE_LIMITED if span == gate else MAGIC_LIMITED)
+
+    def test_a_supply_that_keeps_pace_to_float_noise_is_no_bottleneck(self):
+        assert run_time(177459.32255999997, 177459.32256) == (177459.32255999997, GATE_LIMITED)
+        assert run_time(1.0, 1.0 + 1e-9) == (1.0 + 1e-9, MAGIC_LIMITED)
+        assert run_time(2.0, 0.0) == (2.0, GATE_LIMITED)
+
+
 class TestChooseDistance:
     def test_zero_volume_gives_min_distance(self):
         d = choose_distance(assume(), lambda d: LogicalVolume(0, 0))
         assert d == 3
+
+    def test_d_min_starts_the_scan(self):
+        seen = []
+        d = choose_distance(assume(), lambda d: seen.append(d) or LogicalVolume(0, 0), d_min=7)
+        assert d == 7 and seen == [7]
 
     def test_minimal_footprint_spin_instance(self):
         # 150 patches running 1e5 gates of d rounds each.
