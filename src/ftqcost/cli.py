@@ -165,10 +165,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = reporting.estimate_configs(sweep_configs(base))
     fmt = args.format or "csv"
     if fmt == "csv":
-        # A row needs the estimate's headline alone, not the report around it.
-        text = reporting.render_csv(
-            reporting.csv_row(config, reporting.headline(est)) for config, est in points
-        )
+        # A row reads the estimate alone, not a report around it.
+        text = reporting.render_csv(reporting.csv_row(config, est) for config, est in points)
     else:
         reports = [reporting.nominal_report(config, est) for config, est in points]
         if fmt == "json":

@@ -15,9 +15,8 @@ record it feeds before any computation runs; each record's first violation
 and every unparsable or missing field are reported together with dotted
 field paths. An absent optional field takes the default, in
 ``_field_defaults``, of the record it feeds. In sweep mode, comma-separated
-values in at most MAX_RANGED fields expand to a cartesian grid;
-sweep_configs casts the fixed fields once and, at each point, only the
-ranged ones.
+values in at most MAX_RANGED fields expand to a cartesian grid; a sweep
+casts each raw string once and builds each input once per distinct raws.
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ import io
 import itertools
 import math
 from functools import partial
-from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_args
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, get_args
 
 from .errors import ConfigError
-from .estimator import EstimateOptions
+from .estimator import EstimateOptions, _Memo
 from .factories import FactorySpec, cultivation_variant, factory_by_name
 from .fermi_hubbard import SCHEMES, FHInstance, LogBase
 from .qec import PhysicalAssumptions
@@ -247,10 +246,10 @@ _FIELDS = {
 _CUSTOM_KEYS = frozenset({"factory.q_f", "factory.tau_f_rounds", "factory.n_out"})
 
 
-def _entry(section: str, key: str, field: _Field) -> tuple[str, str, str, _Field]:
-    """(dotted path, input, keyword, field); the input "" is RunConfig itself."""
+def _entry(section: str, key: str, field: _Field) -> tuple[str, str, str, Callable, _Field]:
+    """(dotted path, input, keyword, cast, field); the input "" is RunConfig itself."""
     target, _, keyword = field.path.rpartition(".")
-    return f"{section}.{key}", target, keyword, field
+    return f"{section}.{key}", target, keyword, field.cast, field
 
 
 # Derived once at import. Per section: the lower-cased spelling read_sections
@@ -261,21 +260,21 @@ _LOOKUP = {
 }
 _ENTRIES = [entry for entries in _LOOKUP.values() for entry in entries.values()]
 _ALL_PATHS = frozenset(path for path, *_ in _ENTRIES)
-_REQUIRED = frozenset(path for path, _, _, field in _ENTRIES if field.required)
+_REQUIRED = frozenset(path for path, *_, field in _ENTRIES if field.required)
 _REQUIRED_BUILTIN = _REQUIRED - {path for path, target, *_ in _ENTRIES if target == "spec"}
 # The fields that describe a factory design, by (dotted path, keyword).
 _SPEC_FIELDS = [
-    (path, keyword) for path, target, keyword, _ in _ENTRIES
+    (path, keyword) for path, target, keyword, *_ in _ENTRIES
     if target == "spec" and keyword != "name"
 ]
 # Per input: the keyword arguments every build starts from.
 _SEEDS = {
     target: {
         keyword: field.default
-        for _, t, keyword, field in _ENTRIES
+        for _, t, keyword, _, field in _ENTRIES
         if t == target and field.default is not _OWN_DEFAULT
     }
-    for _, target, _, _ in _ENTRIES
+    for _, target, *_ in _ENTRIES
 }
 # Per section: the documented key -> the getter of its RunConfig attribute.
 _GETTERS = {
@@ -285,7 +284,7 @@ _GETTERS = {
 # The attribute a key sets -> the key's dotted path, to name the field a
 # constructor's, compiler's or estimator's message opens with. Attribute
 # names are unique across sections.
-_ATTRIBUTE_PATHS = {keyword: path for path, _, keyword, _ in _ENTRIES}
+_ATTRIBUTE_PATHS = {keyword: path for path, _, keyword, *_ in _ENTRIES}
 
 
 class _Cast(NamedTuple):
@@ -317,10 +316,10 @@ def _cast(sections: Sections, into: _Cast) -> _Cast:
             if entry is None:
                 problems.append(f"{section}.{key}: unknown field")
                 continue
-            path, target, keyword, field = entry
+            path, target, keyword, cast, _ = entry
             given.add(path)
             try:
-                values[target][keyword] = field.cast(raw)
+                values[target][keyword] = cast(raw)
             except ValueError as exc:
                 problems.append(f"{path}: {exc}")
                 unparsed.add(path)
@@ -357,73 +356,73 @@ def _factory(
     return spec
 
 
-def _built(records: dict | None, key: tuple, args, build, problems: list[str]):
-    """``build(args, problems)``. A sweep's ``records`` keep each key's record
-    and filed problems, and give them again, without a build, for that key."""
-    if records is None:
-        return build(args, problems)
-    hit = records.get(key)
-    if hit is None:
-        filed: list[str] = []
-        hit = records[key] = build(args, filed), filed
-    problems += hit[1]
-    return hit[0]
-
-
 _ASSUME = partial(_construct, "physical", PhysicalAssumptions)
 _INST = partial(_construct, "algorithm", FHInstance)
 _OPTIONS = partial(_construct, "options", EstimateOptions)
+# The record each input's keyword arguments build; RunConfig's own and the factory's stay kwargs.
+_BUILDS = {"assume": _ASSUME, "inst": _INST, "options": _OPTIONS}
+_NO_PATHS: frozenset[str] = frozenset()
+_TARGETS = ("assume", "inst", "options", "", "spec")
+_MISSING = "{}: missing required field".format
 
 
-def _cultivated(spec: FactorySpec, problems: list[str]) -> FactorySpec | None:
-    """The cultivation variant of ``spec``, or None with its problem filed."""
-    return _construct("factory", cultivation_variant, {"spec": spec}, problems)
+def _input(values: dict[str, dict[str, Any]], target: str, parts: Sequence[_Cast] = ()) -> tuple:
+    """The input ``target``, from ``values`` and the casts ``parts`` of the
+    ranged fields that feed it: the input built, or its keyword arguments;
+    its paths that did not cast; its problems."""
+    kwargs, bad, filed = values[target], _NO_PATHS, []
+    if parts:
+        kwargs = dict(kwargs)
+        for part in parts:
+            kwargs.update(part.values[target])
+            bad |= part.unparsed
+            filed += part.problems
+    return (_BUILDS[target](kwargs, filed) if target in _BUILDS else kwargs), bad, filed
 
 
-def _resolve(
-    cast: _Cast, records: dict | None = None, raws: dict[str, tuple] | None = None
-) -> RunConfig:
-    """Build the inputs of ``cast`` into a RunConfig, or raise ConfigError
-    listing the problems found, each with its dotted field path.
+def _resolver(cast: _Cast) -> Callable[[list[tuple], Any], RunConfig]:
+    """``resolve(inputs, spec_raws)``: the RunConfig of a point's inputs, one
+    per _TARGETS as _input gives them, or ConfigError listing the problems
+    found, each with its dotted field path. What no point changes is settled
+    from ``cast``, the fixed fields, once: the paths absent and parsed, the
+    missing required ones and whether a custom factory is described. The
+    factory is built once per (spec_raws, design name, cultivation), since p
+    may choose the design."""
+    _, given, unparsed, problems = cast
+    absent, parsed = _ALL_PATHS - given, given - unparsed
+    custom_given = not given.isdisjoint(_CUSTOM_KEYS)
+    missing = _REQUIRED_BUILTIN - given, _REQUIRED - given
+    designs: dict[tuple, tuple] = {}  # -> (spec, effective spec, problems)
 
-    A sweep passes its call's ``records`` and, per input, the point's ``raws``:
-    the raw strings of the ranged fields that feed it. An input is built once
-    per call for each of its raws; the factory is keyed on its design's name
-    too, since p may choose it.
-    """
-    values, given, unparsed, problems = cast
-    parsed = given - unparsed
-    name = values["spec"]["name"]
-    custom = name == "custom" and not given.isdisjoint(_CUSTOM_KEYS)
-    required = _REQUIRED if custom else _REQUIRED_BUILTIN
-    problems += [f"{path}: missing required field" for path in required - given]
+    def resolve(inputs: list[tuple], spec_raws: Any = None) -> RunConfig:
+        (assume, assume_bad, a), (inst, _, b), (options, _, c), (fields, _, d), spec_input = inputs
+        kwargs, spec_bad, e = spec_input
+        name = kwargs["name"]
+        custom = custom_given and name == "custom"
+        spec, effective, f = None, None, ()
+        if custom or name != "custom" or (
+            assume is not None and "physical.p" in parsed and "physical.p" not in assume_bad
+        ):
+            if not custom and name == "custom":
+                # Default to the built-in design characterized nearest to p. With
+                # no valid p the design is unknown, and p's problem is filed.
+                name = "15to1x20to4-p4" if assume.p <= 3e-4 else "15to1x15to1-p3"
+            key = spec_raws, name, fields["cultivation"]
+            if key not in designs:
+                found: list[str] = []
+                spec = effective = _factory(kwargs, name, custom, parsed - spec_bad, found)
+                if spec and fields["cultivation"]:
+                    effective = _construct("factory", cultivation_variant, {"spec": spec}, found)
+                designs[key] = spec, effective, found
+            spec, effective, f = designs[key]
+        # Every construction that failed above filed a problem.
+        if problems or a or b or c or d or e or f or missing[custom]:
+            filed = {*problems, *a, *b, *c, *d, *e, *f, *map(_MISSING, missing[custom])}
+            raise ConfigError(sorted(filed))
+        return RunConfig(assume, inst, fields["scheme"], spec, fields["cultivation"], options,
+                         fields["output_format"], fields["output_path"], absent, effective)
 
-    get = (raws or {}).get
-    assume = _built(records, ("assume", get("assume")), values["assume"], _ASSUME, problems)
-    inst = _built(records, ("inst", get("inst")), values["inst"], _INST, problems)
-    options = _built(records, ("options", get("options")), values["options"], _OPTIONS, problems)
-    spec = effective = None
-    if custom or name != "custom" or (assume is not None and "physical.p" in parsed):
-        if not custom and name == "custom":
-            # Default to the built-in design characterized nearest to p. With
-            # no valid p the design is unknown, and p's problem is filed.
-            name = "15to1x20to4-p4" if assume.p <= 3e-4 else "15to1x15to1-p3"
-        spec_key = get("spec"), name
-        effective = spec = _built(
-            records, ("spec", *spec_key), values["spec"],
-            lambda kwargs, filed: _factory(kwargs, name, custom, parsed, filed),
-            problems,
-        )
-        if spec is not None and values[""]["cultivation"]:
-            effective = _built(records, ("cultivation", *spec_key), spec, _cultivated, problems)
-
-    # Every construction that failed above filed a problem.
-    if problems:
-        raise ConfigError(sorted(set(problems)))
-    return RunConfig(
-        assume=assume, inst=inst, spec=spec, options=options,
-        absent=_ALL_PATHS - given, effective_spec=effective, **values[""],
-    )
+    return resolve
 
 
 def build_config(sections: Sections) -> RunConfig:
@@ -433,7 +432,8 @@ def build_config(sections: Sections) -> RunConfig:
     and files it under its input. Raises ConfigError listing the problems
     found, each with its dotted field path.
     """
-    return _resolve(_cast(sections, _seeded()))
+    cast = _cast(sections, _seeded())
+    return _resolver(cast)([_input(cast.values, target) for target in _TARGETS])
 
 
 def sections_from_inputs(inputs: dict[str, Any]) -> Sections:
@@ -468,36 +468,42 @@ def _ranged(sections: Sections) -> list[tuple[str, str, list[str]]]:
 def sweep_configs(sections: Sections) -> Iterator[RunConfig]:
     """``build_config`` of each point of the ranged fields' grid, lazily.
 
-    The fixed fields are cast once. Each point casts its ranged fields
-    alone, and each input is built once per call for each combination of
-    the raw strings of the ranged fields that feed it. Too many ranged
-    fields raise ConfigError at once; a point that does not build raises
-    when it is reached.
+    Once per call, the fixed fields and each distinct raw string of a ranged
+    field are cast, and what no point changes is settled; each input is built
+    once per combination of the raw strings that feed it. A point looks its
+    inputs up and builds its RunConfig alone. Too many ranged fields raise
+    ConfigError at once; a point that does not build raises when it is reached.
     """
     ranged = _ranged(sections)
-    keys = {(section, key) for section, key, _ in ranged}
-    base = _cast(
-        {s: {k: v for k, v in f.items() if (s, k) not in keys} for s, f in sections.items()},
-        _seeded(),
-    )
-    # The input each ranged field feeds; an unknown field feeds none. Such an
-    # input gets its own dict at every point, whether the field casts or not;
-    # every other input keeps the base's.
-    feeds = [_LOOKUP.get(s, {}).get(k, (None, None))[1] for s, k, _ in ranged]
-    touched = set(feeds) - {None}
+    known = {(section, key) for section, key, _ in ranged if key in _LOOKUP.get(section, ())}
+    fixed = {s: {k: v for k, v in f.items() if (s, k) not in known} for s, f in sections.items()}
+    cast = _cast(fixed, _seeded())
+    at: dict[str, list[int]] = {}  # an input -> the ranged fields that feed it
+    casts: dict[int, dict[str, _Cast]] = {}  # a ranged field -> each distinct raw, cast
+    for i, (section, key, raws) in enumerate(ranged):
+        if (section, key) in known:
+            target = _LOOKUP[section][key][1]
+            at.setdefault(target, []).append(i)
+            casts[i] = {
+                raw: _cast({section: {key: raw}}, _Cast({target: {}}, cast.given, set(), []))
+                for raw in set(raws)
+            }
+    resolve = _resolver(cast)
 
-    def points() -> Iterator[RunConfig]:
-        records: dict = {}
-        for combo in itertools.product(*(values for _, _, values in ranged)):
-            values = dict(base.values)
-            for target in touched:
-                values[target] = dict(values[target])
-            point: Sections = {}
-            raws: dict[str, tuple] = {}
-            for (section, key, _), target, raw in zip(ranged, feeds, combo):
-                point.setdefault(section, {})[key] = raw
-                raws[target] = (*raws.get(target, ()), raw)
-            cast = _Cast(values, set(base.given), set(base.unparsed), list(base.problems))
-            yield _resolve(_cast(point, cast), records, raws)
+    def made(key: tuple[str, Any]) -> tuple:
+        """An input by (target, the raws that feed it at a point, or None)."""
+        target, raws = key
+        fed = at.get(target, ())
+        raws = raws if len(fed) > 1 else (raws,)
+        return _input(cast.values, target, [casts[i][raw] for i, raw in zip(fed, raws)])
 
-    return points()
+    inputs = _Memo(made)
+    # Per input: its target and the getter of its raws at a point, None if none feed it.
+    keys = [(target, itemgetter(*at[target]) if target in at else None) for target in _TARGETS]
+    spec_key = keys[-1][1]
+
+    def point(raws: tuple[str, ...]) -> RunConfig:
+        inputs_at = [inputs[target, key and key(raws)] for target, key in keys]
+        return resolve(inputs_at, spec_key and spec_key(raws))
+
+    return map(point, itertools.product(*(values for _, _, values in ranged)))

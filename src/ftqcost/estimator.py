@@ -10,7 +10,7 @@ multi-scheme comparison, and the estimates of a grid of points.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from . import checked
 from .errors import BudgetInfeasibleError
@@ -112,10 +112,10 @@ def _fit(
         rounds, _ = run_time(gate.rounds + gate.reactions * rr, supply_for(d))
         return LogicalVolume(gate.patches, rounds, 0)
 
-    d = choose_distance(assume, volume_at, e_qec, d_max, floor)
+    d = choose_distance(assume, volume_at, e_qec, d_max, floor, reaction_rounds=rr)
     vol = spanned(d)
     if vol.patch_rounds(rr) > volume_at(d).patch_rounds(rr):  # the supply stretches it
-        d = choose_distance(assume, spanned, e_qec, d_max, d_min=d)
+        d = choose_distance(assume, spanned, e_qec, d_max, d_min=d, reaction_rounds=rr)
         vol = spanned(d)
     patches, fleet = layout_for(d)
     seconds, bottleneck = run_time(wall_time(volume_at(d), assume), supply_for(d) * assume.t_se)
@@ -154,31 +154,30 @@ def estimate(
     return _plan(compiled, spec, options)(inst, assume)
 
 
-def estimate_points(
-    points: Iterable[
-        tuple[FHInstance, str, PhysicalAssumptions, FactorySpec, EstimateOptions]
-    ],
-) -> Iterator[ResourceEstimate]:
-    """``estimate(*point)`` for each point, in order, as each is reached.
+def point_estimator() -> Callable[..., ResourceEstimate]:
+    """``estimate``, sharing work across its calls: each distinct (scheme,
+    inst, hwp_m, log_base) is compiled once and each distinct (inst, scheme,
+    spec, options) planned once. A call passing the records of the call before
+    it, as a grid's consecutive points do, pays for its fit alone."""
+    compiled = _Memo(lambda key: compile_scheme(key[0], key[1], m=key[2], log_base=key[3]))
 
-    Each distinct (scheme, inst, hwp_m, log_base) is compiled once, at its
-    first point, and each distinct (scheme, inst, spec, options) planned once;
-    every point is fitted to its plan. Both are kept for this call only.
-    """
-    compiled: dict[tuple, tuple[CompilationSummary, ErrorBudget]] = {}
-    plans: dict[tuple, Callable] = {}
-    for inst, scheme, assume, spec, options in points:
-        key = scheme, inst, spec, options
-        plan = plans.get(key)
-        if plan is None:
-            compile_key = scheme, inst, options.hwp_m, options.log_base
-            compilation = compiled.get(compile_key)
-            if compilation is None:
-                compilation = compiled[compile_key] = compile_scheme(
-                    scheme, inst, m=options.hwp_m, log_base=options.log_base
-                )
-            plan = plans[key] = _plan(compilation, spec, options)
-        yield plan(inst, assume)
+    def planned(key: tuple) -> Callable[[FHInstance, PhysicalAssumptions], ResourceEstimate]:
+        inst, scheme, spec, options = key
+        return _plan(compiled[scheme, inst, options.hwp_m, options.log_base], spec, options)
+
+    plans, last, plan = _Memo(planned), (None,) * 4, None
+
+    def fit(
+        inst: FHInstance, scheme: str, assume: PhysicalAssumptions, spec: FactorySpec,
+        options: EstimateOptions,
+    ) -> ResourceEstimate:
+        nonlocal last, plan
+        if not (inst is last[0] and scheme is last[1] and spec is last[2] and options is last[3]):
+            last = inst, scheme, spec, options
+            plan = plans[last]
+        return plan(inst, assume)
+
+    return fit
 
 
 def _plan(
@@ -208,8 +207,8 @@ def _plan(
         lambda d: patches(summary, spec, d, f_r), summary.timestep_depth,
         summary.reaction_depth, data_aux + summary.routing_patches,
     )
-    layout_for = _ByDistance(lambda d: layout_at(summary, spec, d, f_r=f_r)).__getitem__
-    supply_for = _ByDistance(lambda d: layout_for(d).fleet.supply_time(t_count, 1.0)).__getitem__
+    layout_for = _Memo(lambda d: layout_at(summary, spec, d, f_r=f_r)).__getitem__
+    supply_for = _Memo(lambda d: layout_for(d).fleet.supply_time(t_count, 1.0)).__getitem__
 
     def fit(inst: FHInstance, assume: PhysicalAssumptions) -> ResourceEstimate:
         warnings = t_warnings
@@ -242,18 +241,18 @@ def _volumes(
     """The gate schedule's volume at each d, built once per d: patches_at(d)
     patches over depth timesteps of d rounds plus reactions reaction delays;
     and, as patches_at(d) >= base_patches, the floor under all of them."""
-    volume_at = _ByDistance(lambda d: LogicalVolume(patches_at(d), depth * d, reactions))
+    volume_at = _Memo(lambda d: LogicalVolume(patches_at(d), depth * d, reactions))
     return volume_at.__getitem__, LogicalVolume(base_patches, depth * 3, reactions)
 
 
-class _ByDistance(dict):
-    """``at(d)`` by d, each computed once, at its first lookup."""
+class _Memo(dict):
+    """``make(key)`` by key, each made once, at its first lookup."""
 
-    def __init__(self, at: Callable[[int], Any]) -> None:
-        self.at = at
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        self.make = make
 
-    def __missing__(self, d: int) -> Any:
-        value = self[d] = self.at(d)
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
         return value
 
 

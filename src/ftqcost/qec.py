@@ -166,6 +166,7 @@ def choose_distance(
     d_max: int = DEFAULT_MAX_DISTANCE,
     volume_floor: LogicalVolume | None = None,
     d_min: int = 3,
+    reaction_rounds: int | None = None,
 ) -> int:
     """Smallest odd distance whose expected logical-failure count fits the budget.
 
@@ -175,14 +176,15 @@ def choose_distance(
     may shrink with d). Terminates because p_L decays geometrically while
     the volume grows polynomially. ``volume_floor``, a volume that no
     candidate's volume falls below, lets the scan skip the distances the
-    suppression law alone rules out; the result is the same.
+    suppression law alone rules out; the result is the same. A caller that
+    reads ``assume.reaction_rounds`` itself passes it as ``reaction_rounds``.
 
     Raises:
         BudgetInfeasibleError: if no d <= d_max satisfies the bound.
     """
     if not (0.0 < budget_e < 1.0):
         raise ValueError("budget_e must lie in (0, 1)")
-    rr = assume.reaction_rounds
+    rr = assume.reaction_rounds if reaction_rounds is None else reaction_rounds
     start = max(d_min, _first_candidate(assume, volume_floor, budget_e, rr, d_max))
     for d in range(start, d_max + 1, 2):
         vol = volume_at(d)

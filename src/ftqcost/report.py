@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .config import RunConfig
@@ -24,7 +23,7 @@ from .estimator import (
     SensitivityBand,
     compare,
     estimate,
-    estimate_points,
+    point_estimator,
     sensitivity,
 )
 from .fermi_hubbard import scheme_record
@@ -44,16 +43,14 @@ _HEADLINE = {
 }
 
 CSV_COLUMNS = ("scheme", "p", "factory", "cultivation", *_HEADLINE.values())
-_HEADLINE_VALUES = itemgetter(*_HEADLINE)
-
-
-def headline(est: ResourceEstimate) -> dict[str, Any]:
-    """The scheme and headline numbers of ``est`` by report key: all a CSV row reads."""
-    return {"scheme": est.scheme, **{key: getattr(est, attr) for key, attr in _HEADLINE.items()}}
+# A row's scheme and headline numbers: their report keys; read from a payload or an estimate.
+_ROW_KEYS = ("scheme", *_HEADLINE)
+_PAYLOAD_ROW = itemgetter(*_ROW_KEYS)
+_ESTIMATE_ROW = attrgetter("scheme", *_HEADLINE.values())
 
 
 def estimate_payload(est: ResourceEstimate) -> dict[str, Any]:
-    payload = headline(est)
+    payload = dict(zip(_ROW_KEYS, _ESTIMATE_ROW(est)))
     payload["physical_qubits_by_role"] = dict(est.physical_qubits_by_role)
     payload["warnings"] = list(est.warnings)
     if est.budget_ledger is not None:
@@ -103,15 +100,14 @@ def estimate_config(config: RunConfig) -> ResourceEstimate:
     )
 
 
-def estimate_configs(
-    configs: Iterable[RunConfig],
-) -> Iterator[tuple[RunConfig, ResourceEstimate]]:
-    """Each config with its nominal estimate, in order, as each is reached:
-    a config is built, then estimated, before the next is built."""
-    configs, runs = itertools.tee(configs)
-    return zip(configs, estimate_points(
-        (c.inst, c.scheme, c.assume, c.effective_spec, c.options) for c in runs
-    ))
+def estimate_configs(configs: Iterable[RunConfig]) -> Iterator[tuple[RunConfig, ResourceEstimate]]:
+    """Each config with its nominal estimate, in order, as each is reached: a
+    config is built, then estimated, before the next is built. One
+    point_estimator serves them all: a config holding the records of the one
+    before it, as a sweep's consecutive points do, costs its fit alone."""
+    fit = point_estimator()
+    for c in configs:
+        yield c, fit(c.inst, c.scheme, c.assume, c.effective_spec, c.options)
 
 
 def _report(
@@ -240,12 +236,10 @@ def render_table(report: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def csv_row(config: RunConfig, est_payload: dict[str, Any]) -> tuple:
-    """The CSV row, in CSV_COLUMNS order, of an estimate's payload or headline."""
-    return (
-        est_payload["scheme"], config.assume.p, config.effective_spec.name,
-        config.cultivation, *_HEADLINE_VALUES(est_payload),
-    )
+def csv_row(config: RunConfig, est: ResourceEstimate | dict[str, Any]) -> tuple:
+    """The CSV row, in CSV_COLUMNS order, of an estimate or of its payload."""
+    scheme, *numbers = (_PAYLOAD_ROW if isinstance(est, dict) else _ESTIMATE_ROW)(est)
+    return (scheme, config.assume.p, config.effective_spec.name, config.cultivation, *numbers)
 
 
 def render_csv(rows: Iterable[Sequence[Any]]) -> str:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ftqcost.config as config_module
 import ftqcost.estimator as estimator_module
 import ftqcost.report as report_module
 from ftqcost.cli import main
@@ -839,6 +840,14 @@ class TestInputContractProperty:
     @example(grid=({}, {"algorithm.U": "0.0,-0.0", "factory.cultivation": "true,false"}))
     @example(grid=({}, {"algorithm.m": "2,16", "algorithm.log_base": "natural,base2",
                         "algorithm.scheme": "plaq_serial,qsp"}))
+    # Two good points, then a p that does not cast.
+    @example(grid=({}, {"physical.p": "1e-3,5e-4,1e-3x"}))
+    # The options record ranged, and a budget it refuses.
+    @example(grid=({}, {"qec.E": "0.05,0.01,1.5", "algorithm.scheme": "qsp,plaq_L"}))
+    # A built-in design, a custom one that p chooses, then an unknown name.
+    @example(grid=({}, {"factory.name": "15to1x20to4-p4,custom,bogus", "physical.p": "1e-4,"}))
+    # RunConfig's own field ranged, with a format it refuses last.
+    @example(grid=({}, {"output.format": "json,csv,yaml"}))
     def test_sweep_matches_a_point_by_point_loop(self, grid):
         fixed, ranged = grid
         sets = {**fixed, **ranged}
@@ -962,6 +971,30 @@ class TestSweepCommand:
         assert len(calls["t_budget_check"]) == 2 * 2
         layouts = [(summary, d) for summary, _, d in calls["layout_at"]]
         assert len(set(layouts)) == len(layouts) < 3 * 2 * 2
+
+    def test_each_distinct_ranged_raw_cast_once(self, bundled_config, monkeypatch, capsys):
+        # A 3 p x 2 scheme x 2 L grid whose p repeats a raw: 12 points, 6 raws.
+        ranged = {"physical.p": "1e-3,9.5e-4,1e-3", "algorithm.scheme": "plaq_L,qsp",
+                  "algorithm.L": "6,10"}
+        seen = []
+        for path in ranged:
+            section, key = path.split(".")
+            entries = config_module._LOOKUP[section]
+            dotted, target, keyword, cast, field = entries[key.lower()]
+
+            def counting(raw, cast=cast, path=path):
+                seen.append((path, raw))
+                return cast(raw)
+
+            monkeypatch.setitem(
+                entries, key.lower(), (dotted, target, keyword, counting, field)
+            )
+        code, out, _ = run(capsys, "sweep", bundled_config, *set_args(ranged))
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3 * 2 * 2
+        assert sorted(seen) == sorted(
+            {(path, raw) for path, raws in ranged.items() for raw in raws.split(",")}
+        )
 
     def test_first_point_cultivation_variant_exits_2(self, bundled_config, capsys):
         code, out, err = run(

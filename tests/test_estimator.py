@@ -16,7 +16,7 @@ from ftqcost.estimator import (
     _perturbed,
     compare,
     estimate,
-    estimate_points,
+    point_estimator,
     sensitivity,
     simple_estimate,
 )
@@ -365,11 +365,12 @@ def outcomes(estimates):
     return out
 
 
-class TestEstimatePoints:
+class TestPointEstimator:
     @settings(max_examples=150, deadline=None)
     @given(points=interleaved_points())
     def test_shared_plans_match_estimate_one_by_one(self, points):
-        assert outcomes(estimate_points(points)) == outcomes(
+        fit = point_estimator()
+        assert outcomes(fit(*point) for point in points) == outcomes(
             estimate(*point) for point in points
         )
 
@@ -417,8 +418,10 @@ class TestDistanceFixedPointProperty:
             assert prev_volume * logical_error_rate(a, prev) > e
 
 
-def _scan_from_3(assume, volume_at, budget_e, d_max, volume_floor=None, d_min=3):
-    return choose_distance(assume, volume_at, budget_e, d_max)
+def _scan_from_3(
+    assume, volume_at, budget_e, d_max, volume_floor=None, d_min=3, reaction_rounds=None
+):
+    return choose_distance(assume, volume_at, budget_e, d_max, reaction_rounds=reaction_rounds)
 
 
 class TestDistanceLowerBound:

@@ -2,6 +2,7 @@
 fields do it in their own constructor, which every way of building one runs:
 calling the class, ``_replace`` and ``_make``."""
 
+import ast
 import dataclasses
 import inspect
 import math
@@ -44,14 +45,22 @@ def test_every_module_is_walked():
     assert "config.RunConfig" in RECORDS and "qec.LogicalVolume" in RECORDS
 
 
+def defines_new(cls) -> bool:
+    """Whether the body of ``cls``, as its module's source writes it, defines
+    ``_new``: ``checked`` deletes the attribute once it is ``__new__``."""
+    tree = ast.parse(inspect.getsource(import_module(cls.__module__)))
+    (body,) = [node.body for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == cls.__name__]
+    return any(isinstance(node, ast.FunctionDef) and node.name == "_new" for node in body)
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
-def test_dataclass_exactly_when_it_checks_its_fields(name):
-    # No record is a dataclass or has __post_init__, so both sides are False
-    # for every record, and each is a NamedTuple.
+def test_own_constructor_exactly_when_the_class_body_defines_new(name):
+    """A record that writes ``_new`` is built by it, so ``checked`` took it;
+    a record that does not is built by the constructor NamedTuple makes."""
     cls = RECORDS[name]
-    assert dataclasses.is_dataclass(cls) == ("__post_init__" in vars(cls))
-    if not dataclasses.is_dataclass(cls):
-        assert issubclass(cls, tuple) and hasattr(cls, "_fields")
+    assert checks_itself(cls) == defines_new(cls)
+    assert "_new" not in vars(cls)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
