@@ -22,7 +22,6 @@ from .fermi_hubbard import (
     ErrorBudget,
     FHInstance,
     LogBase,
-    SchemeLayout,
     compile_scheme,
     instance_inputs,
     layout_at,
@@ -88,58 +87,80 @@ class ResourceEstimate(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-def _fit(
-    assume: PhysicalAssumptions, volume_at: Callable[[int], LogicalVolume],
-    floor: LogicalVolume, layout_for: Callable[[int], SchemeLayout],
-    supply_for: Callable[[int], float], data_aux_patches: float, routing_patches: float,
-    e_qec: float, d_max: int, **fields: Any,
-) -> ResourceEstimate:
-    """Smallest distance meeting the failure budget, and the totals there.
+def _fitter(
+    patches_at: Callable[[int], float], depth: float, reactions: float,
+    provisioned: Callable[[int], tuple[float, int, int, float]], data_aux_patches: float,
+    routing_patches: float, e_qec: float, d_max: int, scheme: str, t_count: float,
+    ledger: ErrorBudget | None = None, summary: CompilationSummary | None = None,
+) -> Callable[[PhysicalAssumptions, tuple[str, ...]], ResourceEstimate]:
+    """The fit of a gate schedule, as a function of ``assume`` and the warnings
+    it reports: the smallest distance meeting the failure budget, and the
+    totals there.
 
-    qec.run_time sets the span from the gate schedule, whose volume on the
-    protected patches at d is volume_at(d), and from supply_for(d), the SE
-    rounds the fleet at d takes to make the T states; the volume counts the
-    patches over that span. A supply only stretches a volume, so the first
-    fit on volume_at, searched from ``floor``, is a lower bound; the search
-    goes on from it only if the supply stretches the volume there. Patches
-    beyond data/aux and routing count as routing; ``fields`` fill the rest.
-    Totals that leave the float range raise OverflowError.
+    At d the schedule holds patches_at(d) >= data_aux_patches + routing_patches
+    protected patches over depth timesteps of d rounds plus reactions reaction
+    delays; provisioned(d) gives the same patches, the factory count and
+    qubits, and the SE rounds the factories take to make the T states.
+    qec.run_time sets the span from the two; the volume counts the patches
+    over that span. A supply only stretches a volume, so the first fit on the
+    gate schedule's volume, searched from its floor, is a lower bound; the
+    search goes on from it, on stretched volumes, only if the supply
+    stretches the volume there. Patches beyond data/aux and routing count as
+    routing. Totals that leave the float range raise OverflowError.
+
+    Only t_se and tau_r enter a volume or a total; p, p_star and prefactor_a
+    only choose d. So each clock pair gets a table over d whose entries (the
+    gate schedule's patch-rounds, the stretched patch-rounds and the totals)
+    are each built at their first read, and a fit builds its estimate from
+    the totals at the d it picks.
     """
-    rr = assume.reaction_rounds
+    tables: dict[tuple[float, float], tuple] = {}
 
-    def spanned(d: int) -> LogicalVolume:
-        gate = volume_at(d)
-        rounds, _ = run_time(gate.rounds + gate.reactions * rr, supply_for(d))
-        return LogicalVolume(gate.patches, rounds, 0)
+    def tabulate(assume: PhysicalAssumptions) -> tuple:
+        rr = assume.reaction_rounds
 
-    d = choose_distance(assume, volume_at, e_qec, d_max, floor, reaction_rounds=rr)
-    vol = spanned(d)
-    if vol.patch_rounds(rr) > volume_at(d).patch_rounds(rr):  # the supply stretches it
-        d = choose_distance(assume, spanned, e_qec, d_max, d_min=d, reaction_rounds=rr)
-        vol = spanned(d)
-    patches, fleet = layout_for(d)
-    seconds, bottleneck = run_time(wall_time(volume_at(d), assume), supply_for(d) * assume.t_se)
-    count, factory_qubits = (0, 0) if fleet is None else (fleet.count, fleet.physical_qubits)
-    q = patch_physical_qubits(d)
-    extra = patches - data_aux_patches - routing_patches
-    est = ResourceEstimate(
-        d=d,
-        physical_qubits_total=patches * q + factory_qubits,
-        physical_qubits_by_role={
-            "data_aux": data_aux_patches * q,
-            "routing": (routing_patches + extra) * q,
-            "factories": float(factory_qubits),
-        },
-        wall_time_seconds=seconds,
-        spacetime_volume=vol.patch_rounds(rr),
-        factory_count=count,
-        bottleneck=bottleneck,
-        **fields,
-    )
-    totals = est.physical_qubits_total, est.wall_time_seconds, est.spacetime_volume
-    if not all(map(math.isfinite, totals)):
-        raise OverflowError("the totals leave the float range")
-    return est
+        def rounds(d: int) -> float:
+            """The gate schedule's SE rounds at d, reaction delays included."""
+            return depth * d + reactions * rr
+
+        def stretch(d: int) -> float:
+            patches, _, _, supply = provisioned(d)
+            return patches * run_time(rounds(d), supply)[0]
+
+        def totals(d: int) -> tuple:
+            patches, count, factory_qubits, supply = provisioned(d)
+            seconds, bottleneck = run_time(
+                wall_time(LogicalVolume(patches, depth * d, reactions), assume),
+                supply * assume.t_se,
+            )
+            q = patch_physical_qubits(d)
+            total, volume = patches * q + factory_qubits, stretched[d]
+            if not all(map(math.isfinite, (total, seconds, volume))):
+                raise OverflowError("the totals leave the float range")
+            extra = patches - data_aux_patches - routing_patches
+            roles = data_aux_patches * q, (routing_patches + extra) * q, float(factory_qubits)
+            return total, roles, seconds, volume, count, bottleneck
+
+        gate = _Memo(lambda d: patches_at(d) * rounds(d))
+        stretched = _Memo(stretch)
+        floor = (data_aux_patches + routing_patches) * rounds(3)
+        return gate, stretched, floor, _Memo(totals)
+
+    def fit(assume: PhysicalAssumptions, warnings: tuple[str, ...]) -> ResourceEstimate:
+        clocks = assume.t_se, assume.tau_r
+        gate, stretched, floor, totals = (
+            tables.get(clocks) or tables.setdefault(clocks, tabulate(assume))
+        )
+        d = choose_distance(assume, gate.__getitem__, e_qec, d_max, floor)
+        if stretched[d] > gate[d]:  # the supply stretches it
+            d = choose_distance(assume, stretched.__getitem__, e_qec, d_max, d_min=d)
+        total, (data_aux, routing, factories), seconds, volume, count, bottleneck = totals[d]
+        return ResourceEstimate(
+            scheme, d, total, {"data_aux": data_aux, "routing": routing, "factories": factories},
+            seconds, volume, count, t_count, bottleneck, ledger, summary, warnings,
+        )
+
+    return fit
 
 
 def estimate(
@@ -187,9 +208,10 @@ def _plan(
     """The fit of a compiled scheme, as a function of ``inst`` and ``assume``.
 
     What reads no PhysicalAssumptions field is settled here, once: the
-    T-budget warning, the ledger, and the gate schedule's volume, layout and
-    supply rounds at d, each computed at most once per d. No scheme's
-    protected patches depend on its fleet size.
+    T-budget warning, the ledger, and the layout and supply rounds at each d
+    a search reaches. _fitter tabulates the totals at d per clock pair; a
+    fit adds the factory's valid_p warning. No scheme's protected patches
+    depend on its fleet size.
     """
     summary, budget = compiled
     t_count = summary.t_count_total
@@ -203,12 +225,16 @@ def _plan(
     ledger = budget._replace(e_qec=options.e_qec, t_gate_budget=options.t_gate_budget)
     patches, f_r = scheme_record(summary.scheme).patches, options.f_r
     data_aux = summary.data_patches + summary.aux_patches
-    volume_at, floor = _volumes(
-        lambda d: patches(summary, spec, d, f_r), summary.timestep_depth,
-        summary.reaction_depth, data_aux + summary.routing_patches,
+
+    def provisioned(d: int) -> tuple[float, int, int, float]:
+        patches, fleet = layout_at(summary, spec, d, f_r=f_r)
+        return patches, fleet.count, fleet.physical_qubits, fleet.supply_time(t_count, 1.0)
+
+    fitted = _fitter(
+        lambda d: patches(summary, spec, d, f_r), summary.timestep_depth, summary.reaction_depth,
+        _Memo(provisioned).__getitem__, data_aux, summary.routing_patches, options.e_qec,
+        options.d_max, summary.scheme, t_count, ledger, summary,
     )
-    layout_for = _Memo(lambda d: layout_at(summary, spec, d, f_r=f_r)).__getitem__
-    supply_for = _Memo(lambda d: layout_for(d).fleet.supply_time(t_count, 1.0)).__getitem__
 
     def fit(inst: FHInstance, assume: PhysicalAssumptions) -> ResourceEstimate:
         warnings = t_warnings
@@ -219,11 +245,7 @@ def _plan(
                 *warnings,
             )
         try:
-            return _fit(
-                assume, volume_at, floor, layout_for, supply_for, data_aux, summary.routing_patches,
-                options.e_qec, options.d_max, scheme=summary.scheme, t_count_total=t_count,
-                budget_ledger=ledger, summary=summary, warnings=warnings,
-            )
+            return fitted(assume, warnings)
         except ArithmeticError as exc:
             inputs = instance_inputs(inst, options.hwp_m)
             inputs.update(
@@ -233,16 +255,6 @@ def _plan(
             raise too_extreme(inputs, f"estimate {summary.scheme}", exc) from exc
 
     return fit
-
-
-def _volumes(
-    patches_at: Callable[[int], float], depth: float, reactions: float, base_patches: float,
-) -> tuple[Callable[[int], LogicalVolume], LogicalVolume]:
-    """The gate schedule's volume at each d, built once per d: patches_at(d)
-    patches over depth timesteps of d rounds plus reactions reaction delays;
-    and, as patches_at(d) >= base_patches, the floor under all of them."""
-    volume_at = _Memo(lambda d: LogicalVolume(patches_at(d), depth * d, reactions))
-    return volume_at.__getitem__, LogicalVolume(base_patches, depth * 3, reactions)
 
 
 class _Memo(dict):
@@ -273,13 +285,12 @@ def simple_estimate(
     if not 1 <= gate_count < math.inf:
         raise ValueError("gate_count must be finite and at least 1")
     try:
-        layout = SchemeLayout(ROUTING_FACTOR * q_logical, fleet=None)
-        volume_at, floor = _volumes(lambda d: layout.protected_patches, gate_count, 0.0, q_logical)
-        return _fit(
-            assume, volume_at, floor, lambda d: layout, lambda d: 0.0,
+        patches = ROUTING_FACTOR * q_logical
+        return _fitter(
+            lambda d: patches, gate_count, 0.0, lambda d: (patches, 0, 0, 0.0),
             data_aux_patches=q_logical, routing_patches=0, e_qec=e_qec, d_max=d_max,
-            scheme="simple", t_count_total=gate_count,
-        )
+            scheme="simple", t_count=gate_count,
+        )(assume, ())
     except ArithmeticError as exc:
         inputs = {"q_logical": q_logical, "gate_count": gate_count,
                   "t_se": assume.t_se, "tau_r": assume.tau_r}

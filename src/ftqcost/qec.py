@@ -137,22 +137,20 @@ def wall_time(vol: LogicalVolume, assume: PhysicalAssumptions) -> float:
 
 
 def _first_candidate(
-    assume: PhysicalAssumptions, floor: LogicalVolume | None, budget_e: float,
-    reaction_rounds: int, d_max: int,
+    assume: PhysicalAssumptions, floor: float, budget_e: float, d_max: int,
 ) -> int:
     """The odd distance a search must start from, given a floor on every volume.
 
-    With volume(d) >= V3 = floor.patch_rounds(reaction_rounds) for every
-    candidate, volume(d) * p_L(d) >= A * V3 * (p / p*)^((d+1)/2), which
-    exceeds budget_e for every d below 2 * log(budget_e / (A * V3)) /
-    log(p / p*) - 1. The search starts one odd step below that bound, as
-    slack for float rounding, and at 3 when the floor is unusable.
+    With volume(d) >= floor for every candidate, volume(d) * p_L(d) >=
+    A * floor * (p / p*)^((d+1)/2), which exceeds budget_e for every d below
+    2 * log(budget_e / (A * floor)) / log(p / p*) - 1. The search starts one
+    odd step below that bound, as slack for float rounding, and at 3 when
+    the floor is unusable (not positive and finite).
     """
-    v3 = floor.patch_rounds(reaction_rounds) if floor is not None else 0.0
-    if not 0.0 < v3 < math.inf:
+    if not 0.0 < floor < math.inf:
         return 3
-    # Logs taken apart, so that A * V3 cannot overflow.
-    log_gap = math.log(budget_e) - math.log(assume.prefactor_a) - math.log(v3)
+    # Logs taken apart, so that A * floor cannot overflow.
+    log_gap = math.log(budget_e) - math.log(assume.prefactor_a) - math.log(floor)
     bound = 2 * log_gap / math.log(assume.p / assume.p_star) - 1
     if not bound < d_max + 2:  # +inf and NaN too: no d <= d_max can pass
         return d_max + 2
@@ -161,34 +159,33 @@ def _first_candidate(
 
 def choose_distance(
     assume: PhysicalAssumptions,
-    volume_at: Callable[[int], LogicalVolume],
+    volume_at: Callable[[int], float],
     budget_e: float = DEFAULT_QEC_BUDGET,
     d_max: int = DEFAULT_MAX_DISTANCE,
-    volume_floor: LogicalVolume | None = None,
+    volume_floor: float = 0.0,
     d_min: int = 3,
-    reaction_rounds: int | None = None,
 ) -> int:
     """Smallest odd distance whose expected logical-failure count fits the budget.
 
     Accepts the first odd d >= d_min (an odd distance below which the caller
-    knows none fits) with volume(d) * p_L(d) <= budget_e, where the volume
-    may itself depend on d (depth in timesteps scales with d, routing terms
-    may shrink with d). Terminates because p_L decays geometrically while
-    the volume grows polynomially. ``volume_floor``, a volume that no
-    candidate's volume falls below, lets the scan skip the distances the
-    suppression law alone rules out; the result is the same. A caller that
-    reads ``assume.reaction_rounds`` itself passes it as ``reaction_rounds``.
+    knows none fits) with volume_at(d) * p_L(d) <= budget_e. ``volume_at(d)``
+    is the volume at d in patch-rounds, with any reaction delays already
+    folded in as SE rounds (``LogicalVolume.patch_rounds(reaction_rounds)``);
+    it may itself depend on d (depth in timesteps scales with d, routing
+    terms may shrink with d). Terminates because p_L decays geometrically
+    while the volume grows polynomially. ``volume_floor``, a number of
+    patch-rounds that no candidate's volume falls below, lets the scan skip
+    the distances the suppression law alone rules out; the result is the
+    same. The default, 0, scans from d_min.
 
     Raises:
         BudgetInfeasibleError: if no d <= d_max satisfies the bound.
     """
     if not (0.0 < budget_e < 1.0):
         raise ValueError("budget_e must lie in (0, 1)")
-    rr = assume.reaction_rounds if reaction_rounds is None else reaction_rounds
-    start = max(d_min, _first_candidate(assume, volume_floor, budget_e, rr, d_max))
+    start = max(d_min, _first_candidate(assume, volume_floor, budget_e, d_max))
     for d in range(start, d_max + 1, 2):
-        vol = volume_at(d)
-        if vol.patch_rounds(rr) * logical_error_rate(assume, d) <= budget_e:
+        if volume_at(d) * logical_error_rate(assume, d) <= budget_e:
             return d
     raise BudgetInfeasibleError(
         f"no odd distance <= {d_max} meets failure budget {budget_e}"

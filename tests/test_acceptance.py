@@ -205,7 +205,7 @@ class TestCriterion8PropertySuites:
     def test_criterion_8_distance_fixed_point(self, patches, depth, p, e):
         a = assume(p)
         volume_at = lambda d: LogicalVolume(patches, depth * d)
-        d = choose_distance(a, volume_at, budget_e=e)
+        d = choose_distance(a, lambda d: volume_at(d).patch_rounds(a.reaction_rounds), budget_e=e)
         assert volume_at(d).patch_rounds() * logical_error_rate(a, d) <= e
         if d > 3:
             assert (

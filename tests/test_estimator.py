@@ -2,7 +2,7 @@ from importlib import resources
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ftqcost.estimator as estimator_module
@@ -340,18 +340,32 @@ PLAN_OPTIONS = tuple(
 )
 
 
+# Clock pairs (t_se, tau_r). The first two share reaction_rounds 1, and the
+# next two share 5, each at a different t_se.
+PLAN_CLOCKS = ((1e-6, 1e-6), (2e-6, 1e-6), (1e-6, 5e-6), (1.1e-6, 5e-6), (2e-6, 5e-6))
+
+
 @st.composite
 def interleaved_points(draw):
     """Points on one instance, up to three distinct ones visited in a drawn
-    order with repeats (A, B, A), differing in scheme, factory, options and p."""
+    order with repeats (A, B, A), differing in scheme, factory, options and p.
+    Each point draws its own clock pair, p_star and prefactor_a, so a plan is
+    fitted at several clock pairs, visited in interleaved order."""
     inst = FHInstance(draw(st.sampled_from((4, 6))), 1.0, 8.0, 10.0, 0.01)
     distinct = draw(st.lists(st.tuples(
         st.sampled_from(SCHEMES), st.sampled_from(PLAN_SPECS),
         st.sampled_from(PLAN_OPTIONS), st.sampled_from((1e-4, 5e-4, 1e-3, 5e-3)),
     ), min_size=1, max_size=3))
     order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=8))
-    return [(inst, scheme, assume(p), spec, options)
-            for scheme, spec, options, p in map(distinct.__getitem__, order)]
+    points = []
+    for scheme, spec, options, p in map(distinct.__getitem__, order):
+        t_se, tau_r = draw(st.sampled_from(PLAN_CLOCKS))
+        physical = assume(
+            p, p_star=draw(st.sampled_from((0.01, 0.008))),
+            prefactor_a=draw(st.sampled_from((0.1, 0.03))), t_se=t_se, tau_r=tau_r,
+        )
+        points.append((inst, scheme, physical, spec, options))
+    return points
 
 
 def outcomes(estimates):
@@ -365,14 +379,40 @@ def outcomes(estimates):
     return out
 
 
+def _same_reaction_rounds_at_two_t_se():
+    """One plan at three points: t_se 1 us, then 1.1 us, then 1 us again, all
+    with tau_r = 5 us, so reaction_rounds is 5 throughout."""
+    inst, spec, options = FHInstance(6, 1.0, 8.0, 10.0, 0.01), PLAN_SPECS[0], PLAN_OPTIONS[0]
+    return [(inst, "plaq_L2", assume(1e-3, t_se=t_se, tau_r=5e-6), spec, options)
+            for t_se in (1e-6, 1.1e-6, 1e-6)]
+
+
 class TestPointEstimator:
     @settings(max_examples=150, deadline=None)
     @given(points=interleaved_points())
+    @example(points=_same_reaction_rounds_at_two_t_se())
     def test_shared_plans_match_estimate_one_by_one(self, points):
         fit = point_estimator()
         assert outcomes(fit(*point) for point in points) == outcomes(
             estimate(*point) for point in points
         )
+
+    def test_estimates_at_one_plan_and_distance_share_no_mutable_object(self):
+        fit = point_estimator()
+        inst, spec, options = bench_instance(), spec_for(1e-3), EstimateOptions()
+        first = fit(inst, "plaq_L2", assume(1e-3), spec, options)
+        second = fit(inst, "plaq_L2", assume(1.01e-3), spec, options)
+        assert first.d == second.d
+        shared = [
+            name for name, a, b in zip(first._fields, first, second)
+            if a is b and not isinstance(a, (str, int, float, tuple, type(None)))
+        ]
+        assert shared == []
+        roles = dict(second.physical_qubits_by_role)
+        first.physical_qubits_by_role["data_aux"] = -1.0
+        first.physical_qubits_by_role.clear()
+        assert second.physical_qubits_by_role == roles
+        assert fit(inst, "plaq_L2", assume(1e-3), spec, options).physical_qubits_by_role == roles
 
 
 class TestCompare:
@@ -418,10 +458,8 @@ class TestDistanceFixedPointProperty:
             assert prev_volume * logical_error_rate(a, prev) > e
 
 
-def _scan_from_3(
-    assume, volume_at, budget_e, d_max, volume_floor=None, d_min=3, reaction_rounds=None
-):
-    return choose_distance(assume, volume_at, budget_e, d_max, reaction_rounds=reaction_rounds)
+def _scan_from_3(assume, volume_at, budget_e, d_max, volume_floor=0.0, d_min=3):
+    return choose_distance(assume, volume_at, budget_e, d_max)
 
 
 class TestDistanceLowerBound:

@@ -112,27 +112,29 @@ class TestRunTime:
 
 class TestChooseDistance:
     def test_zero_volume_gives_min_distance(self):
-        d = choose_distance(assume(), lambda d: LogicalVolume(0, 0))
+        d = choose_distance(assume(), lambda d: LogicalVolume(0, 0).patch_rounds())
         assert d == 3
 
     def test_d_min_starts_the_scan(self):
         seen = []
-        d = choose_distance(assume(), lambda d: seen.append(d) or LogicalVolume(0, 0), d_min=7)
+        d = choose_distance(
+            assume(), lambda d: seen.append(d) or LogicalVolume(0, 0).patch_rounds(), d_min=7
+        )
         assert d == 7 and seen == [7]
 
     def test_minimal_footprint_spin_instance(self):
         # 150 patches running 1e5 gates of d rounds each.
-        d = choose_distance(assume(), lambda d: LogicalVolume(150, 1e5 * d))
+        d = choose_distance(assume(), lambda d: LogicalVolume(150, 1e5 * d).patch_rounds())
         assert d == 17
 
     def test_minimal_footprint_ecc_instance(self):
-        d = choose_distance(assume(), lambda d: LogicalVolume(1500, 4e7 * d))
+        d = choose_distance(assume(), lambda d: LogicalVolume(1500, 4e7 * d).patch_rounds())
         assert d == 25
 
     def test_infeasible_raises(self):
         with pytest.raises(BudgetInfeasibleError):
             choose_distance(
-                assume(9.99e-3), lambda d: LogicalVolume(1e9, 1e12 * d), d_max=21
+                assume(9.99e-3), lambda d: LogicalVolume(1e9, 1e12 * d).patch_rounds(), d_max=21
             )
 
     @given(
@@ -143,7 +145,7 @@ class TestChooseDistance:
     def test_fixed_point(self, patches, depth, p):
         a = assume(p)
         volume_at = lambda d: LogicalVolume(patches, depth * d)
-        d = choose_distance(a, volume_at)
+        d = choose_distance(a, lambda d: volume_at(d).patch_rounds(a.reaction_rounds))
         assert volume_at(d).patch_rounds() * logical_error_rate(a, d) <= 0.05
         if d > 3:
             previous = d - 2
@@ -159,16 +161,18 @@ class TestChooseDistance:
     )
     def test_monotone_in_volume_scale(self, patches, depth, scale):
         a = assume()
-        d_small = choose_distance(a, lambda d: LogicalVolume(patches, depth * d))
+        d_small = choose_distance(
+            a, lambda d: LogicalVolume(patches, depth * d).patch_rounds(a.reaction_rounds)
+        )
         d_large = choose_distance(
-            a, lambda d: LogicalVolume(patches * scale, depth * d)
+            a, lambda d: LogicalVolume(patches * scale, depth * d).patch_rounds(a.reaction_rounds)
         )
         assert d_large >= d_small
 
     @given(st.floats(min_value=1e-4, max_value=0.04))
     def test_monotone_in_budget(self, budget):
         a = assume()
-        volume_at = lambda d: LogicalVolume(100, 1e6 * d)
+        volume_at = lambda d: LogicalVolume(100, 1e6 * d).patch_rounds(a.reaction_rounds)
         assert choose_distance(a, volume_at, budget_e=budget) >= choose_distance(
             a, volume_at, budget_e=0.05
         )
@@ -214,7 +218,8 @@ class TestLowerBoundStart:
         volume_at = lambda d: LogicalVolume(patches + shrinking / d**2, depth * d, reactions)
         floor = LogicalVolume(patches, depth * 3, reactions)
         assert outcome(
-            choose_distance, a, volume_at, budget, d_max, volume_floor=floor
+            choose_distance, a, lambda d: volume_at(d).patch_rounds(a.reaction_rounds),
+            budget, d_max, volume_floor=floor.patch_rounds(a.reaction_rounds),
         ) == outcome(plain_scan, a, volume_at, budget, d_max)
 
     @pytest.mark.parametrize("floor", [
@@ -228,15 +233,19 @@ class TestLowerBoundStart:
             return LogicalVolume(math.inf, d)
 
         with pytest.raises(BudgetInfeasibleError, match="no odd distance <= 99"):
-            choose_distance(assume(), volume_at, volume_floor=floor)
+            choose_distance(
+                assume(), lambda d: volume_at(d).patch_rounds(),
+                volume_floor=0.0 if floor is None else floor.patch_rounds(),
+            )
         assert seen[0] == 3
 
     def test_bound_past_d_max_raises_without_a_candidate(self):
         seen = []
         with pytest.raises(BudgetInfeasibleError) as info:
             choose_distance(
-                assume(9.99e-3), lambda d: seen.append(d) or LogicalVolume(1e9, 1e12 * d),
-                d_max=21, volume_floor=LogicalVolume(1e9, 3e12),
+                assume(9.99e-3),
+                lambda d: seen.append(d) or LogicalVolume(1e9, 1e12 * d).patch_rounds(),
+                d_max=21, volume_floor=LogicalVolume(1e9, 3e12).patch_rounds(),
             )
         assert str(info.value) == "no odd distance <= 21 meets failure budget 0.05"
         assert seen == []
