@@ -135,22 +135,25 @@ def _exact_rounds(rounds: float) -> Fraction:
     return _as_fraction(rounds)
 
 
-def provision(spec: FactorySpec, required_rate) -> FactoryFleet:
-    """Smallest fleet whose output rate meets ``required_rate`` states/round.
+def provision(spec: FactorySpec, required_rate, rounds: int = 1) -> FactoryFleet:
+    """Smallest fleet whose output meets ``required_rate`` states per
+    ``rounds`` SE rounds (a positive integer; one by default).
 
-    ``required_rate`` may be a float or a Fraction; rationals are honored
-    exactly so that e.g. a demand of 60 states per 25 rounds against a
-    97.5-round factory yields exactly ceil(2.4 * 97.5) = 234 factories.
-    The ceiling is taken in integers from the numerators and denominators.
+    ``required_rate`` may be an int, a float or a Fraction; rationals are
+    honored exactly so that e.g. a demand of 60 states per 25 rounds
+    against a 97.5-round factory yields exactly ceil(2.4 * 97.5) = 234
+    factories, and a demand given as the integers ``60, 25`` builds no
+    Fraction at all. The ceiling is taken in integers from the numerators
+    and denominators.
     """
-    rate = required_rate
-    if not isinstance(rate, Rational):
-        rate = _as_fraction(rate)
-    if rate.numerator < 0:
+    rate = required_rate if type(required_rate) is int else _as_fraction(required_rate)
+    if rate < 0:
         raise ValueError("required_rate must be nonnegative")
+    if not (type(rounds) is int and rounds >= 1):
+        raise ValueError(f"rounds must be a positive integer, got {rounds!r}")
     tau_f = spec.tau_f
     count = -(-rate.numerator * tau_f.numerator
-              // (rate.denominator * tau_f.denominator * spec.n_out))
+              // (rate.denominator * rounds * tau_f.denominator * spec.n_out))
     return FactoryFleet(spec=spec, count=count)
 
 

@@ -10,7 +10,6 @@ factory fleet and protected patches at distance d, and its report flags.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Literal, NamedTuple
 
 from . import checked
@@ -341,7 +340,7 @@ def _qsp(inst: FHInstance, sigma: int, queries: float, m: int) -> dict[str, floa
 
 
 def _dedicated_fleet(summary: CompilationSummary, spec: FactorySpec, d: int) -> FactoryFleet:
-    return provision(spec, Fraction(round(summary.consumption_rate), d))
+    return provision(spec, round(summary.consumption_rate), d)
 
 
 def _unit_cell_fleet(summary: CompilationSummary, spec: FactorySpec, d: int) -> FactoryFleet:
@@ -367,7 +366,7 @@ def _shared_patches(
 
 def _factory_blocks(summary: CompilationSummary, spec: FactorySpec, d: int) -> FactoryFleet:
     """Factories per four data patches, each block owed a state every 3d rounds."""
-    per_block = provision(spec, Fraction(1, 3 * d)).count
+    per_block = provision(spec, 1, 3 * d).count
     return FactoryFleet(spec, math.ceil(summary.data_patches / 4) * per_block)
 
 

@@ -111,7 +111,12 @@ def logical_error_rate(assume: PhysicalAssumptions, d: int) -> float:
     decreasing in ``d`` whenever p < p*.
     """
     require_valid_distance(d)
-    return assume.prefactor_a * (assume.p / assume.p_star) ** ((d + 1) / 2)
+    return _suppression(assume.prefactor_a, assume.p / assume.p_star, d)
+
+
+def _suppression(prefactor_a: float, ratio: float, d: int) -> float:
+    """A * (p / p*)^((d+1)/2) for an already valid d, ``ratio`` being p / p*."""
+    return prefactor_a * ratio ** ((d + 1) / 2)
 
 
 def patch_physical_qubits(d: int) -> int:
@@ -137,24 +142,31 @@ def wall_time(vol: LogicalVolume, assume: PhysicalAssumptions) -> float:
 
 
 def _first_candidate(
-    assume: PhysicalAssumptions, floor: float, budget_e: float, d_max: int,
+    prefactor_a: float, ratio: float, floor: float, budget_e: float, d_max: int,
 ) -> int:
     """The odd distance a search must start from, given a floor on every volume.
 
     With volume(d) >= floor for every candidate, volume(d) * p_L(d) >=
-    A * floor * (p / p*)^((d+1)/2), which exceeds budget_e for every d below
-    2 * log(budget_e / (A * floor)) / log(p / p*) - 1. The search starts one
-    odd step below that bound, as slack for float rounding, and at 3 when
-    the floor is unusable (not positive and finite).
+    A * floor * ratio^((d+1)/2), ratio = p / p*, which exceeds budget_e for
+    every d below bound = 2 * log(budget_e / (A * floor)) / log(ratio) - 1.
+    The search starts one odd step below the first odd distance at or above
+    that bound: a distance below the start misses the budget by a factor of
+    at least 1 / ratio, the slack for the rounding of the bound and of each
+    candidate's test. The logs round by under 1e-12 in all, which moves the
+    bound by that over -log(ratio) odd steps; so when p lies within a
+    relative 1e-10 of p*, where that could exceed the slack, the search
+    starts at 3, as it does when the floor is unusable (not positive and
+    finite).
     """
-    if not 0.0 < floor < math.inf:
+    log_ratio = math.log(ratio)
+    if not (0.0 < floor < math.inf and log_ratio < -1e-10):
         return 3
     # Logs taken apart, so that A * floor cannot overflow.
-    log_gap = math.log(budget_e) - math.log(assume.prefactor_a) - math.log(floor)
-    bound = 2 * log_gap / math.log(assume.p / assume.p_star) - 1
+    log_gap = math.log(budget_e) - math.log(prefactor_a) - math.log(floor)
+    bound = 2 * log_gap / log_ratio - 1
     if not bound < d_max + 2:  # +inf and NaN too: no d <= d_max can pass
         return d_max + 2
-    return max(3, 2 * math.floor((bound - 1) / 2) - 1)
+    return max(3, 2 * math.ceil((bound - 1) / 2) - 1)
 
 
 def choose_distance(
@@ -178,14 +190,25 @@ def choose_distance(
     the distances the suppression law alone rules out; the result is the
     same. The default, 0, scans from d_min.
 
+    A search reads A and p / p* once. A start from the floor is a valid
+    distance and a caller's d_min is checked once, so no candidate is
+    validated on its own; each is tested with the float operations of
+    logical_error_rate, so the result is that of testing
+    volume_at(d) * logical_error_rate(assume, d) <= budget_e.
+
     Raises:
         BudgetInfeasibleError: if no d <= d_max satisfies the bound.
     """
     if not (0.0 < budget_e < 1.0):
         raise ValueError("budget_e must lie in (0, 1)")
-    start = max(d_min, _first_candidate(assume, volume_floor, budget_e, d_max))
+    a, ratio = assume.prefactor_a, assume.p / assume.p_star
+    start = _first_candidate(a, ratio, volume_floor, budget_e, d_max)
+    if d_min > start:
+        start = d_min
+        if start <= d_max:
+            require_valid_distance(start)  # and so every odd step after it
     for d in range(start, d_max + 1, 2):
-        if volume_at(d) * logical_error_rate(assume, d) <= budget_e:
+        if volume_at(d) * _suppression(a, ratio, d) <= budget_e:
             return d
     raise BudgetInfeasibleError(
         f"no odd distance <= {d_max} meets failure budget {budget_e}"

@@ -397,10 +397,26 @@ class TestFleetCeilings:
             st.floats(min_value=1e-6, max_value=1e4),
             st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**6)),
         ),
+        states=st.one_of(st.just(0), st.integers(0, 10**6)),
+        rounds=st.integers(1, 10**6),
     )
-    def test_provision_matches_fractions(self, spec, rate):
+    def test_provision_matches_fractions(self, spec, rate, states, rounds):
         tau_f = _snapped(spec.tau_f_rounds)
         assert provision(spec, rate).count == math.ceil(_snapped(rate) * tau_f / spec.n_out)
+        # A demand of `states` per `rounds` rounds, given as two integers.
+        count = provision(spec, states, rounds).count
+        assert count == provision(spec, Fraction(states, rounds)).count
+        assert count == math.ceil(Fraction(states, rounds) * tau_f / spec.n_out)
+
+    @pytest.mark.parametrize("rate,rounds", [(-1, 1), (-1, 7), (Fraction(-1, 3), 1), (-0.5, 2)])
+    def test_negative_demand_is_refused(self, rate, rounds):
+        with pytest.raises(ValueError, match="^required_rate must be nonnegative$"):
+            provision(_specs()[0], rate, rounds)
+
+    @pytest.mark.parametrize("rounds", [0, -3, 2.5, True])
+    def test_rounds_must_be_a_positive_integer(self, rounds):
+        with pytest.raises(ValueError, match="^rounds must be a positive integer"):
+            provision(_specs()[0], 1, rounds)
 
     @pytest.mark.parametrize("l_side", [4, 30])
     def test_factory_blocks_match_fractions(self, l_side):
@@ -413,6 +429,20 @@ class TestFleetCeilings:
             for d in range(3, 100, 2):
                 fleet = REGISTRY["qsp"].fleet(summary, spec, d)
                 assert fleet.count == blocks * math.ceil(tau_f / (3 * d * spec.n_out))
+                assert fleet.physical_qubits == fleet.count * spec.q_f
+
+    @pytest.mark.parametrize("scheme", ["plaq_serial", "plaq_L"])
+    @pytest.mark.parametrize("l_side", [4, 30])
+    def test_dedicated_fleets_match_fractions(self, scheme, l_side):
+        inst = FHInstance(l_side=l_side, t_hop=1.0, u_onsite=8.0, t_evol=300,
+                          eps_total=0.01)
+        summary, _ = compile_scheme(scheme, inst)
+        states = round(summary.consumption_rate)
+        for spec in _specs():
+            tau_f = _snapped(spec.tau_f_rounds)
+            for d in range(3, 100, 2):
+                fleet = REGISTRY[scheme].fleet(summary, spec, d)
+                assert fleet.count == math.ceil(Fraction(states, d) * tau_f / spec.n_out)
                 assert fleet.physical_qubits == fleet.count * spec.q_f
 
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftqcost.costmodel import CircuitProfile, clifford_cost
@@ -210,6 +210,19 @@ class TestLowerBoundStart:
         reactions=st.floats(min_value=0, max_value=1e15),
         tau_r=st.sampled_from([1e-6, 1.5e-6, 1e-5]),
     )
+    # p within 2**-52 of p*, where the bound's rounding outgrows any fixed
+    # slack: the first fit is 5, and a start taken from the bound skips it
+    # (at 0.001 patch-rounds even with two odd steps of slack).
+    @example(p_ratio=1 - 2**-52, budget=9.999999999999994e-05, d_max=99, patches=1.0,
+             shrinking=0.0, depth=0.0, reactions=0.001, tau_r=1e-6)
+    @example(p_ratio=1 - 2**-52, budget=0.04999999999999997, d_max=99, patches=1.0,
+             shrinking=0.0, depth=0.0, reactions=0.5, tau_r=1e-6)
+    # p within 1e-9 of p*: the bound reads 9.0000015 and the first fit is 9.
+    @example(p_ratio=1 - 1e-9, budget=0.04999999975000004, d_max=99, patches=1.0,
+             shrinking=0.0, depth=0.0, reactions=0.5, tau_r=1e-6)
+    # A bound that is exactly 9.0, an odd integer.
+    @example(p_ratio=0.1, budget=3.0000000000000026e-06, d_max=99, patches=3.0,
+             shrinking=0.0, depth=0.0, reactions=1.0, tau_r=1e-6)
     def test_same_outcome_as_plain_scan(
         self, p_ratio, budget, d_max, patches, shrinking, depth, reactions, tau_r
     ):
@@ -221,6 +234,28 @@ class TestLowerBoundStart:
             choose_distance, a, lambda d: volume_at(d).patch_rounds(a.reaction_rounds),
             budget, d_max, volume_floor=floor.patch_rounds(a.reaction_rounds),
         ) == outcome(plain_scan, a, volume_at, budget, d_max)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p_ratio=st.floats(min_value=1e-6, max_value=1, exclude_max=True),
+        budget=st.floats(min_value=1e-15, max_value=0.9),
+        floor=st.floats(min_value=1e-3, max_value=1e30),
+        d_max=st.sampled_from([31, 99, 1001]),
+    )
+    def test_starts_at_most_one_odd_step_below_the_bound(self, p_ratio, budget, floor, d_max):
+        a = PhysicalAssumptions(p=0.01 * p_ratio, p_star=0.01)
+        seen = []
+        outcome(choose_distance, a, lambda d: seen.append(d) or floor, budget, d_max, floor)
+        log_ratio = math.log(a.p / a.p_star)
+        log_gap = math.log(budget) - math.log(a.prefactor_a) - math.log(floor)
+        bound = 2 * log_gap / log_ratio - 1
+        if log_ratio >= -1e-10:  # so close to p* that rounding may exceed the slack
+            assert seen[0] == 3
+        elif bound >= d_max + 2:
+            assert seen == []
+        else:
+            first_odd = next(d for d in range(3, d_max + 4, 2) if d >= bound)
+            assert max(3, first_odd - 2) <= seen[0] <= first_odd
 
     @pytest.mark.parametrize("floor", [
         None, LogicalVolume(0, 0), LogicalVolume(math.inf, 1), LogicalVolume(1, math.inf),
