@@ -31,12 +31,11 @@ from .fermi_hubbard import (
 from .qec import (
     DEFAULT_MAX_DISTANCE,
     DEFAULT_QEC_BUDGET,
-    LogicalVolume,
     PhysicalAssumptions,
+    VolumeFloor,
     choose_distance,
     patch_physical_qubits,
     run_time,
-    wall_time,
 )
 
 SENSITIVITY_FRACTION = 0.05
@@ -88,79 +87,101 @@ class ResourceEstimate(NamedTuple):
 
 
 def _fitter(
-    patches_at: Callable[[int], float], depth: float, reactions: float,
-    provisioned: Callable[[int], tuple[float, int, int, float]], data_aux_patches: float,
-    routing_patches: float, e_qec: float, d_max: int, scheme: str, t_count: float,
-    ledger: ErrorBudget | None = None, summary: CompilationSummary | None = None,
+    patches: Callable[..., float], spec: FactorySpec | None, f_r: float, depth: float,
+    reactions: float, provisioned: Callable[[int], tuple[float, int, int, float]],
+    data_aux_patches: float, routing_patches: float, e_qec: float, d_max: int, scheme: str,
+    t_count: float, ledger: ErrorBudget | None = None, summary: CompilationSummary | None = None,
 ) -> Callable[[PhysicalAssumptions, tuple[str, ...]], ResourceEstimate]:
     """The fit of a gate schedule, as a function of ``assume`` and the warnings
     it reports: the smallest distance meeting the failure budget, and the
     totals there.
 
-    At d the schedule holds patches_at(d) >= data_aux_patches + routing_patches
-    protected patches over depth timesteps of d rounds plus reactions reaction
-    delays; provisioned(d) gives the same patches, the factory count and
-    qubits, and the SE rounds the factories take to make the T states.
-    qec.run_time sets the span from the two; the volume counts the patches
-    over that span. A supply only stretches a volume, so the first fit on the
-    gate schedule's volume, searched from its floor, is a lower bound; the
-    search goes on from it, on stretched volumes, only if the supply
+    At d the schedule holds patches(summary, spec, d, f_r) >= data_aux_patches
+    + routing_patches protected patches over depth timesteps of d rounds plus
+    reactions reaction delays; provisioned(d) gives the same patches, the
+    factory count and qubits, and the SE rounds the factories take to make the
+    T states. qec.run_time sets the span from the two; the volume counts the
+    patches over that span. A supply only stretches a volume, so the first fit
+    on the gate schedule's volume, searched from its floor, is a lower bound;
+    the search goes on from it, on stretched volumes, only if the supply
     stretches the volume there. Patches beyond data/aux and routing count as
     routing. Totals that leave the float range raise OverflowError.
 
     Only t_se and tau_r enter a volume or a total; p, p_star and prefactor_a
-    only choose d. So each clock pair gets a table over d whose entries (the
-    gate schedule's patch-rounds, the stretched patch-rounds and the totals)
-    are each built at their first read, and a fit builds its estimate from
-    the totals at the d it picks.
+    only choose d. So each clock pair gets a _Gate and a _Rows table over d,
+    each entry made at its first read, with provisioned(d) read once per d
+    for them all; a fit builds its estimate from the row at the d it picks.
     """
-    tables: dict[tuple[float, float], tuple] = {}
-
-    def tabulate(assume: PhysicalAssumptions) -> tuple:
-        rr = assume.reaction_rounds
-
-        def rounds(d: int) -> float:
-            """The gate schedule's SE rounds at d, reaction delays included."""
-            return depth * d + reactions * rr
-
-        def stretch(d: int) -> float:
-            patches, _, _, supply = provisioned(d)
-            return patches * run_time(rounds(d), supply)[0]
-
-        def totals(d: int) -> tuple:
-            patches, count, factory_qubits, supply = provisioned(d)
-            seconds, bottleneck = run_time(
-                wall_time(LogicalVolume(patches, depth * d, reactions), assume),
-                supply * assume.t_se,
-            )
-            q = patch_physical_qubits(d)
-            total, volume = patches * q + factory_qubits, stretched[d]
-            if not all(map(math.isfinite, (total, seconds, volume))):
-                raise OverflowError("the totals leave the float range")
-            extra = patches - data_aux_patches - routing_patches
-            roles = data_aux_patches * q, (routing_patches + extra) * q, float(factory_qubits)
-            return total, roles, seconds, volume, count, bottleneck
-
-        gate = _Memo(lambda d: patches_at(d) * rounds(d))
-        stretched = _Memo(stretch)
-        floor = (data_aux_patches + routing_patches) * rounds(3)
-        return gate, stretched, floor, _Memo(totals)
+    base, layouts, tables = data_aux_patches + routing_patches, {}, {}
 
     def fit(assume: PhysicalAssumptions, warnings: tuple[str, ...]) -> ResourceEstimate:
         clocks = assume.t_se, assume.tau_r
-        gate, stretched, floor, totals = (
-            tables.get(clocks) or tables.setdefault(clocks, tabulate(assume))
-        )
+        table = tables.get(clocks)
+        if table is None:
+            delay = reactions * assume.reaction_rounds
+            gate, rows = _Gate(), _Rows()
+            gate.of = patches, summary, spec, f_r, depth, delay
+            rows.of = (provisioned, layouts, depth, delay, reactions, *clocks,
+                       data_aux_patches, routing_patches)
+            table = tables[clocks] = gate, rows, VolumeFloor(base * (depth * 3 + delay))
+        gate, rows, floor = table
         d = choose_distance(assume, gate.__getitem__, e_qec, d_max, floor)
-        if stretched[d] > gate[d]:  # the supply stretches it
-            d = choose_distance(assume, stretched.__getitem__, e_qec, d_max, d_min=d)
-        total, (data_aux, routing, factories), seconds, volume, count, bottleneck = totals[d]
+        volume, totals = rows[d]
+        if volume > gate[d]:  # the supply stretches it
+            d = choose_distance(assume, lambda d: rows[d][0], e_qec, d_max, d_min=d)
+            volume, totals = rows[d]
+        if type(totals) is OverflowError:
+            raise totals
+        total, data_aux, routing, factories, seconds, count, bottleneck = totals
         return ResourceEstimate(
             scheme, d, total, {"data_aux": data_aux, "routing": routing, "factories": factories},
             seconds, volume, count, t_count, bottleneck, ledger, summary, warnings,
         )
 
     return fit
+
+
+class _Gate(dict):
+    """The gate schedule's patch-rounds by d at one clock pair, from ``of``:
+    the patch rule and its arguments, depth, and the delays in SE rounds."""
+
+    __slots__ = ("of",)
+
+    def __missing__(self, d: int) -> float:
+        patches, summary, spec, f_r, depth, delay = self.of
+        value = self[d] = patches(summary, spec, d, f_r) * (depth * d + delay)
+        return value
+
+
+class _Rows(dict):
+    """The rows by d at one clock pair, each from one provisioned(d) read: the
+    stretched patch-rounds, and the totals there or the OverflowError they
+    raise, which a fit raises only at the d it picks."""
+
+    __slots__ = ("of",)
+
+    def __missing__(self, d: int) -> tuple[float, tuple | OverflowError]:
+        provisioned, layouts, depth, delay, reactions, t_se, tau_r, data_aux, routing = self.of
+        patches, count, factory_qubits, supply = (
+            layouts.get(d) or layouts.setdefault(d, provisioned(d))
+        )
+        rounds = depth * d
+        volume = patches * run_time(rounds + delay, supply)[0]
+        # qec.wall_time's sum, written out: a checked LogicalVolume per row
+        # would cost a fresh fit about 0.85 us.
+        seconds, bottleneck = run_time(rounds * t_se + reactions * tau_r, supply * t_se)
+        q = patch_physical_qubits(d)
+        try:
+            total = patches * q + factory_qubits
+            if not all(map(math.isfinite, (total, seconds, volume))):
+                raise OverflowError("the totals leave the float range")
+            extra = patches - data_aux - routing
+            totals = (total, data_aux * q, (routing + extra) * q, float(factory_qubits),
+                      seconds, count, bottleneck)
+        except OverflowError as exc:
+            totals = exc
+        value = self[d] = volume, totals
+        return value
 
 
 def estimate(
@@ -204,14 +225,16 @@ def point_estimator() -> Callable[..., ResourceEstimate]:
 def _plan(
     compiled: tuple[CompilationSummary, ErrorBudget], spec: FactorySpec,
     options: EstimateOptions,
-) -> Callable[[FHInstance, PhysicalAssumptions], ResourceEstimate]:
+) -> Callable[..., ResourceEstimate]:
     """The fit of a compiled scheme, as a function of ``inst`` and ``assume``.
 
     What reads no PhysicalAssumptions field is settled here, once: the
     T-budget warning, the ledger, and the layout and supply rounds at each d
-    a search reaches. _fitter tabulates the totals at d per clock pair; a
+    a search reaches. _fitter tabulates the rows over d per clock pair; a
     fit adds the factory's valid_p warning. No scheme's protected patches
-    depend on its fleet size.
+    depend on its fleet size. A band's fit passes its perturbed ``factory``,
+    laid out for that fit alone, and the nominal fit's ``warnings``: neither
+    they nor the ledger read a field the band perturbs.
     """
     summary, budget = compiled
     t_count = summary.t_count_total
@@ -221,36 +244,44 @@ def _plan(
         f"accumulated {check.accumulated_error:.3g} > {check.budget}; "
         f"a factory with infidelity <= {check.required_infidelity:.3g} is required",
     )
-    # The knobs actually used, not allocate_budget's defaults, go in the ledger.
-    ledger = budget._replace(e_qec=options.e_qec, t_gate_budget=options.t_gate_budget)
+    # The knobs actually used, not allocate_budget's defaults, go in the ledger
+    # (its last two fields).
+    ledger = ErrorBudget(*budget[:4], options.e_qec, options.t_gate_budget)
     patches, f_r = scheme_record(summary.scheme).patches, options.f_r
     data_aux = summary.data_patches + summary.aux_patches
 
-    def provisioned(d: int) -> tuple[float, int, int, float]:
-        patches, fleet = layout_at(summary, spec, d, f_r=f_r)
-        return patches, fleet.count, fleet.physical_qubits, fleet.supply_time(t_count, 1.0)
+    def fitter(factory: FactorySpec) -> Callable[..., ResourceEstimate]:
+        def provisioned(d: int) -> tuple[float, int, int, float]:
+            patches, fleet = layout_at(summary, factory, d, f_r=f_r)
+            return patches, fleet.count, fleet.physical_qubits, fleet.supply_time(t_count, 1.0)
 
-    fitted = _fitter(
-        lambda d: patches(summary, spec, d, f_r), summary.timestep_depth, summary.reaction_depth,
-        _Memo(provisioned).__getitem__, data_aux, summary.routing_patches, options.e_qec,
-        options.d_max, summary.scheme, t_count, ledger, summary,
-    )
+        return _fitter(
+            patches, factory, f_r, summary.timestep_depth, summary.reaction_depth,
+            provisioned, data_aux, summary.routing_patches, options.e_qec, options.d_max,
+            summary.scheme, t_count, ledger, summary,
+        )
 
-    def fit(inst: FHInstance, assume: PhysicalAssumptions) -> ResourceEstimate:
-        warnings = t_warnings
-        if not math.isclose(spec.valid_p, assume.p, rel_tol=0.5):
-            warnings = (
-                f"factory {spec.name} characterized at p={spec.valid_p}, "
-                f"estimating at p={assume.p}",
-                *warnings,
-            )
+    fitted = fitter(spec)
+
+    def fit(
+        inst: FHInstance, assume: PhysicalAssumptions, factory: FactorySpec = spec,
+        warnings: tuple[str, ...] | None = None,
+    ) -> ResourceEstimate:
+        if warnings is None:
+            warnings = t_warnings
+            if not math.isclose(factory.valid_p, assume.p, rel_tol=0.5):
+                warnings = (
+                    f"factory {factory.name} characterized at p={factory.valid_p}, "
+                    f"estimating at p={assume.p}",
+                    *warnings,
+                )
         try:
-            return fitted(assume, warnings)
+            return (fitted if factory is spec else fitter(factory))(assume, warnings)
         except ArithmeticError as exc:
             inputs = instance_inputs(inst, options.hwp_m)
             inputs.update(
                 t_se=assume.t_se, tau_r=assume.tau_r,
-                q_f=spec.q_f, tau_f_rounds=spec.tau_f_rounds, n_out=spec.n_out,
+                q_f=factory.q_f, tau_f_rounds=factory.tau_f_rounds, n_out=factory.n_out,
             )
             raise too_extreme(inputs, f"estimate {summary.scheme}", exc) from exc
 
@@ -287,7 +318,7 @@ def simple_estimate(
     try:
         patches = ROUTING_FACTOR * q_logical
         return _fitter(
-            lambda d: patches, gate_count, 0.0, lambda d: (patches, 0, 0, 0.0),
+            lambda *_: patches, None, 0.0, gate_count, 0.0, lambda d: (patches, 0, 0, 0.0),
             data_aux_patches=q_logical, routing_patches=0, e_qec=e_qec, d_max=d_max,
             scheme="simple", t_count=gate_count,
         )(assume, ())
@@ -342,16 +373,15 @@ def sensitivity(
     options: EstimateOptions = EstimateOptions(),
     fraction: float = SENSITIVITY_FRACTION,
 ) -> SensitivityBand:
-    """Nominal and +/-fraction estimates: the perturbed constants do not enter
-    the compilation, so the scheme is compiled once and fitted three times."""
+    """Nominal and +/-fraction estimates. The perturbed constants enter
+    neither the compilation nor the warnings nor the ledger, so the scheme is
+    compiled and planned once, and fitted three times, each perturbed fit on
+    its own fleet and with the nominal fit's warnings."""
     compiled = compile_scheme(scheme, inst, m=options.hwp_m, log_base=options.log_base)
-
-    def fit(assume: PhysicalAssumptions, spec: FactorySpec) -> ResourceEstimate:
-        return _plan(compiled, spec, options)(inst, assume)
-
-    nominal = fit(assume, spec)
-    adverse = fit(*_perturbed(assume, spec, fraction))
-    favorable = fit(*_perturbed(assume, spec, -fraction))
+    fit = _plan(compiled, spec, options)
+    nominal = fit(inst, assume)
+    adverse = fit(inst, *_perturbed(assume, spec, fraction), nominal.warnings)
+    favorable = fit(inst, *_perturbed(assume, spec, -fraction), nominal.warnings)
     return SensitivityBand(nominal=nominal, low=favorable, high=adverse)
 
 

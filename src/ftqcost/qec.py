@@ -141,32 +141,14 @@ def wall_time(vol: LogicalVolume, assume: PhysicalAssumptions) -> float:
     return vol.rounds * assume.t_se + vol.reactions * assume.tau_r
 
 
-def _first_candidate(
-    prefactor_a: float, ratio: float, floor: float, budget_e: float, d_max: int,
-) -> int:
-    """The odd distance a search must start from, given a floor on every volume.
+class VolumeFloor(float):
+    """A volume floor that many searches read, keeping the log gap each one's
+    start reads, log(budget_e) - log(A) - log(floor), by (budget_e, A)."""
 
-    With volume(d) >= floor for every candidate, volume(d) * p_L(d) >=
-    A * floor * ratio^((d+1)/2), ratio = p / p*, which exceeds budget_e for
-    every d below bound = 2 * log(budget_e / (A * floor)) / log(ratio) - 1.
-    The search starts one odd step below the first odd distance at or above
-    that bound: a distance below the start misses the budget by a factor of
-    at least 1 / ratio, the slack for the rounding of the bound and of each
-    candidate's test. The logs round by under 1e-12 in all, which moves the
-    bound by that over -log(ratio) odd steps; so when p lies within a
-    relative 1e-10 of p*, where that could exceed the slack, the search
-    starts at 3, as it does when the floor is unusable (not positive and
-    finite).
-    """
-    log_ratio = math.log(ratio)
-    if not (0.0 < floor < math.inf and log_ratio < -1e-10):
-        return 3
-    # Logs taken apart, so that A * floor cannot overflow.
-    log_gap = math.log(budget_e) - math.log(prefactor_a) - math.log(floor)
-    bound = 2 * log_gap / log_ratio - 1
-    if not bound < d_max + 2:  # +inf and NaN too: no d <= d_max can pass
-        return d_max + 2
-    return max(3, 2 * math.ceil((bound - 1) / 2) - 1)
+    __slots__ = ("gaps",)
+
+    def __init__(self, value: float) -> None:
+        self.gaps: dict[tuple[float, float], float] = {}
 
 
 def choose_distance(
@@ -185,10 +167,21 @@ def choose_distance(
     folded in as SE rounds (``LogicalVolume.patch_rounds(reaction_rounds)``);
     it may itself depend on d (depth in timesteps scales with d, routing
     terms may shrink with d). Terminates because p_L decays geometrically
-    while the volume grows polynomially. ``volume_floor``, a number of
-    patch-rounds that no candidate's volume falls below, lets the scan skip
-    the distances the suppression law alone rules out; the result is the
-    same. The default, 0, scans from d_min.
+    while the volume grows polynomially.
+
+    ``volume_floor``, a number of patch-rounds that no candidate's volume
+    falls below, lets the scan skip the distances the suppression law alone
+    rules out, with the same result: volume(d) * p_L(d) >= A * floor *
+    ratio^((d+1)/2), ratio = p / p*, exceeds budget_e for every d below
+    bound = 2 * log(budget_e / (A * floor)) / log(ratio) - 1. The scan starts
+    one odd step below the first odd distance at or above that bound: a
+    distance below the start misses the budget by a factor of at least
+    1 / ratio, the slack for the rounding of the bound and of each
+    candidate's test. The logs round by under 1e-12 in all, which moves the
+    bound by that over -log(ratio) odd steps; so when p lies within a
+    relative 1e-10 of p*, where that could exceed the slack, the scan starts
+    at 3, as it does when the floor is not positive and finite (the default,
+    0). A VolumeFloor keeps the bound's logs for the searches that share it.
 
     A search reads A and p / p* once. A start from the floor is a valid
     distance and a caller's d_min is checked once, so no candidate is
@@ -202,7 +195,18 @@ def choose_distance(
     if not (0.0 < budget_e < 1.0):
         raise ValueError("budget_e must lie in (0, 1)")
     a, ratio = assume.prefactor_a, assume.p / assume.p_star
-    start = _first_candidate(a, ratio, volume_floor, budget_e, d_max)
+    start, log_ratio = 3, math.log(ratio)
+    if 0.0 < volume_floor < math.inf and log_ratio < -1e-10:
+        # Logs taken apart, so that A * floor cannot overflow.
+        gaps = volume_floor.gaps if type(volume_floor) is VolumeFloor else {}
+        log_gap = gaps.get((budget_e, a))
+        if log_gap is None:
+            log_gap = gaps[budget_e, a] = (
+                math.log(budget_e) - math.log(a) - math.log(volume_floor)
+            )
+        bound = 2 * log_gap / log_ratio - 1
+        # Past d_max, and for +inf and NaN too, no d <= d_max can pass.
+        start = max(3, 2 * math.ceil((bound - 1) / 2) - 1) if bound < d_max + 2 else d_max + 2
     if d_min > start:
         start = d_min
         if start <= d_max:

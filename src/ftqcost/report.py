@@ -167,50 +167,53 @@ def render_json(report: dict[str, Any] | list[dict[str, Any]]) -> str:
     return "".join(out)
 
 
-def _float_json(value: float) -> str:
-    text = float.__repr__(value)
-    return _NON_FINITE.get(text, text)
-
-
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# The JSON text of a scalar, by its exact type.
+# The JSON text of a scalar by its exact type, once a non-finite float's
+# repr is mapped through _NON_FINITE (no other scalar's text is a key there).
 _SCALAR_JSON = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _float_json,
+    float: float.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
+    type(None): {None: "null"}.__getitem__,
 }
 
 
 def _write_json(value: Any, newline: str, put: Callable[[str], None]) -> None:
     """``put`` the JSON text of ``value``, its nested lines indented two
     spaces past ``newline``, the line break and indent its closing bracket
-    sits at."""
+    sits at. A dict's scalar member goes out in one put with its key."""
     scalar = _SCALAR_JSON.get(type(value))
     if scalar is not None:
-        put(scalar(value))
+        text = scalar(value)
+        put(_NON_FINITE.get(text, text))
     elif isinstance(value, dict):
         if not value:
             put("{}")
             return
         inner = newline + "  "
-        sep = "{" + inner
+        sep, comma = "{" + inner, "," + inner
         for key in sorted(value):
-            put(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], inner, put)
-            sep = "," + inner
+            item = value[key]
+            scalar = _SCALAR_JSON.get(type(item))
+            if scalar is None:
+                put(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write_json(item, inner, put)
+            else:
+                text = scalar(item)
+                put(f"{sep}{encode_basestring_ascii(key)}: {_NON_FINITE.get(text, text)}")
+            sep = comma
         put(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             put("[]")
             return
         inner = newline + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for item in value:
             put(sep)
             _write_json(item, inner, put)
-            sep = "," + inner
+            sep = comma
         put(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

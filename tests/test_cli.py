@@ -972,6 +972,32 @@ class TestSweepCommand:
         layouts = [(summary, d) for summary, _, d in calls["layout_at"]]
         assert len(set(layouts)) == len(layouts) < 3 * 2 * 2
 
+    @pytest.mark.parametrize("kind", ["band", "comparison"])
+    def test_report_plans_counted_once(self, bundled_config, monkeypatch, kind):
+        # A band report compiles its scheme and checks its T budget once; a
+        # comparison compiles and checks each scheme once. Each plan (one
+        # compilation on one fleet: a band's nominal and perturbed fleets are
+        # three) lays out each distance it reaches once.
+        calls = {"compile_scheme": [], "t_budget_check": [], "layout_at": []}
+        for name, seen in calls.items():
+            def counting(*args, original=getattr(estimator_module, name), seen=seen, **kwargs):
+                seen.append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(estimator_module, name, counting)
+        config = build_config(read_sections(bundled_config))
+        if kind == "band":
+            schemes, fleets = [config.scheme], 3
+            build_report(config, with_sensitivity=True)
+        else:
+            schemes, fleets = list(SCHEMES), 1
+            build_comparison(config, schemes)
+        assert [args[0] for args in calls["compile_scheme"]] == schemes
+        assert len(calls["t_budget_check"]) == len(schemes)
+        layouts = [(summary, spec, d) for summary, spec, d in calls["layout_at"]]
+        assert len(set(layouts)) == len(layouts)
+        assert len({(summary, spec) for summary, spec, _ in layouts}) == len(schemes) * fleets
+
     def test_each_distinct_ranged_raw_cast_once(self, bundled_config, monkeypatch, capsys):
         # A 3 p x 2 scheme x 2 L grid whose p repeats a raw: 12 points, 6 raws.
         ranged = {"physical.p": "1e-3,9.5e-4,1e-3", "algorithm.scheme": "plaq_L,qsp",

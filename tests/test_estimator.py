@@ -28,7 +28,7 @@ from ftqcost.factories import (
     provision,
 )
 from ftqcost.fermi_hubbard import SCHEMES, FHInstance
-from ftqcost.qec import PhysicalAssumptions, choose_distance, logical_error_rate
+from ftqcost.qec import MAGIC_LIMITED, PhysicalAssumptions, choose_distance, logical_error_rate
 
 BUNDLED = resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg")
 
@@ -248,6 +248,14 @@ class TestCultivation:
         assert 3.0 <= ratio <= 6.0
 
 
+LOG_UNIFORM_CLOCK = st.floats(min_value=-7, max_value=-5).map(lambda e: 10**e)
+"""A clock, t_se or tau_r, log-uniform in [1e-7, 1e-5] seconds."""
+
+MAGIC_LIMITED_BAND = dict(l_side=34, log_p=-3.41, eps_total=0.553, cultivation=False,
+                          t_se=5.4e-7, tau_r=2.9e-7, t_gate_budget=5.4e-4)
+"""A band whose plaq_L2 fits are magic-limited and past their T budget."""
+
+
 class TestSensitivity:
     def test_zero_perturbation_is_identity(self):
         inst = bench_instance()
@@ -276,16 +284,21 @@ class TestSensitivity:
         log_p=st.floats(min_value=-5, max_value=-2, exclude_max=True),
         eps_total=st.floats(min_value=1e-300, max_value=0.9),
         cultivation=st.booleans(),
+        t_se=LOG_UNIFORM_CLOCK,
+        tau_r=LOG_UNIFORM_CLOCK,
+        t_gate_budget=st.floats(min_value=-4, max_value=0).map(lambda e: 10**e),
     )
+    @example(**MAGIC_LIMITED_BAND)
     def test_band_is_three_independent_estimates(
-        self, scheme, l_side, log_p, eps_total, cultivation
+        self, scheme, l_side, log_p, eps_total, cultivation, t_se, tau_r, t_gate_budget
     ):
         inst = FHInstance(l_side=l_side, t_hop=1.0, u_onsite=8.0, t_evol=300,
                           eps_total=eps_total)
-        a = assume(10**log_p)
+        a = assume(10**log_p, t_se=t_se, tau_r=tau_r)
         spec = spec_for(a.p)
         if cultivation:
             spec = cultivation_variant(spec)
+        options = EstimateOptions(t_gate_budget=t_gate_budget)
 
         def outcome(band):
             try:
@@ -295,12 +308,35 @@ class TestSensitivity:
 
         def three_estimates():
             return SensitivityBand(
-                nominal=estimate(inst, scheme, a, spec),
-                high=estimate(inst, scheme, *_perturbed(a, spec, SENSITIVITY_FRACTION)),
-                low=estimate(inst, scheme, *_perturbed(a, spec, -SENSITIVITY_FRACTION)),
+                nominal=estimate(inst, scheme, a, spec, options),
+                high=estimate(inst, scheme, *_perturbed(a, spec, SENSITIVITY_FRACTION), options),
+                low=estimate(inst, scheme, *_perturbed(a, spec, -SENSITIVITY_FRACTION), options),
             )
 
-        assert outcome(lambda: sensitivity(inst, scheme, a, spec)) == outcome(three_estimates)
+        assert outcome(lambda: sensitivity(inst, scheme, a, spec, options)) == outcome(
+            three_estimates
+        )
+
+    def test_band_example_is_magic_limited_past_its_t_budget(self, monkeypatch):
+        # MAGIC_LIMITED_BAND reaches what a band's fits share and what they do
+        # not: the T-budget warning, and a stretched search that moves d.
+        real, stretched = estimator_module.choose_distance, []
+
+        def searching(*args, d_min=None, **kwargs):
+            if d_min is None:
+                return real(*args, **kwargs)
+            stretched.append((d_min, real(*args, d_min=d_min, **kwargs)))
+            return stretched[-1][1]
+
+        monkeypatch.setattr(estimator_module, "choose_distance", searching)
+        ex = MAGIC_LIMITED_BAND
+        inst = FHInstance(ex["l_side"], 1.0, 8.0, 300, ex["eps_total"])
+        a = assume(10 ** ex["log_p"], t_se=ex["t_se"], tau_r=ex["tau_r"])
+        band = sensitivity(inst, "plaq_L2", a, spec_for(a.p),
+                           EstimateOptions(t_gate_budget=ex["t_gate_budget"]))
+        assert {est.bottleneck for est in band} == {MAGIC_LIMITED}
+        assert all(est.warnings[-1].startswith("T-state error budget exceeded") for est in band)
+        assert any(d > d_min for d_min, d in stretched)
 
     @pytest.mark.parametrize("fraction", [SENSITIVITY_FRACTION, -SENSITIVITY_FRACTION])
     def test_perturbed_fields_name_what_the_band_moves(self, fraction):
@@ -498,6 +534,15 @@ class TestDistanceLowerBound:
         bounded = outcome()
         with mock.patch.object(estimator_module, "choose_distance", _scan_from_3):
             assert bounded == outcome()
+
+    def test_totals_leaving_the_float_range_where_no_fit_ends_raise_nothing(self):
+        # The supply stretches the gate fit, whose totals overflow, and no
+        # stretched volume fits: the estimate is infeasible, not too extreme.
+        inst = FHInstance(l_side=14, t_hop=1.0, u_onsite=8.0, t_evol=30.0, eps_total=0.0073)
+        a = assume(1.6e-3, t_se=6.1e-7, tau_r=1e-9)
+        spec = FactorySpec("slow", 10, 1e157, 6, 1e-20, 1e-3)
+        with pytest.raises(BudgetInfeasibleError, match="no odd distance <= 1001"):
+            estimate(inst, "plaq_L2", a, spec, EstimateOptions(d_max=1001))
 
     def test_bundled_config_reads_at_most_4_candidates(self, monkeypatch):
         real = estimator_module.choose_distance
