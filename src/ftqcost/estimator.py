@@ -357,10 +357,13 @@ def _perturbed(
             f"no distance meets the failure budget at the {fraction:+.0%} band's "
             f"threshold p_star={p_star:g}, which is not above p={assume.p:g}"
         )
-    assume2 = assume._replace(p_star=p_star, prefactor_a=assume.prefactor_a * (1 + fraction))
-    spec2 = spec._replace(
-        q_f=max(1, round(spec.q_f * (1 + fraction))),
-        tau_f_rounds=spec.tau_f_rounds * (1 + fraction),
+    p, _, prefactor_a, t_se, tau_r = assume
+    name, q_f, tau_f_rounds, n_out, out_infidelity, valid_p = spec
+    # One checked constructor call each; _replace would go through _make too.
+    assume2 = PhysicalAssumptions(p, p_star, prefactor_a * (1 + fraction), t_se, tau_r)
+    spec2 = FactorySpec(
+        name, max(1, round(q_f * (1 + fraction))), tau_f_rounds * (1 + fraction),
+        n_out, out_infidelity, valid_p,
     )
     return assume2, spec2
 

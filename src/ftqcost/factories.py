@@ -7,13 +7,14 @@ size, and an output infidelity. No distillation protocol is simulated.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import checked
 from .errors import MagicStarvedError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_T_GATE_BUDGET = 0.05
 """Error budget for the linearly accumulated T-state infidelity."""
@@ -119,6 +120,11 @@ def factory_by_name(name: str) -> FactorySpec:
 
 
 def _as_fraction(x) -> Fraction:
+    # Imported here: a catalog batch time never needs the snap, so a run
+    # that reaches none loads neither module.
+    from fractions import Fraction
+    from numbers import Rational
+
     if isinstance(x, Rational):
         return Fraction(x)
     # Floats like 2.4 are not binary-exact; snap to the intended rational so
@@ -133,6 +139,16 @@ def _as_fraction(x) -> Fraction:
 @lru_cache(maxsize=256)
 def _exact_rounds(rounds: float) -> Fraction:
     return _as_fraction(rounds)
+
+
+def batch_ratio(spec: FactorySpec) -> tuple[int, int]:
+    """``spec.tau_f`` as (numerator, denominator). A ratio whose denominator
+    is at most 10**9 is the snap's own answer, so it builds no Fraction."""
+    num, den = spec.tau_f_rounds.as_integer_ratio()
+    if den <= 10**9:
+        return num, den
+    tau_f = spec.tau_f
+    return tau_f.numerator, tau_f.denominator
 
 
 def provision(spec: FactorySpec, required_rate, rounds: int = 1) -> FactoryFleet:
@@ -151,9 +167,8 @@ def provision(spec: FactorySpec, required_rate, rounds: int = 1) -> FactoryFleet
         raise ValueError("required_rate must be nonnegative")
     if not (type(rounds) is int and rounds >= 1):
         raise ValueError(f"rounds must be a positive integer, got {rounds!r}")
-    tau_f = spec.tau_f
-    count = -(-rate.numerator * tau_f.numerator
-              // (rate.denominator * rounds * tau_f.denominator * spec.n_out))
+    tau_num, tau_den = batch_ratio(spec)
+    count = -(-rate.numerator * tau_num // (rate.denominator * rounds * tau_den * spec.n_out))
     return FactoryFleet(spec=spec, count=count)
 
 

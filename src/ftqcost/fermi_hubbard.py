@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any, Callable, Literal, NamedTuple
 
 from . import checked
 from .errors import CompileError
-from .factories import DEFAULT_T_GATE_BUDGET, FactoryFleet, FactorySpec, provision
+from .factories import DEFAULT_T_GATE_BUDGET, FactoryFleet, FactorySpec, batch_ratio, provision
 from .qec import (
     DEFAULT_QEC_BUDGET, fast_block_routing, patch_physical_qubits, require_valid_distance,
 )
@@ -358,8 +358,8 @@ def _shared_patches(
     step, states = _full_parallel_step(summary.sigma)
     if step * states * d <= 0:
         raise ValueError("invalid consumption schedule: tau_m must be positive")
-    tau_f = spec.tau_f
-    batches = -(-tau_f.numerator * states // (tau_f.denominator * step * d))
+    tau_num, tau_den = batch_ratio(spec)
+    batches = -(-tau_num * states // (tau_den * step * d))
     shared = -(-spec.q_f * batches // patch_physical_qubits(d))
     return _base_patches(summary) + f_r * summary.l_side**2 * shared
 

@@ -11,9 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
+
+try:
+    # The C escaper json.encoder re-exports, without loading the json package.
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from .config import RunConfig
 from .estimator import (

@@ -3,7 +3,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ftqcost.factories as factories
@@ -168,6 +168,31 @@ class TestTauF:
                         expected = Fraction(s.tau_f_rounds).limit_denominator(10**9)
                         assert s.tau_f == expected
                         assert s.tau_f.denominator < 10**4
+
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(5e-324)
+    @example(1e-310)
+    @example(2.4)
+    @example(1e-300)
+    @example(5e-10)
+    # The catalog designs, their cultivation variants and each one's band
+    # sides, in _perturbed's and cultivation_variant's arithmetic.
+    @example(97.5 * (1 + SENSITIVITY_FRACTION))
+    @example(97.5 * (1 - SENSITIVITY_FRACTION))
+    @example(90.0 * (1 + SENSITIVITY_FRACTION))
+    @example(90.0 * (1 - SENSITIVITY_FRACTION))
+    @example(97.5 / 5)
+    @example(90.0 / 5)
+    @example(97.5 / 5 * (1 + SENSITIVITY_FRACTION))
+    @example(97.5 / 5 * (1 - SENSITIVITY_FRACTION))
+    @example(90.0 / 5 * (1 + SENSITIVITY_FRACTION))
+    @example(90.0 / 5 * (1 - SENSITIVITY_FRACTION))
+    def test_batch_ratio_is_tau_f(self, tau):
+        # provision and _shared_patches read the batch time through
+        # batch_ratio, which builds no Fraction unless the snap is needed.
+        spec = f1()._replace(tau_f_rounds=tau)
+        assert factories.batch_ratio(spec) == (spec.tau_f.numerator, spec.tau_f.denominator)
+        assert provision(spec, Fraction(1, 25)).count == math.ceil(spec.tau_f / 25)
 
     @pytest.mark.parametrize("tau", [1e-300, 5e-10, 1e-12])
     def test_tiny_batch_time_is_not_snapped_to_zero(self, tau):

@@ -28,14 +28,30 @@ PUBLIC = (
 )
 
 
-def fresh_json(code: str):
-    """The JSON ``code`` prints, run in a fresh interpreter that finds ftqcost."""
+def fresh_stdout(code: str) -> str:
+    """What ``code`` prints, run in a fresh interpreter that finds ftqcost."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", f"import json, sys\n{code}"], capture_output=True,
+        [sys.executable, "-c", code], capture_output=True,
         text=True, timeout=60, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def fresh_json(code: str):
+    """The JSON ``code`` prints, run in a fresh interpreter that finds ftqcost."""
+    return json.loads(fresh_stdout(f"import json, sys\n{code}"))
+
+
+def newly_loaded(code: str, names) -> set[str]:
+    """Which of the modules ``names`` ``code`` loads in a fresh interpreter.
+
+    The child imports nothing of its own first (not even json), so a module
+    counts only if ``code`` brought it in."""
+    return set(fresh_stdout(
+        f"import sys\nbefore = set(sys.modules)\n{code}\n"
+        f"print(*sorted(set({sorted(names)!r}) & set(sys.modules) - before))"
+    ).split())
 
 
 def loaded_after(statement: str) -> list[str]:
@@ -67,6 +83,43 @@ def test_cli_does_not_load_configparser():
     assert fresh_json(
         "import ftqcost.cli\nprint(json.dumps('configparser' in sys.modules))"
     ) is False
+
+
+SNAP_AND_JSON = ("fractions", "decimal", "numbers", "json", "json.decoder")
+
+
+@pytest.mark.parametrize("entry", ["ftqcost.cli", "ftqcost.report", "ftqcost.config"])
+def test_cold_start_loads_neither_fractions_nor_json(entry):
+    """A catalog batch time needs no Fraction snap and the report escapes its
+    strings with the C function json.encoder re-exports, so a cold start
+    pays for neither ``fractions`` (and the ``decimal`` it pulls in) nor the
+    json package."""
+    assert newly_loaded(f"import {entry}", SNAP_AND_JSON) == set()
+
+
+@pytest.mark.parametrize(("args", "snaps"), [
+    (["sweep", "{cfg}", "--set", "physical.p=1e-3,5e-4", "--set", "algorithm.L=20,30",
+      "--format", "csv"], False),
+    (["compare", "{cfg}"], False),
+    (["estimate", "{cfg}"], False),
+    (["estimate", "{cfg}", "--set", "factory.name=15to1x20to4-p4"], False),
+    (["estimate", "{cfg}", "--set", "factory.cultivation=true"], True),
+])
+def test_only_a_run_that_snaps_loads_fractions(args, snaps):
+    """The bundled config's sweep, compare and band estimate read every batch
+    time as an integer ratio; a cultivation band's +/-5% batch times are not
+    dyadic and go through the Fraction snap. So the import's saving is not
+    just moved into the first call."""
+    cfg = str(resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg"))
+    argv = [arg.replace("{cfg}", cfg) for arg in args]
+    loaded = newly_loaded(
+        "import contextlib, io\n"
+        "from ftqcost.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n",
+        ("fractions", "decimal", "numbers"),
+    )
+    assert loaded == ({"fractions", "decimal", "numbers"} if snaps else set())
 
 
 @pytest.mark.parametrize("entry", ["ftqcost.cli", "ftqcost.subroutines"])

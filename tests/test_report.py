@@ -3,12 +3,19 @@ indent=2)``: the same text for every tree a report can hold."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ftqcost.report
 from ftqcost.report import render_json
+
+SRC = Path(ftqcost.report.__file__).resolve().parent.parent
 
 
 def reference(tree) -> str:
@@ -72,3 +79,24 @@ def test_a_value_json_cannot_hold_raises_type_error(tree):
         reference(tree)
     with pytest.raises(TypeError, match=str(expected.value)):
         render_json(tree)
+
+
+def test_render_json_without_the_c_escaper():
+    """Where the interpreter has no ``_json``, the report takes json.encoder's
+    pure-Python escaper and still writes json.dumps's text."""
+    tree = {"é": ["ключ\n", {'q"uote': 1.5, "back\\slash": None}], "\x00\t": "\U0001f600\ud800"}
+    code = (
+        "import sys\n"
+        "sys.modules['_json'] = None\n"
+        "import json\n"
+        "import ftqcost.report as report\n"
+        f"tree = {tree!r}\n"
+        "assert report.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii\n"
+        "assert report.render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + '\\n'\n"
+    )
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
