@@ -44,12 +44,10 @@ _HOMES = {
     "layout_at": "fermi_hubbard",
     "trotter_kappa": "fermi_hubbard",
     "trotter_steps": "fermi_hubbard",
-    "LogicalVolume": "qec",
     "PhysicalAssumptions": "qec",
     "choose_distance": "qec",
     "logical_error_rate": "qec",
     "patch_physical_qubits": "qec",
-    "wall_time": "qec",
 }
 
 __all__ = sorted(_HOMES)

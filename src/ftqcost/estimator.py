@@ -1,7 +1,7 @@
 """End-to-end resource estimation.
 
 Chains error-budget allocation, scheme compilation, the distance search,
-factory provisioning, the run time (qec.run_time) and totals into a single
+factory provisioning, the run's cost (qec.run_cost) and totals into a single
 ResourceEstimate; also provides the
 minimal-footprint quick estimator, the +/-5% sensitivity band,
 multi-scheme comparison, and the estimates of a grid of points.
@@ -32,10 +32,9 @@ from .qec import (
     DEFAULT_MAX_DISTANCE,
     DEFAULT_QEC_BUDGET,
     PhysicalAssumptions,
-    VolumeFloor,
     choose_distance,
     patch_physical_qubits,
-    run_time,
+    run_cost,
 )
 
 SENSITIVITY_FRACTION = 0.05
@@ -100,12 +99,12 @@ def _fitter(
     + routing_patches protected patches over depth timesteps of d rounds plus
     reactions reaction delays; provisioned(d) gives the same patches, the
     factory count and qubits, and the SE rounds the factories take to make the
-    T states. qec.run_time sets the span from the two; the volume counts the
-    patches over that span. A supply only stretches a volume, so the first fit
-    on the gate schedule's volume, searched from its floor, is a lower bound;
-    the search goes on from it, on stretched volumes, only if the supply
-    stretches the volume there. Patches beyond data/aux and routing count as
-    routing. Totals that leave the float range raise OverflowError.
+    T states. qec.run_cost gives the patch-rounds, seconds and bottleneck of
+    the two. A supply only stretches a volume, so the first fit on the gate
+    schedule's volume, searched from its floor, is a lower bound; the search
+    goes on from it, on stretched volumes, only if the supply stretches the
+    volume there. Patches beyond data/aux and routing count as routing.
+    Totals that leave the float range raise OverflowError.
 
     Only t_se and tau_r enter a volume or a total; p, p_star and prefactor_a
     only choose d. So each clock pair gets a _Gate and a _Rows table over d,
@@ -118,12 +117,11 @@ def _fitter(
         clocks = assume.t_se, assume.tau_r
         table = tables.get(clocks)
         if table is None:
-            delay = reactions * assume.reaction_rounds
             gate, rows = _Gate(), _Rows()
-            gate.of = patches, summary, spec, f_r, depth, delay
-            rows.of = (provisioned, layouts, depth, delay, reactions, *clocks,
+            gate.of = patches, summary, spec, f_r, depth, reactions, *clocks
+            rows.of = (provisioned, layouts, depth, reactions, *clocks,
                        data_aux_patches, routing_patches)
-            table = tables[clocks] = gate, rows, VolumeFloor(base * (depth * 3 + delay))
+            table = tables[clocks] = gate, rows, run_cost(base, depth, 3, reactions, *clocks)[0]
         gate, rows, floor = table
         d = choose_distance(assume, gate.__getitem__, e_qec, d_max, floor)
         volume, totals = rows[d]
@@ -143,13 +141,15 @@ def _fitter(
 
 class _Gate(dict):
     """The gate schedule's patch-rounds by d at one clock pair, from ``of``:
-    the patch rule and its arguments, depth, and the delays in SE rounds."""
+    the patch rule and its arguments, depth, reactions and the clocks."""
 
     __slots__ = ("of",)
 
     def __missing__(self, d: int) -> float:
-        patches, summary, spec, f_r, depth, delay = self.of
-        value = self[d] = patches(summary, spec, d, f_r) * (depth * d + delay)
+        patches, summary, spec, f_r, depth, reactions, t_se, tau_r = self.of
+        value = self[d] = run_cost(
+            patches(summary, spec, d, f_r), depth, d, reactions, t_se, tau_r
+        )[0]
         return value
 
 
@@ -161,15 +161,13 @@ class _Rows(dict):
     __slots__ = ("of",)
 
     def __missing__(self, d: int) -> tuple[float, tuple | OverflowError]:
-        provisioned, layouts, depth, delay, reactions, t_se, tau_r, data_aux, routing = self.of
+        provisioned, layouts, depth, reactions, t_se, tau_r, data_aux, routing = self.of
         patches, count, factory_qubits, supply = (
             layouts.get(d) or layouts.setdefault(d, provisioned(d))
         )
-        rounds = depth * d
-        volume = patches * run_time(rounds + delay, supply)[0]
-        # qec.wall_time's sum, written out: a checked LogicalVolume per row
-        # would cost a fresh fit about 0.85 us.
-        seconds, bottleneck = run_time(rounds * t_se + reactions * tau_r, supply * t_se)
+        volume, seconds, bottleneck = run_cost(
+            patches, depth, d, reactions, t_se, tau_r, supply
+        )
         q = patch_physical_qubits(d)
         try:
             total = patches * q + factory_qubits

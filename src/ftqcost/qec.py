@@ -50,13 +50,6 @@ class PhysicalAssumptions(NamedTuple):
             raise ValueError("t_se must be large enough that tau_r / t_se is finite")
         return tuple.__new__(cls, (p, p_star, prefactor_a, t_se, tau_r))
 
-    @property
-    def reaction_rounds(self) -> int:
-        """SE-round equivalent of one reaction delay, for volume accounting."""
-        ratio = self.tau_r / self.t_se
-        # Guard against float noise pushing an exact multiple up a round.
-        return max(1, math.ceil(ratio * (1 - 1e-12)))
-
 
 CNOT_TIMESTEPS = 2
 """Logical timesteps (d SE rounds each) of a CNOT, the Clifford gate time tau_c."""
@@ -75,27 +68,19 @@ def run_time(gate: float, supply: float) -> tuple[float, str]:
     return gate, GATE_LIMITED
 
 
-@checked
-class LogicalVolume(NamedTuple):
-    """Protected logical footprint times depth, the currency of QEC costing.
-
-    ``patches`` counts protected logical qubits including routing space but
-    excluding factory interiors. ``rounds`` is SE-round depth; ``reactions``
-    counts reaction-time delays on the critical path.
-    """
-
-    patches: float
-    rounds: float
-    reactions: float = 0.0
-
-    def _new(cls, patches, rounds, reactions):
-        if not (patches >= 0 and rounds >= 0 and reactions >= 0):
-            raise ValueError("volume components must be nonnegative")
-        return tuple.__new__(cls, (patches, rounds, reactions))
-
-    def patch_rounds(self, reaction_rounds: int = 1) -> float:
-        """Total volume with reaction delays folded in as SE rounds."""
-        return self.patches * (self.rounds + self.reactions * reaction_rounds)
+def run_cost(
+    patches: float, depth: float, d: int, reactions: float, t_se: float, tau_r: float,
+    supply: float = 0.0,
+) -> tuple[float, float, str]:
+    """A run's patch-rounds, seconds and bottleneck: ``patches`` protected
+    patches over ``depth`` timesteps of d SE rounds of t_se each and
+    ``reactions`` reaction delays of tau_r each, against a magic-state supply
+    taking ``supply`` SE rounds, the span being run_time's. Syndrome extraction
+    runs through each reaction delay, so the volume counts it as tau_r / t_se
+    SE rounds."""
+    seconds, bottleneck = run_time(depth * d * t_se + reactions * tau_r, supply * t_se)
+    rounds = run_time(depth * d + reactions * (tau_r / t_se), supply)[0]
+    return patches * rounds, seconds, bottleneck
 
 
 def require_valid_distance(d: int) -> None:
@@ -136,21 +121,6 @@ def fast_block_routing(q_data: int) -> int:
     return fast_block_patches(q_data) - q_data
 
 
-def wall_time(vol: LogicalVolume, assume: PhysicalAssumptions) -> float:
-    """Execution time in seconds: SE rounds plus reaction delays."""
-    return vol.rounds * assume.t_se + vol.reactions * assume.tau_r
-
-
-class VolumeFloor(float):
-    """A volume floor that many searches read, keeping the log gap each one's
-    start reads, log(budget_e) - log(A) - log(floor), by (budget_e, A)."""
-
-    __slots__ = ("gaps",)
-
-    def __init__(self, value: float) -> None:
-        self.gaps: dict[tuple[float, float], float] = {}
-
-
 def choose_distance(
     assume: PhysicalAssumptions,
     volume_at: Callable[[int], float],
@@ -164,10 +134,10 @@ def choose_distance(
     Accepts the first odd d >= d_min (an odd distance below which the caller
     knows none fits) with volume_at(d) * p_L(d) <= budget_e. ``volume_at(d)``
     is the volume at d in patch-rounds, with any reaction delays already
-    folded in as SE rounds (``LogicalVolume.patch_rounds(reaction_rounds)``);
-    it may itself depend on d (depth in timesteps scales with d, routing
-    terms may shrink with d). Terminates because p_L decays geometrically
-    while the volume grows polynomially.
+    folded in as SE rounds, as in run_cost's patch-rounds; it may itself
+    depend on d (depth in timesteps scales with d, routing terms may shrink
+    with d). Terminates because p_L decays geometrically while the volume
+    grows polynomially.
 
     ``volume_floor``, a number of patch-rounds that no candidate's volume
     falls below, lets the scan skip the distances the suppression law alone
@@ -181,7 +151,7 @@ def choose_distance(
     bound by that over -log(ratio) odd steps; so when p lies within a
     relative 1e-10 of p*, where that could exceed the slack, the scan starts
     at 3, as it does when the floor is not positive and finite (the default,
-    0). A VolumeFloor keeps the bound's logs for the searches that share it.
+    0).
 
     A search reads A and p / p* once. A start from the floor is a valid
     distance and a caller's d_min is checked once, so no candidate is
@@ -198,12 +168,7 @@ def choose_distance(
     start, log_ratio = 3, math.log(ratio)
     if 0.0 < volume_floor < math.inf and log_ratio < -1e-10:
         # Logs taken apart, so that A * floor cannot overflow.
-        gaps = volume_floor.gaps if type(volume_floor) is VolumeFloor else {}
-        log_gap = gaps.get((budget_e, a))
-        if log_gap is None:
-            log_gap = gaps[budget_e, a] = (
-                math.log(budget_e) - math.log(a) - math.log(volume_floor)
-            )
+        log_gap = math.log(budget_e) - math.log(a) - math.log(volume_floor)
         bound = 2 * log_gap / log_ratio - 1
         # Past d_max, and for +inf and NaN too, no d <= d_max can pass.
         start = max(3, 2 * math.ceil((bound - 1) / 2) - 1) if bound < d_max + 2 else d_max + 2

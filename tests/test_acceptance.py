@@ -34,7 +34,7 @@ from ftqcost.factories import (
     provision,
 )
 from ftqcost.fermi_hubbard import SCHEMES, FHInstance, allocate_budget
-from ftqcost.qec import LogicalVolume, PhysicalAssumptions, choose_distance, logical_error_rate
+from ftqcost.qec import PhysicalAssumptions, choose_distance, logical_error_rate
 from ftqcost.report import build_report, render_json
 from ftqcost.subroutines import ShuttleParams, qroam_cost, qroam_optimal, shuttle_time
 
@@ -204,13 +204,11 @@ class TestCriterion8PropertySuites:
     )
     def test_criterion_8_distance_fixed_point(self, patches, depth, p, e):
         a = assume(p)
-        volume_at = lambda d: LogicalVolume(patches, depth * d)
-        d = choose_distance(a, lambda d: volume_at(d).patch_rounds(a.reaction_rounds), budget_e=e)
-        assert volume_at(d).patch_rounds() * logical_error_rate(a, d) <= e
+        volume_at = lambda d: patches * (depth * d)
+        d = choose_distance(a, volume_at, budget_e=e)
+        assert volume_at(d) * logical_error_rate(a, d) <= e
         if d > 3:
-            assert (
-                volume_at(d - 2).patch_rounds() * logical_error_rate(a, d - 2) > e
-            )
+            assert volume_at(d - 2) * logical_error_rate(a, d - 2) > e
 
     @settings(max_examples=1000, deadline=None)
     @given(

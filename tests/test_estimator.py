@@ -162,7 +162,6 @@ class TestEstimatePipeline:
 
     def test_distance_fixed_point(self):
         from ftqcost.fermi_hubbard import compile_scheme, layout_at
-        from ftqcost.qec import LogicalVolume
 
         inst = bench_instance()
         for p in (1e-3, 1e-4):
@@ -173,14 +172,10 @@ class TestEstimatePipeline:
             if est.d > 3:
                 summary, _ = compile_scheme("plaq_L2", inst)
                 prev = est.d - 2
-                vol_prev = LogicalVolume(
-                    patches=layout_at(summary, spec, prev, 0.5).protected_patches,
-                    rounds=summary.timestep_depth * prev,
-                    reactions=summary.reaction_depth,
-                )
-                assert vol_prev.patch_rounds(
-                    a.reaction_rounds
-                ) * logical_error_rate(a, prev) > 0.05
+                patches = layout_at(summary, spec, prev, 0.5).protected_patches
+                rounds = summary.timestep_depth * prev
+                rounds += summary.reaction_depth * (a.tau_r / a.t_se)
+                assert patches * rounds * logical_error_rate(a, prev) > 0.05
 
     def test_wall_time_ordering_across_schemes(self):
         inst = bench_instance()
@@ -378,8 +373,8 @@ PLAN_OPTIONS = tuple(
 )
 
 
-# Clock pairs (t_se, tau_r). The first two share reaction_rounds 1, and the
-# next two share 5, each at a different t_se.
+# Clock pairs (t_se, tau_r). The first two share tau_r = 1 us, and the next
+# three 5 us, each at a different t_se.
 PLAN_CLOCKS = ((1e-6, 1e-6), (2e-6, 1e-6), (1e-6, 5e-6), (1.1e-6, 5e-6), (2e-6, 5e-6))
 
 
@@ -417,9 +412,9 @@ def outcomes(estimates):
     return out
 
 
-def _same_reaction_rounds_at_two_t_se():
+def _one_tau_r_at_two_t_se():
     """One plan at three points: t_se 1 us, then 1.1 us, then 1 us again, all
-    with tau_r = 5 us, so reaction_rounds is 5 throughout."""
+    with tau_r = 5 us, so the plan's tables at the first t_se are read again."""
     inst, spec, options = FHInstance(6, 1.0, 8.0, 10.0, 0.01), PLAN_SPECS[0], PLAN_OPTIONS[0]
     return [(inst, "plaq_L2", assume(1e-3, t_se=t_se, tau_r=5e-6), spec, options)
             for t_se in (1e-6, 1.1e-6, 1e-6)]
@@ -428,7 +423,7 @@ def _same_reaction_rounds_at_two_t_se():
 class TestPointEstimator:
     @settings(max_examples=150, deadline=None)
     @given(points=interleaved_points())
-    @example(points=_same_reaction_rounds_at_two_t_se())
+    @example(points=_one_tau_r_at_two_t_se())
     def test_shared_plans_match_estimate_one_by_one(self, points):
         fit = point_estimator()
         assert outcomes(fit(*point) for point in points) == outcomes(

@@ -18,13 +18,13 @@ PERFBENCH = SRC.parent / "perfbench"
 PUBLIC = (
     "BudgetInfeasibleError", "ComparisonRow", "CompilationSummary", "ConfigError",
     "ErrorBudget", "EstimateOptions", "EstimatorError", "FHInstance", "FactoryFleet",
-    "FactorySpec", "InvalidDistanceError", "LogicalVolume", "MagicStarvedError",
+    "FactorySpec", "InvalidDistanceError", "MagicStarvedError",
     "PhysicalAssumptions", "ResourceEstimate", "SCHEMES", "SensitivityBand",
     "UndefinedRatioError", "builtin_catalog", "choose_distance", "compare",
     "compile_scheme", "cultivation_variant", "estimate", "factory_by_name",
     "layout_at", "logical_error_rate", "patch_physical_qubits", "provision",
     "sensitivity", "simple_estimate", "t_budget_check", "trotter_kappa",
-    "trotter_steps", "wall_time",
+    "trotter_steps",
 )
 
 

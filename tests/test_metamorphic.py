@@ -3,9 +3,9 @@
 The draws cover every scheme, even L in [4, 80], p log-uniform in
 [1e-4, 2e-3], T_evol in [10, 1000], eps_total in [1e-3, 0.05], both built-in
 factories with and without cultivation, three reaction times and f_r in
-[0, 1]. One property checks the wall time, bottleneck, volume and distance
-against qec.run_time; the others are metamorphic: they change one input and
-check the direction in which the estimate moves. Each perturbed input is
+[0, 1]. Two properties check the wall time, bottleneck, volume and distance
+against qec.run_time; the others are metamorphic: they change one input, or
+scale both clocks, and check how the estimate moves. Each perturbed input is
 built with ``_replace``, so it passes its record's check.
 """
 
@@ -24,11 +24,10 @@ from ftqcost.fermi_hubbard import SCHEMES, FHInstance, compile_scheme, layout_at
 from ftqcost.qec import (
     GATE_LIMITED,
     MAGIC_LIMITED,
-    LogicalVolume,
     PhysicalAssumptions,
     logical_error_rate,
+    patch_physical_qubits,
     run_time,
-    wall_time,
 )
 from ftqcost.report import estimate_config
 
@@ -51,6 +50,14 @@ def runs(draw):
     return draw(st.sampled_from(SCHEMES)), inst, assume, spec, options
 
 
+@st.composite
+def runs_at_independent_clocks(draw):
+    """A run whose t_se and tau_r are drawn apart, log-uniform in [1e-7, 1e-5]."""
+    scheme, inst, assume, spec, options = draw(runs())
+    t_se, tau_r = (math.exp(draw(st.floats(math.log(1e-7), math.log(1e-5)))) for _ in "ab")
+    return scheme, inst, assume._replace(t_se=t_se, tau_r=tau_r), spec, options
+
+
 class TestOneRunTimeRule:
     """Every estimate's span is qec.run_time's: the gate schedule's time or,
     when slower, the fleet's time to supply the T states, and the volume
@@ -62,14 +69,15 @@ class TestOneRunTimeRule:
         scheme, inst, assume, spec, options = run
         est = estimate(inst, scheme, assume, spec, options)
         summary, _ = compile_scheme(scheme, inst)
-        rr, t_count = assume.reaction_rounds, summary.t_count_total
+        t_count = summary.t_count_total
 
         def at(d):
             """Patches, gate seconds, gate rounds and fleet at d."""
             patches, fleet = layout_at(summary, spec, d, f_r=options.f_r)
-            gate = LogicalVolume(patches, summary.timestep_depth * d, summary.reaction_depth)
-            rounds = gate.rounds + gate.reactions * rr
-            return patches, wall_time(gate, assume), rounds, fleet
+            rounds = summary.timestep_depth * d
+            gate = rounds * assume.t_se + summary.reaction_depth * assume.tau_r
+            rounds += summary.reaction_depth * (assume.tau_r / assume.t_se)
+            return patches, gate, rounds, fleet
 
         def stretched_fails(d):
             patches, _, rounds, fleet = at(d)
@@ -90,6 +98,21 @@ class TestOneRunTimeRule:
         # its own consumption rate, so only plaq_L2's L^2 factories fall short.
         assert scheme == "plaq_L2" or est.bottleneck == GATE_LIMITED
 
+    @settings(max_examples=200, deadline=None)
+    @given(run=runs_at_independent_clocks())
+    def test_volume_is_the_patches_over_the_wall_time_in_rounds(self, run):
+        """The volume and the wall time run on one clock: a reaction delay
+        costs tau_r / t_se rounds of every patch, whatever the two clocks."""
+        scheme, inst, assume, spec, options = run
+        est = fitted(*run)
+        if est is None:
+            reject()
+        qubits = est.physical_qubits_total - est.physical_qubits_by_role["factories"]
+        patches = qubits / patch_physical_qubits(est.d)
+        assert est.spacetime_volume == pytest.approx(
+            patches * est.wall_time_seconds / assume.t_se, rel=1e-9
+        )
+
     def test_magic_limited_wall_time_is_the_supply_time(self):
         # A row of the sweep golden: the gate schedule takes 19 137.6 s at
         # d = 15, the 100 factories 32 029.2 s to make the T states.
@@ -104,10 +127,11 @@ class TestOneRunTimeRule:
         config, est = bundled({"algorithm.L": "10", "physical.p": "1.5e-4"})
         assume, summary = config.assume, est.summary
         patches, fleet = layout_at(summary, config.effective_spec, 15, config.options.f_r)
-        gate = LogicalVolume(patches, summary.timestep_depth * 15, summary.reaction_depth)
+        rounds = summary.timestep_depth * 15
+        gate = patches * (rounds + summary.reaction_depth * (assume.tau_r / assume.t_se))
         supply = patches * fleet.supply_time(est.t_count_total, 1.0)
         fails = [v * logical_error_rate(assume, 15) > config.options.e_qec
-                 for v in (gate.patch_rounds(assume.reaction_rounds), supply)]
+                 for v in (gate, supply)]
         assert fails == [False, True]
         assert (est.d, est.bottleneck) == (17, MAGIC_LIMITED)
         assert est.wall_time_seconds == pytest.approx(32029.24647, rel=1e-9)
@@ -151,6 +175,22 @@ class TestMetamorphic:
             <= band.nominal.wall_time_seconds
             <= band.high.wall_time_seconds
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=runs_at_independent_clocks(), j=st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    def test_scaling_both_clocks_scales_only_the_wall_time(self, run, j):
+        """A power of two scales t_se, tau_r and every time exactly, and
+        leaves their ratio, so d, the qubits, the volume and the bottleneck
+        stay."""
+        scheme, inst, assume, spec, options = run
+        k = 2.0**j
+        before = fitted(*run)
+        scaled = assume._replace(t_se=assume.t_se * k, tau_r=assume.tau_r * k)
+        after = fitted(scheme, inst, scaled, spec, options)
+        if before is None:
+            assert after is None
+        else:
+            assert after == before._replace(wall_time_seconds=before.wall_time_seconds * k)
 
 
 def fitted(scheme, inst, assume, spec, options):
@@ -213,23 +253,6 @@ class TestHarderInputsNeverLowerDOrWallTime:
         bigger = inst._replace(l_side=inst.l_side + 2)
         assert_never_lower(fitted(*run), fitted(scheme, bigger, assume, spec, options))
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        run=runs(), factor=st.floats(1.01, 1.5),
-        t_se=st.floats(math.log(1e-7), math.log(1e-5)),
-        tau_r=st.floats(math.log(1e-7), math.log(1e-5)),
-    )
-    def test_raising_t_se_at_the_same_reaction_rounds(self, run, factor, t_se, tau_r):
-        """Raising t_se can lower d when it drops a reaction round from the
-        volume (README, Model notes); while the rounds stay, it never does."""
-        scheme, inst, assume, spec, options = run
-        assume = assume._replace(t_se=math.exp(t_se), tau_r=math.exp(tau_r))
-        slower = assume._replace(t_se=assume.t_se * factor)
-        if slower.reaction_rounds != assume.reaction_rounds:
-            reject()
-        before = fitted(scheme, inst, assume, spec, options)
-        assert_never_lower(before, fitted(scheme, inst, slower, spec, options))
-
 
 def bundled(sets):
     """The config and nominal estimate of the bundled config with ``sets``
@@ -246,18 +269,14 @@ class TestModelNotes:
     """The examples of README "Model notes": one input moved, then d,
     wall time, volume and qubits compared."""
 
-    def test_raising_t_se_drops_a_reaction_round_and_lowers_d(self):
-        sets = {
-            "physical.p": "1.92e-4", "physical.tau_r": "5.07e-6", "algorithm.L": "22",
-            "algorithm.T_evol": "20", "algorithm.eps_total": "0.005",
-            "factory.name": "15to1x20to4-p4",
-        }
-        c1, e1 = bundled({**sets, "physical.t_se": "1.00e-6"})
-        c2, e2 = bundled({**sets, "physical.t_se": "1.05e-6"})
-        assert (c1.assume.reaction_rounds, c2.assume.reaction_rounds) == (6, 5)
-        assert (e1.d, e2.d) == (17, 15)
-        assert e1.wall_time_seconds == pytest.approx(1263.765, rel=1e-5)
-        assert e2.wall_time_seconds == pytest.approx(1181.743, rel=1e-5)
+    def test_raising_t_se_shortens_the_reaction_delays_and_lowers_d(self):
+        sets = {"algorithm.T_evol": "100", "algorithm.eps_total": "0.05",
+                "physical.tau_r": "1e-5"}
+        _, e1 = bundled({**sets, "physical.t_se": "1.00e-7"})
+        _, e2 = bundled({**sets, "physical.t_se": "1.05e-7"})
+        assert (e1.d, e2.d) == (31, 29)
+        assert e1.wall_time_seconds == pytest.approx(2390.54, rel=1e-5)
+        assert e2.wall_time_seconds == pytest.approx(2373.14, rel=1e-5)
 
     def test_plaq_l2_volume_falls_as_l_grows(self):
         sets = {"physical.p": "6.72e-4", "algorithm.T_evol": "337.8",

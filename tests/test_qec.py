@@ -10,13 +10,12 @@ from ftqcost.qec import (
     CNOT_TIMESTEPS,
     GATE_LIMITED,
     MAGIC_LIMITED,
-    LogicalVolume,
     PhysicalAssumptions,
     choose_distance,
     logical_error_rate,
     patch_physical_qubits,
+    run_cost,
     run_time,
-    wall_time,
 )
 
 
@@ -68,18 +67,21 @@ class TestPatchQubits:
             patch_physical_qubits(d)
 
 
-class TestWallTime:
+def seconds(depth, d, reactions, a):
+    """run_cost's seconds for one patch, no supply, at the clocks of ``a``."""
+    return run_cost(1, depth, d, reactions, a.t_se, a.tau_r)[1]
+
+
+class TestRunCostSeconds:
     def test_zero(self):
-        assert wall_time(LogicalVolume(10, 0, 0), assume()) == 0.0
+        assert seconds(0, 3, 0, assume()) == 0.0
 
     def test_rounds_only(self):
-        vol = LogicalVolume(patches=150, rounds=1.7e6)
-        assert wall_time(vol, assume()) == pytest.approx(1.7)
+        # 1e5 timesteps of d = 17 rounds: 1.7e6 rounds.
+        assert seconds(1e5, 17, 0, assume()) == pytest.approx(1.7)
 
     def test_linearity(self):
-        a = assume()
-        vol = LogicalVolume(patches=1, rounds=1e3, reactions=1e3)
-        assert wall_time(vol, a) == pytest.approx(2e-3)
+        assert seconds(1e3, 1, 1e3, assume()) == pytest.approx(2e-3)
 
     @given(
         st.floats(min_value=0, max_value=1e9),
@@ -89,11 +91,17 @@ class TestWallTime:
     )
     def test_additive_in_rounds_and_reactions(self, r1, r2, x1, x2):
         a = assume()
-        total = wall_time(LogicalVolume(1, r1 + r2, x1 + x2), a)
-        parts = wall_time(LogicalVolume(1, r1, x1), a) + wall_time(
-            LogicalVolume(1, r2, x2), a
-        )
+        total = seconds(r1 + r2, 1, x1 + x2, a)
+        parts = seconds(r1, 1, x1, a) + seconds(r2, 1, x2, a)
         assert total == pytest.approx(parts)
+
+
+class TestRunCostVolume:
+    def test_a_reaction_costs_tau_r_over_t_se_rounds(self):
+        a = assume(t_se=1e-6, tau_r=1.5e-6)
+        assert run_cost(10, 100, 3, 4, a.t_se, a.tau_r) == (
+            10 * (100 * 3 + 4 * (a.tau_r / a.t_se)), 100 * 3 * a.t_se + 4 * a.tau_r, GATE_LIMITED
+        )
 
 
 class TestRunTime:
@@ -112,29 +120,29 @@ class TestRunTime:
 
 class TestChooseDistance:
     def test_zero_volume_gives_min_distance(self):
-        d = choose_distance(assume(), lambda d: LogicalVolume(0, 0).patch_rounds())
+        d = choose_distance(assume(), lambda d: 0.0)
         assert d == 3
 
     def test_d_min_starts_the_scan(self):
         seen = []
         d = choose_distance(
-            assume(), lambda d: seen.append(d) or LogicalVolume(0, 0).patch_rounds(), d_min=7
+            assume(), lambda d: seen.append(d) or 0.0, d_min=7
         )
         assert d == 7 and seen == [7]
 
     def test_minimal_footprint_spin_instance(self):
         # 150 patches running 1e5 gates of d rounds each.
-        d = choose_distance(assume(), lambda d: LogicalVolume(150, 1e5 * d).patch_rounds())
+        d = choose_distance(assume(), lambda d: 150 * (1e5 * d))
         assert d == 17
 
     def test_minimal_footprint_ecc_instance(self):
-        d = choose_distance(assume(), lambda d: LogicalVolume(1500, 4e7 * d).patch_rounds())
+        d = choose_distance(assume(), lambda d: 1500 * (4e7 * d))
         assert d == 25
 
     def test_infeasible_raises(self):
         with pytest.raises(BudgetInfeasibleError):
             choose_distance(
-                assume(9.99e-3), lambda d: LogicalVolume(1e9, 1e12 * d).patch_rounds(), d_max=21
+                assume(9.99e-3), lambda d: 1e9 * (1e12 * d), d_max=21
             )
 
     @given(
@@ -144,15 +152,12 @@ class TestChooseDistance:
     )
     def test_fixed_point(self, patches, depth, p):
         a = assume(p)
-        volume_at = lambda d: LogicalVolume(patches, depth * d)
-        d = choose_distance(a, lambda d: volume_at(d).patch_rounds(a.reaction_rounds))
-        assert volume_at(d).patch_rounds() * logical_error_rate(a, d) <= 0.05
+        volume_at = lambda d: patches * (depth * d)
+        d = choose_distance(a, volume_at)
+        assert volume_at(d) * logical_error_rate(a, d) <= 0.05
         if d > 3:
             previous = d - 2
-            assert (
-                volume_at(previous).patch_rounds() * logical_error_rate(a, previous)
-                > 0.05
-            )
+            assert volume_at(previous) * logical_error_rate(a, previous) > 0.05
 
     @given(
         st.floats(min_value=1, max_value=1e6),
@@ -161,18 +166,14 @@ class TestChooseDistance:
     )
     def test_monotone_in_volume_scale(self, patches, depth, scale):
         a = assume()
-        d_small = choose_distance(
-            a, lambda d: LogicalVolume(patches, depth * d).patch_rounds(a.reaction_rounds)
-        )
-        d_large = choose_distance(
-            a, lambda d: LogicalVolume(patches * scale, depth * d).patch_rounds(a.reaction_rounds)
-        )
+        d_small = choose_distance(a, lambda d: patches * (depth * d))
+        d_large = choose_distance(a, lambda d: patches * scale * (depth * d))
         assert d_large >= d_small
 
     @given(st.floats(min_value=1e-4, max_value=0.04))
     def test_monotone_in_budget(self, budget):
         a = assume()
-        volume_at = lambda d: LogicalVolume(100, 1e6 * d).patch_rounds(a.reaction_rounds)
+        volume_at = lambda d: 100 * (1e6 * d)
         assert choose_distance(a, volume_at, budget_e=budget) >= choose_distance(
             a, volume_at, budget_e=0.05
         )
@@ -181,7 +182,7 @@ class TestChooseDistance:
 def plain_scan(a, volume_at, budget_e, d_max):
     """The first-fit search from d = 3, with choose_distance's error text."""
     for d in range(3, d_max + 1, 2):
-        if volume_at(d).patch_rounds(a.reaction_rounds) * logical_error_rate(a, d) <= budget_e:
+        if volume_at(d) * logical_error_rate(a, d) <= budget_e:
             return d
     raise BudgetInfeasibleError(
         f"no odd distance <= {d_max} meets failure budget {budget_e}"
@@ -228,11 +229,11 @@ class TestLowerBoundStart:
     ):
         a = PhysicalAssumptions(p=0.01 * p_ratio, p_star=0.01, tau_r=tau_r)
         # Routing that shrinks with d, as plaq_L2's shared factory area does.
-        volume_at = lambda d: LogicalVolume(patches + shrinking / d**2, depth * d, reactions)
-        floor = LogicalVolume(patches, depth * 3, reactions)
+        rounds = a.tau_r / a.t_se
+        volume_at = lambda d: (patches + shrinking / d**2) * (depth * d + reactions * rounds)
+        floor = patches * (depth * 3 + reactions * rounds)
         assert outcome(
-            choose_distance, a, lambda d: volume_at(d).patch_rounds(a.reaction_rounds),
-            budget, d_max, volume_floor=floor.patch_rounds(a.reaction_rounds),
+            choose_distance, a, volume_at, budget, d_max, volume_floor=floor,
         ) == outcome(plain_scan, a, volume_at, budget, d_max)
 
     @settings(max_examples=300, deadline=None)
@@ -257,21 +258,17 @@ class TestLowerBoundStart:
             first_odd = next(d for d in range(3, d_max + 4, 2) if d >= bound)
             assert max(3, first_odd - 2) <= seen[0] <= first_odd
 
-    @pytest.mark.parametrize("floor", [
-        None, LogicalVolume(0, 0), LogicalVolume(math.inf, 1), LogicalVolume(1, math.inf),
-    ])
+    @pytest.mark.parametrize("floor", [None, 0.0, math.inf, math.nan])
     def test_unusable_floor_scans_from_3(self, floor):
         seen = []
 
         def volume_at(d):
             seen.append(d)
-            return LogicalVolume(math.inf, d)
+            return math.inf * d
 
+        floors = {} if floor is None else {"volume_floor": floor}
         with pytest.raises(BudgetInfeasibleError, match="no odd distance <= 99"):
-            choose_distance(
-                assume(), lambda d: volume_at(d).patch_rounds(),
-                volume_floor=0.0 if floor is None else floor.patch_rounds(),
-            )
+            choose_distance(assume(), volume_at, **floors)
         assert seen[0] == 3
 
     def test_bound_past_d_max_raises_without_a_candidate(self):
@@ -279,8 +276,8 @@ class TestLowerBoundStart:
         with pytest.raises(BudgetInfeasibleError) as info:
             choose_distance(
                 assume(9.99e-3),
-                lambda d: seen.append(d) or LogicalVolume(1e9, 1e12 * d).patch_rounds(),
-                d_max=21, volume_floor=LogicalVolume(1e9, 3e12).patch_rounds(),
+                lambda d: seen.append(d) or 1e9 * (1e12 * d),
+                d_max=21, volume_floor=1e9 * 3e12,
             )
         assert str(info.value) == "no odd distance <= 21 meets failure budget 0.05"
         assert seen == []
@@ -301,8 +298,3 @@ class TestPhysicalAssumptions:
     def test_p_above_threshold_rejected(self):
         with pytest.raises(ValueError):
             PhysicalAssumptions(p=0.02, p_star=0.01)
-
-    def test_reaction_rounds_ceiling(self):
-        assert assume(tau_r=1e-6).reaction_rounds == 1
-        assert assume(tau_r=10e-6).reaction_rounds == 10
-        assert assume(tau_r=1.5e-6).reaction_rounds == 2

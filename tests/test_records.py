@@ -1,4 +1,4 @@
-"""The record rule: every record is a NamedTuple. The ten that check their
+"""The record rule: every record is a NamedTuple. The nine that check their
 fields do it in their own constructor, which every way of building one runs:
 calling the class, ``_replace`` and ``_make``."""
 
@@ -15,7 +15,7 @@ from ftqcost.costmodel import CircuitProfile
 from ftqcost.estimator import EstimateOptions
 from ftqcost.factories import FactoryFleet, FactorySpec, cultivation_variant, factory_by_name
 from ftqcost.fermi_hubbard import CompilationSummary, ErrorBudget, FHInstance
-from ftqcost.qec import LogicalVolume, PhysicalAssumptions
+from ftqcost.qec import PhysicalAssumptions
 from ftqcost.report import build_report
 from ftqcost.subroutines import ShuttleParams, SubroutineCost
 
@@ -42,7 +42,7 @@ def checks_itself(cls) -> bool:
 
 def test_every_module_is_walked():
     assert len(RECORDS) >= 16
-    assert "config.RunConfig" in RECORDS and "qec.LogicalVolume" in RECORDS
+    assert "config.RunConfig" in RECORDS and "qec.PhysicalAssumptions" in RECORDS
 
 
 def defines_new(cls) -> bool:
@@ -85,9 +85,6 @@ CHECKED = {
         "prefactor_a": [math.nan, 0.0], "t_se": [math.nan, 0.0, 1e-320],
         "tau_r": [math.nan, 0.0],
     }),
-    LogicalVolume: (dict(patches=10, rounds=100, reactions=1), {
-        "patches": [math.nan, -1], "rounds": [math.nan, -1], "reactions": [math.nan, -1],
-    }),
     FactorySpec: (SPEC, {
         "q_f": [math.nan, 0], "tau_f_rounds": [math.nan, 0.0], "n_out": [math.nan, 0],
         "out_infidelity": [math.nan, 0.0, 1.0], "valid_p": [math.nan, -5.0, 0.0, 1.0],
@@ -129,10 +126,10 @@ BAD = [
 ]
 
 
-def test_checked_records_are_the_ten_listed():
+def test_checked_records_are_the_nine_listed():
     checked = {cls for cls in RECORDS.values() if checks_itself(cls)}
     assert checked == set(CHECKED)
-    assert len(checked) == 10
+    assert len(checked) == 9
 
 
 @pytest.mark.parametrize("cls", list(CHECKED), ids=lambda cls: cls.__name__)
@@ -183,9 +180,6 @@ NAN_CASES = [
                           p_clifford=1, p_non_clifford=1), field)
     for field in ("q_data", "n_clifford", "n_non_clifford", "p_clifford",
                   "p_non_clifford", "m_layers", "k_storage", "routing")
-] + [
-    (LogicalVolume, dict(patches=10, rounds=100, reactions=1), field)
-    for field in ("patches", "rounds", "reactions")
 ] + [
     (SubroutineCost, dict(count=1, count_kind="t", reaction_depth=1, clean_ancillas=1),
      field)
