@@ -143,6 +143,14 @@ def test_public_name_is_its_home_modules_object(name):
     assert name in dir(ftqcost)
 
 
+@pytest.mark.parametrize("name", ["LogicalVolume", "wall_time", "run_cost"])
+def test_qec_cost_helpers_are_not_public(name):
+    """The volume record and the wall-time sum left the public API with the
+    second reaction clock; their replacement, qec.run_cost, is not exported."""
+    assert name not in ftqcost._HOMES and name not in dir(ftqcost)
+    assert not hasattr(ftqcost, name)
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         ftqcost.no_such_name

@@ -96,12 +96,98 @@ class TestRunCostSeconds:
         assert total == pytest.approx(parts)
 
 
+def counts(top):
+    """Zero or a count in [1e-3, top]: no product of them falls to a
+    subnormal, where scaling by a power of two is inexact."""
+    return st.just(0.0) | st.floats(min_value=1e-3, max_value=top)
+
+
+PATCHES = counts(1e6)
+DEPTHS = counts(1e9)
+DISTANCES = st.integers(min_value=1, max_value=50).map(lambda k: 2 * k + 1)
+REACTIONS = counts(1e9)
+CLOCKS = st.floats(min_value=1e-7, max_value=1e-5)
+SUPPLIES = counts(1e12)
+
+
 class TestRunCostVolume:
     def test_a_reaction_costs_tau_r_over_t_se_rounds(self):
         a = assume(t_se=1e-6, tau_r=1.5e-6)
         assert run_cost(10, 100, 3, 4, a.t_se, a.tau_r) == (
             10 * (100 * 3 + 4 * (a.tau_r / a.t_se)), 100 * 3 * a.t_se + 4 * a.tau_r, GATE_LIMITED
         )
+
+    @given(PATCHES, DEPTHS, DISTANCES, REACTIONS, CLOCKS)
+    def test_equal_clocks_count_a_reaction_as_one_round(self, patches, depth, d, reactions, t):
+        """At t_se = tau_r the ratio is exactly 1.0: the volume is the old
+        patches x (depth x d + reactions), bit for bit."""
+        assert run_cost(patches, depth, d, reactions, t, t)[0] == patches * (
+            depth * d + reactions
+        )
+
+    @given(PATCHES, DEPTHS, DISTANCES, REACTIONS, CLOCKS, CLOCKS, SUPPLIES)
+    def test_volume_is_the_patches_times_the_seconds_in_rounds(
+        self, patches, depth, d, reactions, t_se, tau_r, supply
+    ):
+        patch_rounds, secs, _ = run_cost(patches, depth, d, reactions, t_se, tau_r, supply)
+        assert patch_rounds == pytest.approx(patches * secs / t_se, rel=1e-9, abs=1e-300)
+
+    def test_a_slower_supply_stretches_both(self):
+        # 100 x 3 + 4 x 1.5 = 306 rounds of gates against 1 000 of supply.
+        patch_rounds, secs, bottleneck = run_cost(10, 100, 3, 4, 1e-6, 1.5e-6, 1000)
+        assert (patch_rounds, bottleneck) == (10 * 1000, MAGIC_LIMITED)
+        assert secs == pytest.approx(1000 * 1e-6)
+
+    @given(PATCHES, DEPTHS, DISTANCES, REACTIONS, CLOCKS, CLOCKS, st.floats(0, 1))
+    def test_a_supply_that_keeps_pace_changes_nothing(
+        self, patches, depth, d, reactions, t_se, tau_r, share
+    ):
+        gate_rounds = depth * d + reactions * (tau_r / t_se)
+        assert run_cost(patches, depth, d, reactions, t_se, tau_r, share * gate_rounds) == (
+            run_cost(patches, depth, d, reactions, t_se, tau_r)
+        )
+
+    @given(PATCHES, DEPTHS, DISTANCES, REACTIONS, CLOCKS, CLOCKS, st.integers(0, 20))
+    def test_the_volume_is_linear_in_the_patches(
+        self, patches, depth, d, reactions, t_se, tau_r, j
+    ):
+        one = run_cost(patches, depth, d, reactions, t_se, tau_r)
+        many = run_cost(patches * 2**j, depth, d, reactions, t_se, tau_r)
+        assert many == (one[0] * 2**j, one[1], one[2])
+
+    @given(
+        PATCHES, DEPTHS, DISTANCES, REACTIONS, CLOCKS, CLOCKS, SUPPLIES,
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    )
+    def test_scaling_both_clocks_scales_only_the_seconds(
+        self, patches, depth, d, reactions, t_se, tau_r, supply, j
+    ):
+        k = 2.0**j
+        base = run_cost(patches, depth, d, reactions, t_se, tau_r, supply)
+        scaled = run_cost(patches, depth, d, reactions, t_se * k, tau_r * k, supply)
+        assert scaled == (base[0], base[1] * k, base[2])
+
+    @given(PATCHES, DEPTHS, DISTANCES, CLOCKS, CLOCKS, CLOCKS)
+    def test_without_reactions_tau_r_does_not_matter(self, patches, depth, d, t_se, tau_1, tau_2):
+        assert run_cost(patches, depth, d, 0, t_se, tau_1) == run_cost(
+            patches, depth, d, 0, t_se, tau_2
+        )
+
+    @pytest.mark.parametrize("arg", ["depth", "d", "reactions", "tau_r", "supply"])
+    @given(
+        PATCHES, DEPTHS, DISTANCES, REACTIONS, CLOCKS, CLOCKS, SUPPLIES,
+        st.floats(min_value=1, max_value=100),
+    )
+    def test_more_of_any_input_costs_no_less(
+        self, arg, patches, depth, d, reactions, t_se, tau_r, supply, factor
+    ):
+        base = dict(
+            patches=patches, depth=depth, d=d, reactions=reactions,
+            t_se=t_se, tau_r=tau_r, supply=supply if arg == "supply" else 0.0,
+        )
+        more = {**base, arg: 2 * d + 1 if arg == "d" else base[arg] * factor}
+        low, high = run_cost(**base), run_cost(**more)
+        assert high[0] >= low[0] and high[1] >= low[1]
 
 
 class TestRunTime:
