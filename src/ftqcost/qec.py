@@ -93,7 +93,8 @@ def logical_error_rate(assume: PhysicalAssumptions, d: int) -> float:
     """Logical error probability per patch per SE round at distance ``d``.
 
     Follows the standard suppression law A * (p / p*)^((d+1)/2); strictly
-    decreasing in ``d`` whenever p < p*.
+    decreasing in ``d`` whenever p < p*, and its float value never rises
+    with ``d``.
     """
     require_valid_distance(d)
     return _suppression(assume.prefactor_a, assume.p / assume.p_star, d)
@@ -141,22 +142,18 @@ def choose_distance(
 
     ``volume_floor``, a number of patch-rounds that no candidate's volume
     falls below, lets the scan skip the distances the suppression law alone
-    rules out, with the same result: volume(d) * p_L(d) >= A * floor *
-    ratio^((d+1)/2), ratio = p / p*, exceeds budget_e for every d below
-    bound = 2 * log(budget_e / (A * floor)) / log(ratio) - 1. The scan starts
-    one odd step below the first odd distance at or above that bound: a
-    distance below the start misses the budget by a factor of at least
-    1 / ratio, the slack for the rounding of the bound and of each
-    candidate's test. The logs round by under 1e-12 in all, which moves the
-    bound by that over -log(ratio) odd steps; so when p lies within a
-    relative 1e-10 of p*, where that could exceed the slack, the scan starts
-    at 3, as it does when the floor is not positive and finite (the default,
-    0).
+    rules out, with the same result: it starts at the first odd d >= d_min
+    whose floor alone fits, volume_floor * p_L(d) <= budget_e, found by
+    bisection. That start is exact because no candidate's test passes where
+    its floor's fails and the float p_L(d) never rises with d. A floor that
+    is not positive (the default, 0, or NaN) starts the scan at d_min.
+    The scan itself stays linear: with p near p* and an A small enough that
+    the floor fits early, a volume that outgrows its floor can still read
+    every odd d up to d_max.
 
-    A search reads A and p / p* once. A start from the floor is a valid
-    distance and a caller's d_min is checked once, so no candidate is
-    validated on its own; each is tested with the float operations of
-    logical_error_rate, so the result is that of testing
+    A search reads A and p / p* once and checks a caller's d_min once, so no
+    candidate is validated on its own; each is tested with the float
+    operations of logical_error_rate, so the result is that of testing
     volume_at(d) * logical_error_rate(assume, d) <= budget_e.
 
     Raises:
@@ -165,18 +162,16 @@ def choose_distance(
     if not (0.0 < budget_e < 1.0):
         raise ValueError("budget_e must lie in (0, 1)")
     a, ratio = assume.prefactor_a, assume.p / assume.p_star
-    start, log_ratio = 3, math.log(ratio)
-    if 0.0 < volume_floor < math.inf and log_ratio < -1e-10:
-        # Logs taken apart, so that A * floor cannot overflow.
-        log_gap = math.log(budget_e) - math.log(a) - math.log(volume_floor)
-        bound = 2 * log_gap / log_ratio - 1
-        # Past d_max, and for +inf and NaN too, no d <= d_max can pass.
-        start = max(3, 2 * math.ceil((bound - 1) / 2) - 1) if bound < d_max + 2 else d_max + 2
-    if d_min > start:
-        start = d_min
-        if start <= d_max:
-            require_valid_distance(start)  # and so every odd step after it
-    for d in range(start, d_max + 1, 2):
+    require_valid_distance(d_min)  # and so every odd step after it
+    lo, hi = 0, (d_max - d_min) // 2 + 1  # odd steps from d_min; hi is past d_max
+    if volume_floor > 0.0:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if volume_floor * _suppression(a, ratio, d_min + 2 * mid) <= budget_e:
+                hi = mid
+            else:
+                lo = mid + 1
+    for d in range(d_min + 2 * lo, d_max + 1, 2):
         if volume_at(d) * _suppression(a, ratio, d) <= budget_e:
             return d
     raise BudgetInfeasibleError(

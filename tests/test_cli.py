@@ -208,6 +208,24 @@ class TestEstimateCommand:
         )
         assert code == 3
 
+    def test_near_threshold_infeasible_reads_no_candidate(
+        self, bundled_config, capsys, monkeypatch
+    ):
+        # A plan caches each candidate it reads, so a search that read any
+        # here would scan to d_max, its time and memory growing with d_max.
+        real, seen = estimator_module.choose_distance, []
+
+        def counting(assume, volume_at, *args, **kwargs):
+            return real(assume, lambda d: seen.append(d) or volume_at(d), *args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "choose_distance", counting)
+        code, out, err = run(
+            capsys, "estimate", bundled_config, "--no-sensitivity",
+            "--set", "physical.p=0.00999999999999", "--set", "qec.d_max=100000001",
+        )
+        assert (code, out, seen) == (3, "", [])
+        assert err == "error: no odd distance <= 100000001 meets failure budget 0.05\n"
+
     def test_tiny_round_time_keeps_the_supply_time(self, bundled_config, capsys):
         # The fleet's rate per second overflows at t_se=1e-320; its time does not.
         tiny = ["--set", "physical.t_se=1e-320", "--set", "physical.tau_r=1e-320"]

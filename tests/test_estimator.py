@@ -539,7 +539,7 @@ class TestDistanceLowerBound:
         with pytest.raises(BudgetInfeasibleError, match="no odd distance <= 1001"):
             estimate(inst, "plaq_L2", a, spec, EstimateOptions(d_max=1001))
 
-    def test_bundled_config_reads_at_most_4_candidates(self, monkeypatch):
+    def test_bundled_config_reads_at_most_2_candidates(self, monkeypatch):
         real = estimator_module.choose_distance
         searches = []
 
@@ -554,4 +554,4 @@ class TestDistanceLowerBound:
             estimate(config.inst, scheme, config.assume, config.effective_spec,
                      config.options)
         assert len(searches) == len(SCHEMES)
-        assert max(len(seen) for seen in searches) <= 4
+        assert max(len(seen) for seen in searches) <= 2

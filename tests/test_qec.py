@@ -11,6 +11,7 @@ from ftqcost.qec import (
     GATE_LIMITED,
     MAGIC_LIMITED,
     PhysicalAssumptions,
+    _suppression,
     choose_distance,
     logical_error_rate,
     patch_physical_qubits,
@@ -50,6 +51,18 @@ class TestLogicalErrorRate:
         d = 2 * k + 1
         ratio = logical_error_rate(a, d + 2) / logical_error_rate(a, d)
         assert ratio == pytest.approx(a.p / a.p_star)
+
+    @given(
+        prefactor=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+        ratio=st.one_of(
+            st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True),
+            st.integers(min_value=1, max_value=64).map(lambda k: 1 - k * 2**-53),
+        ),
+        d=st.integers(min_value=1, max_value=10**9).map(lambda k: 2 * k + 1),
+    )
+    def test_float_value_never_rises_with_d(self, prefactor, ratio, d):
+        # choose_distance's bisection for its start relies on this of pow.
+        assert _suppression(prefactor, ratio, d + 2) <= _suppression(prefactor, ratio, d)
 
 
 class TestPatchQubits:
@@ -216,6 +229,11 @@ class TestChooseDistance:
         )
         assert d == 7 and seen == [7]
 
+    @pytest.mark.parametrize("d_min", NOT_DISTANCES)
+    def test_invalid_d_min_rejected(self, d_min):
+        with pytest.raises(InvalidDistanceError):
+            choose_distance(assume(), lambda d: 0.0, volume_floor=1.0, d_min=d_min)
+
     def test_minimal_footprint_spin_instance(self):
         # 150 patches running 1e5 gates of d rounds each.
         d = choose_distance(assume(), lambda d: 150 * (1e5 * d))
@@ -310,6 +328,9 @@ class TestLowerBoundStart:
     # A bound that is exactly 9.0, an odd integer.
     @example(p_ratio=0.1, budget=3.0000000000000026e-06, d_max=99, patches=3.0,
              shrinking=0.0, depth=0.0, reactions=1.0, tau_r=1e-6)
+    # p_ratio one ulp below 1: the floor first fits at 9 and the volume at 15.
+    @example(p_ratio=1 - 2**-53, budget=0.04999999999999995, d_max=99, patches=1.0,
+             shrinking=1e-13, depth=0.0, reactions=0.5, tau_r=1e-6)
     def test_same_outcome_as_plain_scan(
         self, p_ratio, budget, d_max, patches, shrinking, depth, reactions, tau_r
     ):
@@ -329,22 +350,15 @@ class TestLowerBoundStart:
         floor=st.floats(min_value=1e-3, max_value=1e30),
         d_max=st.sampled_from([31, 99, 1001]),
     )
-    def test_starts_at_most_one_odd_step_below_the_bound(self, p_ratio, budget, floor, d_max):
+    @example(p_ratio=0.9999999999999999, budget=0.5, floor=6.0, d_max=31)
+    def test_starts_at_the_first_odd_d_whose_floor_fits(self, p_ratio, budget, floor, d_max):
         a = PhysicalAssumptions(p=0.01 * p_ratio, p_star=0.01)
         seen = []
         outcome(choose_distance, a, lambda d: seen.append(d) or floor, budget, d_max, floor)
-        log_ratio = math.log(a.p / a.p_star)
-        log_gap = math.log(budget) - math.log(a.prefactor_a) - math.log(floor)
-        bound = 2 * log_gap / log_ratio - 1
-        if log_ratio >= -1e-10:  # so close to p* that rounding may exceed the slack
-            assert seen[0] == 3
-        elif bound >= d_max + 2:
-            assert seen == []
-        else:
-            first_odd = next(d for d in range(3, d_max + 4, 2) if d >= bound)
-            assert max(3, first_odd - 2) <= seen[0] <= first_odd
+        fits = [d for d in range(3, d_max + 1, 2) if floor * logical_error_rate(a, d) <= budget]
+        assert seen == fits[:1]
 
-    @pytest.mark.parametrize("floor", [None, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("floor", [None, 0.0, math.nan])
     def test_unusable_floor_scans_from_3(self, floor):
         seen = []
 
@@ -366,6 +380,19 @@ class TestLowerBoundStart:
                 d_max=21, volume_floor=1e9 * 3e12,
             )
         assert str(info.value) == "no odd distance <= 21 meets failure budget 0.05"
+        assert seen == []
+
+    @pytest.mark.parametrize("p, floor", [(0.00999999999999, 3e6), (1e-3, math.inf)])
+    def test_infeasible_floor_reads_no_candidate_at_any_d_max(self, p, floor):
+        # Within a relative 1e-12 of p*, or on a floor that overflowed, no d
+        # fits; a search that read candidates would read every odd d to d_max.
+        seen = []
+        with pytest.raises(BudgetInfeasibleError) as info:
+            choose_distance(
+                assume(p), lambda d: seen.append(d) or floor,
+                d_max=100000001, volume_floor=floor,
+            )
+        assert str(info.value) == "no odd distance <= 100000001 meets failure budget 0.05"
         assert seen == []
 
 
