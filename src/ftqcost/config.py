@@ -454,14 +454,14 @@ def _ranged(sections: Sections) -> list[tuple[str, str, list[str]]]:
             if "," in value:
                 parts = [v.strip() for v in value.split(",") if v.strip()]
                 ranged.append((section, key, parts))
+    # Each key under its documented spelling; an unknown one as given.
+    paths = [_LOOKUP.get(s, {}).get(k, (f"{s}.{k}",))[0] for s, k, _ in ranged]
     if len(ranged) > MAX_RANGED:
-        # Each key under its documented spelling; an unknown one as given.
-        paths = ", ".join(
-            _LOOKUP.get(s, {}).get(k, (f"{s}.{k}",))[0] for s, k, _ in ranged
-        )
         raise ConfigError(
-            [f"sweep: at most {MAX_RANGED} ranged fields allowed, got {paths}"]
+            [f"sweep: at most {MAX_RANGED} ranged fields allowed, got {', '.join(paths)}"]
         )
+    if blank := [path for path, (_, _, parts) in zip(paths, ranged) if not parts]:
+        raise ConfigError([f"{path}: a ranged field needs a non-blank value" for path in blank])
     return ranged
 
 
@@ -471,8 +471,9 @@ def sweep_configs(sections: Sections) -> Iterator[RunConfig]:
     Once per call, the fixed fields and each distinct raw string of a ranged
     field are cast, and what no point changes is settled; each input is built
     once per combination of the raw strings that feed it. A point looks its
-    inputs up and builds its RunConfig alone. Too many ranged fields raise
-    ConfigError at once; a point that does not build raises when it is reached.
+    inputs up and builds its RunConfig alone. Too many or all-blank ranged
+    fields raise ConfigError at once; a point that does not build raises when
+    it is reached.
     """
     ranged = _ranged(sections)
     known = {(section, key) for section, key, _ in ranged if key in _LOOKUP.get(section, ())}

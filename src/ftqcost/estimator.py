@@ -25,7 +25,6 @@ from .fermi_hubbard import (
     compile_scheme,
     instance_inputs,
     layout_at,
-    scheme_record,
     too_extreme,
 )
 from .qec import (
@@ -86,8 +85,7 @@ class ResourceEstimate(NamedTuple):
 
 
 def _fitter(
-    patches: Callable[..., float], spec: FactorySpec | None, f_r: float, depth: float,
-    reactions: float, provisioned: Callable[[int], tuple[float, int, int, float]],
+    depth: float, reactions: float, provisioned: Callable[[int], tuple[float, int, int, float]],
     data_aux_patches: float, routing_patches: float, e_qec: float, d_max: int, scheme: str,
     t_count: float, ledger: ErrorBudget | None = None, summary: CompilationSummary | None = None,
 ) -> Callable[[PhysicalAssumptions, tuple[str, ...]], ResourceEstimate]:
@@ -95,21 +93,19 @@ def _fitter(
     it reports: the smallest distance meeting the failure budget, and the
     totals there.
 
-    At d the schedule holds patches(summary, spec, d, f_r) >= data_aux_patches
-    + routing_patches protected patches over depth timesteps of d rounds plus
-    reactions reaction delays; provisioned(d) gives the same patches, the
-    factory count and qubits, and the SE rounds the factories take to make the
-    T states. qec.run_cost gives the patch-rounds, seconds and bottleneck of
-    the two. A supply only stretches a volume, so the first fit on the gate
-    schedule's volume, searched from its floor, is a lower bound; the search
-    goes on from it, on stretched volumes, only if the supply stretches the
-    volume there. Patches beyond data/aux and routing count as routing.
+    At d, provisioned(d) gives the protected patches, at least data_aux_patches
+    + routing_patches, the factory count and qubits, and the SE rounds the
+    factories take to make the T states; qec.run_cost gives the patch-rounds,
+    seconds and bottleneck of those patches over depth timesteps of d rounds
+    plus reactions reaction delays, against that supply. The search's floor
+    at d, the base patches over run_cost's gate rounds, is under every volume
+    at d or beyond. Patches beyond data/aux and routing count as routing.
     Totals that leave the float range raise OverflowError.
 
     Only t_se and tau_r enter a volume or a total; p, p_star and prefactor_a
-    only choose d. So each clock pair gets a _Gate and a _Rows table over d,
-    each entry made at its first read, with provisioned(d) read once per d
-    for them all; a fit builds its estimate from the row at the d it picks.
+    only choose d. So each clock pair gets a _Rows table over d, each row
+    made at its first read, with provisioned(d) read once per d for them all;
+    a fit builds its estimate from the row at the d it picks.
     """
     base, layouts, tables = data_aux_patches + routing_patches, {}, {}
 
@@ -117,17 +113,15 @@ def _fitter(
         clocks = assume.t_se, assume.tau_r
         table = tables.get(clocks)
         if table is None:
-            gate, rows = _Gate(), _Rows()
-            gate.of = patches, summary, spec, f_r, depth, reactions, *clocks
+            rows, rounds = _Rows(), reactions * (assume.tau_r / assume.t_se)
             rows.of = (provisioned, layouts, depth, reactions, *clocks,
                        data_aux_patches, routing_patches)
-            table = tables[clocks] = gate, rows, run_cost(base, depth, 3, reactions, *clocks)[0]
-        gate, rows, floor = table
-        d = choose_distance(assume, gate.__getitem__, e_qec, d_max, floor)
+            table = tables[clocks] = (
+                rows, lambda d: rows[d][0], lambda d: base * (depth * d + rounds)
+            )
+        rows, volume_at, floor_at = table
+        d = choose_distance(assume, volume_at, e_qec, d_max, floor_at)
         volume, totals = rows[d]
-        if volume > gate[d]:  # the supply stretches it
-            d = choose_distance(assume, lambda d: rows[d][0], e_qec, d_max, d_min=d)
-            volume, totals = rows[d]
         if type(totals) is OverflowError:
             raise totals
         total, data_aux, routing, factories, seconds, count, bottleneck = totals
@@ -137,20 +131,6 @@ def _fitter(
         )
 
     return fit
-
-
-class _Gate(dict):
-    """The gate schedule's patch-rounds by d at one clock pair, from ``of``:
-    the patch rule and its arguments, depth, reactions and the clocks."""
-
-    __slots__ = ("of",)
-
-    def __missing__(self, d: int) -> float:
-        patches, summary, spec, f_r, depth, reactions, t_se, tau_r = self.of
-        value = self[d] = run_cost(
-            patches(summary, spec, d, f_r), depth, d, reactions, t_se, tau_r
-        )[0]
-        return value
 
 
 class _Rows(dict):
@@ -229,10 +209,9 @@ def _plan(
     What reads no PhysicalAssumptions field is settled here, once: the
     T-budget warning, the ledger, and the layout and supply rounds at each d
     a search reaches. _fitter tabulates the rows over d per clock pair; a
-    fit adds the factory's valid_p warning. No scheme's protected patches
-    depend on its fleet size. A band's fit passes its perturbed ``factory``,
-    laid out for that fit alone, and the nominal fit's ``warnings``: neither
-    they nor the ledger read a field the band perturbs.
+    fit adds the factory's valid_p warning. A band's fit passes its perturbed
+    ``factory``, laid out for that fit alone, and the nominal fit's
+    ``warnings``: neither they nor the ledger read a field the band perturbs.
     """
     summary, budget = compiled
     t_count = summary.t_count_total
@@ -245,18 +224,17 @@ def _plan(
     # The knobs actually used, not allocate_budget's defaults, go in the ledger
     # (its last two fields).
     ledger = ErrorBudget(*budget[:4], options.e_qec, options.t_gate_budget)
-    patches, f_r = scheme_record(summary.scheme).patches, options.f_r
     data_aux = summary.data_patches + summary.aux_patches
 
     def fitter(factory: FactorySpec) -> Callable[..., ResourceEstimate]:
         def provisioned(d: int) -> tuple[float, int, int, float]:
-            patches, fleet = layout_at(summary, factory, d, f_r=f_r)
+            patches, fleet = layout_at(summary, factory, d, f_r=options.f_r)
             return patches, fleet.count, fleet.physical_qubits, fleet.supply_time(t_count, 1.0)
 
         return _fitter(
-            patches, factory, f_r, summary.timestep_depth, summary.reaction_depth,
-            provisioned, data_aux, summary.routing_patches, options.e_qec, options.d_max,
-            summary.scheme, t_count, ledger, summary,
+            summary.timestep_depth, summary.reaction_depth, provisioned, data_aux,
+            summary.routing_patches, options.e_qec, options.d_max, summary.scheme, t_count,
+            ledger, summary,
         )
 
     fitted = fitter(spec)
@@ -316,9 +294,8 @@ def simple_estimate(
     try:
         patches = ROUTING_FACTOR * q_logical
         return _fitter(
-            lambda *_: patches, None, 0.0, gate_count, 0.0, lambda d: (patches, 0, 0, 0.0),
-            data_aux_patches=q_logical, routing_patches=0, e_qec=e_qec, d_max=d_max,
-            scheme="simple", t_count=gate_count,
+            gate_count, 0.0, lambda d: (patches, 0, 0, 0.0), data_aux_patches=q_logical,
+            routing_patches=0, e_qec=e_qec, d_max=d_max, scheme="simple", t_count=gate_count,
         )(assume, ())
     except ArithmeticError as exc:
         inputs = {"q_logical": q_logical, "gate_count": gate_count,

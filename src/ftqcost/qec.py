@@ -127,33 +127,26 @@ def choose_distance(
     volume_at: Callable[[int], float],
     budget_e: float = DEFAULT_QEC_BUDGET,
     d_max: int = DEFAULT_MAX_DISTANCE,
-    volume_floor: float = 0.0,
-    d_min: int = 3,
+    floor_at: Callable[[int], float] | None = None,
 ) -> int:
     """Smallest odd distance whose expected logical-failure count fits the budget.
 
-    Accepts the first odd d >= d_min (an odd distance below which the caller
-    knows none fits) with volume_at(d) * p_L(d) <= budget_e. ``volume_at(d)``
-    is the volume at d in patch-rounds, with any reaction delays already
-    folded in as SE rounds, as in run_cost's patch-rounds; it may itself
-    depend on d (depth in timesteps scales with d, routing terms may shrink
-    with d). Terminates because p_L decays geometrically while the volume
-    grows polynomially.
+    Accepts the first odd d >= 3 with volume_at(d) * p_L(d) <= budget_e.
+    ``volume_at(d)`` is the volume at d in patch-rounds, with any reaction
+    delays already folded in as SE rounds, as in run_cost's patch-rounds; it
+    may itself depend on d (depth in timesteps scales with d, routing terms
+    may shrink with d). Terminates because p_L decays geometrically while the
+    volume grows polynomially.
 
-    ``volume_floor``, a number of patch-rounds that no candidate's volume
-    falls below, lets the scan skip the distances the suppression law alone
-    rules out, with the same result: it starts at the first odd d >= d_min
-    whose floor alone fits, volume_floor * p_L(d) <= budget_e, found by
-    bisection. That start is exact because no candidate's test passes where
-    its floor's fails and the float p_L(d) never rises with d. A floor that
-    is not positive (the default, 0, or NaN) starts the scan at d_min.
-    The scan itself stays linear: with p near p* and an A small enough that
-    the floor fits early, a volume that outgrows its floor can still read
-    every odd d up to d_max.
+    ``floor_at(d)``, patch-rounds that no volume at d or beyond falls below,
+    skips candidates with the same result: where floor_at(d) * p_L(d) >
+    budget_e, the scan bisects to the first odd d' where that floor fits and
+    reads the floor there. A skip is exact because no skipped volume is under
+    that floor and the float p_L never rises with d. A floor of 0 or NaN, or
+    none, skips nothing.
 
-    A search reads A and p / p* once and checks a caller's d_min once, so no
-    candidate is validated on its own; each is tested with the float
-    operations of logical_error_rate, so the result is that of testing
+    A search reads A and p / p* once and tests each candidate with the float
+    operations of logical_error_rate, so its result is that of testing
     volume_at(d) * logical_error_rate(assume, d) <= budget_e.
 
     Raises:
@@ -162,18 +155,22 @@ def choose_distance(
     if not (0.0 < budget_e < 1.0):
         raise ValueError("budget_e must lie in (0, 1)")
     a, ratio = assume.prefactor_a, assume.p / assume.p_star
-    require_valid_distance(d_min)  # and so every odd step after it
-    lo, hi = 0, (d_max - d_min) // 2 + 1  # odd steps from d_min; hi is past d_max
-    if volume_floor > 0.0:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if volume_floor * _suppression(a, ratio, d_min + 2 * mid) <= budget_e:
-                hi = mid
-            else:
-                lo = mid + 1
-    for d in range(d_min + 2 * lo, d_max + 1, 2):
-        if volume_at(d) * _suppression(a, ratio, d) <= budget_e:
+    d = 3
+    while d <= d_max:
+        p_l, floor = _suppression(a, ratio, d), floor_at(d) if floor_at else 0.0
+        if floor * p_l > budget_e:
+            lo, hi = 1, (d_max - d) // 2 + 1  # odd steps from d; hi is past d_max
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if floor * _suppression(a, ratio, d + 2 * mid) <= budget_e:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            d += 2 * lo
+        elif volume_at(d) * p_l <= budget_e:
             return d
+        else:
+            d += 2
     raise BudgetInfeasibleError(
         f"no odd distance <= {d_max} meets failure budget {budget_e}"
     )

@@ -226,6 +226,26 @@ class TestEstimateCommand:
         assert (code, out, seen) == (3, "", [])
         assert err == "error: no odd distance <= 100000001 meets failure budget 0.05\n"
 
+    @pytest.mark.parametrize("d_max", [1000001, 100000000001])
+    def test_near_threshold_floor_that_fits_early_reads_at_most_2_candidates(
+        self, bundled_config, capsys, monkeypatch, d_max
+    ):
+        # The floor fits at d = 3 and 5 but the volume does not; past 5 the
+        # floor read again fits nowhere, so the search ends without a scan.
+        real, seen = estimator_module.choose_distance, []
+
+        def counting(assume, volume_at, *args, **kwargs):
+            return real(assume, lambda d: seen.append(d) or volume_at(d), *args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "choose_distance", counting)
+        code, out, err = run(
+            capsys, "estimate", bundled_config, "--no-sensitivity",
+            "--set", "physical.p=0.00999999999999", "--set", "physical.prefactor_a=1.7e-16",
+            "--set", f"qec.d_max={d_max}",
+        )
+        assert (code, out) == (3, "") and len(seen) <= 2
+        assert err == f"error: no odd distance <= {d_max} meets failure budget 0.05\n"
+
     def test_tiny_round_time_keeps_the_supply_time(self, bundled_config, capsys):
         # The fleet's rate per second overflows at t_se=1e-320; its time does not.
         tiny = ["--set", "physical.t_se=1e-320", "--set", "physical.tau_r=1e-320"]
@@ -1074,6 +1094,27 @@ class TestSweepCommand:
             "got algorithm.L, algorithm.T_evol, physical.p, qec.E\n"
         )
 
+    @pytest.mark.parametrize("blank", [",", ", ,"])
+    def test_ranged_field_with_only_blank_values(self, bundled_config, capsys, blank):
+        code, out, err = run(
+            capsys, "sweep", bundled_config, "--set", f"physical.p={blank}",
+            "--set", "algorithm.t_evol=1,2",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: physical.p: a ranged field needs a non-blank value\n"
+
+    def test_too_many_ranged_fields_before_a_blank_one(self, bundled_config, capsys):
+        code, _, err = run(
+            capsys, "sweep", bundled_config,
+            "--set", "physical.p=,", "--set", "algorithm.L=10,20",
+            "--set", "algorithm.T_evol=1,2", "--set", "qec.E=0.1,0.2",
+        )
+        assert code == 2
+        assert err == (
+            "error: sweep: at most 3 ranged fields allowed, "
+            "got algorithm.L, algorithm.T_evol, physical.p, qec.E\n"
+        )
+
 
 class TestOutputPath:
     """An output that cannot be opened exits 2, naming the setting that chose it."""
@@ -1143,9 +1184,11 @@ class TestRoundTrip:
 
 
 class TestSweepExpansion:
-    def test_empty_range_yields_no_rows(self):
+    def test_empty_range_is_a_config_error(self):
         sections = {"physical": {"p": ","}}
-        assert expand_sweep(sections) == []
+        with pytest.raises(ConfigError) as info:
+            expand_sweep(sections)
+        assert info.value.problems == ["physical.p: a ranged field needs a non-blank value"]
 
     def test_stable_lexicographic_order(self):
         sections = {"a": {"x": "1,2"}, "b": {"y": "3,4"}}

@@ -27,8 +27,14 @@ from ftqcost.factories import (
     factory_by_name,
     provision,
 )
-from ftqcost.fermi_hubbard import SCHEMES, FHInstance
-from ftqcost.qec import MAGIC_LIMITED, PhysicalAssumptions, choose_distance, logical_error_rate
+from ftqcost.fermi_hubbard import SCHEMES, FHInstance, compile_scheme, layout_at
+from ftqcost.qec import (
+    MAGIC_LIMITED,
+    PhysicalAssumptions,
+    choose_distance,
+    logical_error_rate,
+    run_cost,
+)
 
 BUNDLED = resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg")
 
@@ -312,26 +318,31 @@ class TestSensitivity:
             three_estimates
         )
 
-    def test_band_example_is_magic_limited_past_its_t_budget(self, monkeypatch):
+    def test_band_example_is_magic_limited_past_its_t_budget(self):
         # MAGIC_LIMITED_BAND reaches what a band's fits share and what they do
-        # not: the T-budget warning, and a stretched search that moves d.
-        real, stretched = estimator_module.choose_distance, []
-
-        def searching(*args, d_min=None, **kwargs):
-            if d_min is None:
-                return real(*args, **kwargs)
-            stretched.append((d_min, real(*args, d_min=d_min, **kwargs)))
-            return stretched[-1][1]
-
-        monkeypatch.setattr(estimator_module, "choose_distance", searching)
+        # not: the T-budget warning, and a supply that moves d past the first
+        # fit on the gate schedule's volume alone.
         ex = MAGIC_LIMITED_BAND
         inst = FHInstance(ex["l_side"], 1.0, 8.0, 300, ex["eps_total"])
         a = assume(10 ** ex["log_p"], t_se=ex["t_se"], tau_r=ex["tau_r"])
-        band = sensitivity(inst, "plaq_L2", a, spec_for(a.p),
-                           EstimateOptions(t_gate_budget=ex["t_gate_budget"]))
+        spec, options = spec_for(a.p), EstimateOptions(t_gate_budget=ex["t_gate_budget"])
+        band = sensitivity(inst, "plaq_L2", a, spec, options)
         assert {est.bottleneck for est in band} == {MAGIC_LIMITED}
         assert all(est.warnings[-1].startswith("T-state error budget exceeded") for est in band)
-        assert any(d > d_min for d_min, d in stretched)
+        summary, _ = compile_scheme("plaq_L2", inst)
+
+        def gate_fit(side_assume, side_spec):
+            def volume_at(d):
+                patches = layout_at(summary, side_spec, d).protected_patches
+                return run_cost(patches, summary.timestep_depth, d, summary.reaction_depth,
+                                side_assume.t_se, side_assume.tau_r)[0]
+
+            return choose_distance(side_assume, volume_at, options.e_qec, options.d_max)
+
+        sides = [(a, spec), _perturbed(a, spec, SENSITIVITY_FRACTION),
+                 _perturbed(a, spec, -SENSITIVITY_FRACTION)]
+        fits = [gate_fit(*side) for side in sides]
+        assert any(est.d > fit for est, fit in zip((band.nominal, band.high, band.low), fits))
 
     @pytest.mark.parametrize("fraction", [SENSITIVITY_FRACTION, -SENSITIVITY_FRACTION])
     def test_perturbed_fields_name_what_the_band_moves(self, fraction):
@@ -491,14 +502,13 @@ class TestDistanceFixedPointProperty:
             assert prev_volume * logical_error_rate(a, prev) > e
 
 
-def _scan_from_3(assume, volume_at, budget_e, d_max, volume_floor=0.0, d_min=3):
+def _scan_from_3(assume, volume_at, budget_e, d_max, floor_at):
     return choose_distance(assume, volume_at, budget_e, d_max)
 
 
 class TestDistanceLowerBound:
-    """estimate's volume floor, and the first fit a stretched search starts
-    from, change how many candidates a search reads, never the distance it
-    chooses or the error it raises."""
+    """estimate's volume floor changes how many candidates a search reads,
+    never the distance it chooses or the error it raises."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -530,6 +540,63 @@ class TestDistanceLowerBound:
         with mock.patch.object(estimator_module, "choose_distance", _scan_from_3):
             assert bounded == outcome()
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        l_side=st.integers(min_value=1, max_value=20).map(lambda k: 2 * k),
+        log_p=st.floats(min_value=-5, max_value=-2.01),
+        eps_total=st.floats(min_value=1e-6, max_value=0.9),
+        cultivation=st.booleans(),
+        t_se=LOG_UNIFORM_CLOCK,
+        tau_r=LOG_UNIFORM_CLOCK,
+        f_r=st.floats(min_value=0, max_value=1),
+    )
+    def test_floor_never_exceeds_a_volume_at_or_past_its_d(
+        self, scheme, l_side, log_p, eps_total, cultivation, t_se, tau_r, f_r
+    ):
+        # The search skips a d wherever the floor read at a smaller d fails,
+        # so that floor, in floats, must lie under every volume from there on.
+        inst = FHInstance(l_side=l_side, t_hop=1.0, u_onsite=8.0, t_evol=300,
+                          eps_total=eps_total)
+        a = assume(10**log_p, t_se=t_se, tau_r=tau_r)
+        spec = spec_for(a.p)
+        if cultivation:
+            spec = cultivation_variant(spec)
+        searches = []
+
+        def capturing(assume, volume_at, budget_e, d_max, floor_at):
+            searches.append((volume_at, floor_at))
+            return choose_distance(assume, volume_at, budget_e, d_max, floor_at)
+
+        with mock.patch.object(estimator_module, "choose_distance", capturing):
+            try:
+                estimate(inst, scheme, a, spec, EstimateOptions(f_r=f_r))
+            except BudgetInfeasibleError:
+                pass
+        (volume_at, floor_at), = searches
+        distances = range(3, 62, 2)
+        volumes = [volume_at(d) for d in distances]
+        for i, d in enumerate(distances):
+            floor = floor_at(d)
+            assert all(floor <= volume for volume in volumes[i:]), d
+
+    @pytest.mark.parametrize("entry, fits", [
+        (lambda inst, a, spec: estimate(inst, "plaq_L", a, spec), 1),
+        (lambda inst, a, spec: sensitivity(inst, "plaq_L2", a, spec), 3),
+        (lambda inst, a, spec: compare(inst, list(SCHEMES), a, spec), len(SCHEMES)),
+        (lambda inst, a, spec: simple_estimate(1000, 4e7, a), 1),
+    ], ids=["estimate", "sensitivity", "compare", "simple_estimate"])
+    def test_each_fit_searches_once(self, monkeypatch, entry, fits):
+        real, searches = estimator_module.choose_distance, []
+
+        def counting(*args):
+            searches.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(estimator_module, "choose_distance", counting)
+        entry(bench_instance(), assume(), spec_for(1e-3))
+        assert len(searches) == fits
+
     def test_totals_leaving_the_float_range_where_no_fit_ends_raise_nothing(self):
         # The supply stretches the gate fit, whose totals overflow, and no
         # stretched volume fits: the estimate is infeasible, not too extreme.
@@ -539,7 +606,7 @@ class TestDistanceLowerBound:
         with pytest.raises(BudgetInfeasibleError, match="no odd distance <= 1001"):
             estimate(inst, "plaq_L2", a, spec, EstimateOptions(d_max=1001))
 
-    def test_bundled_config_reads_at_most_2_candidates(self, monkeypatch):
+    def test_bundled_config_reads_one_candidate(self, monkeypatch):
         real = estimator_module.choose_distance
         searches = []
 
@@ -554,4 +621,4 @@ class TestDistanceLowerBound:
             estimate(config.inst, scheme, config.assume, config.effective_spec,
                      config.options)
         assert len(searches) == len(SCHEMES)
-        assert max(len(seen) for seen in searches) <= 2
+        assert [len(seen) for seen in searches] == [1] * len(SCHEMES)

@@ -61,7 +61,7 @@ class TestLogicalErrorRate:
         d=st.integers(min_value=1, max_value=10**9).map(lambda k: 2 * k + 1),
     )
     def test_float_value_never_rises_with_d(self, prefactor, ratio, d):
-        # choose_distance's bisection for its start relies on this of pow.
+        # choose_distance's bisection past a failing floor relies on this of pow.
         assert _suppression(prefactor, ratio, d + 2) <= _suppression(prefactor, ratio, d)
 
 
@@ -222,18 +222,6 @@ class TestChooseDistance:
         d = choose_distance(assume(), lambda d: 0.0)
         assert d == 3
 
-    def test_d_min_starts_the_scan(self):
-        seen = []
-        d = choose_distance(
-            assume(), lambda d: seen.append(d) or 0.0, d_min=7
-        )
-        assert d == 7 and seen == [7]
-
-    @pytest.mark.parametrize("d_min", NOT_DISTANCES)
-    def test_invalid_d_min_rejected(self, d_min):
-        with pytest.raises(InvalidDistanceError):
-            choose_distance(assume(), lambda d: 0.0, volume_floor=1.0, d_min=d_min)
-
     def test_minimal_footprint_spin_instance(self):
         # 150 patches running 1e5 gates of d rounds each.
         d = choose_distance(assume(), lambda d: 150 * (1e5 * d))
@@ -302,7 +290,7 @@ def outcome(search, *args, **kwargs):
 
 
 class TestLowerBoundStart:
-    """A volume floor moves where the scan starts, never what it returns."""
+    """A volume floor changes which candidates a search reads, never what it returns."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -338,9 +326,29 @@ class TestLowerBoundStart:
         # Routing that shrinks with d, as plaq_L2's shared factory area does.
         rounds = a.tau_r / a.t_se
         volume_at = lambda d: (patches + shrinking / d**2) * (depth * d + reactions * rounds)
-        floor = patches * (depth * 3 + reactions * rounds)
+        floor_at = lambda d: patches * (depth * d + reactions * rounds)
         assert outcome(
-            choose_distance, a, volume_at, budget, d_max, volume_floor=floor,
+            choose_distance, a, volume_at, budget, d_max, floor_at=floor_at,
+        ) == outcome(plain_scan, a, volume_at, budget, d_max)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p_ratio=st.floats(min_value=1e-6, max_value=1, exclude_max=True),
+        budget=st.floats(min_value=1e-15, max_value=0.9),
+        patches=st.floats(min_value=1, max_value=1e12),
+        depth=st.floats(min_value=0, max_value=1e15),
+        share=st.floats(min_value=0, max_value=1),
+        d_max=st.sampled_from([31, 99, 1001]),
+    )
+    def test_any_floor_under_a_rising_volume_keeps_the_outcome(
+        self, p_ratio, budget, patches, depth, share, d_max
+    ):
+        # A floor at d, any share of a volume that never falls with d, is
+        # under every volume at d or beyond, however loose it is.
+        a = PhysicalAssumptions(p=0.01 * p_ratio, p_star=0.01)
+        volume_at = lambda d: patches * (depth * d + 1.0)
+        assert outcome(
+            choose_distance, a, volume_at, budget, d_max, lambda d: share * volume_at(d)
         ) == outcome(plain_scan, a, volume_at, budget, d_max)
 
     @settings(max_examples=300, deadline=None)
@@ -354,7 +362,9 @@ class TestLowerBoundStart:
     def test_starts_at_the_first_odd_d_whose_floor_fits(self, p_ratio, budget, floor, d_max):
         a = PhysicalAssumptions(p=0.01 * p_ratio, p_star=0.01)
         seen = []
-        outcome(choose_distance, a, lambda d: seen.append(d) or floor, budget, d_max, floor)
+        outcome(
+            choose_distance, a, lambda d: seen.append(d) or floor, budget, d_max, lambda d: floor
+        )
         fits = [d for d in range(3, d_max + 1, 2) if floor * logical_error_rate(a, d) <= budget]
         assert seen == fits[:1]
 
@@ -366,7 +376,7 @@ class TestLowerBoundStart:
             seen.append(d)
             return math.inf * d
 
-        floors = {} if floor is None else {"volume_floor": floor}
+        floors = {} if floor is None else {"floor_at": lambda d: floor}
         with pytest.raises(BudgetInfeasibleError, match="no odd distance <= 99"):
             choose_distance(assume(), volume_at, **floors)
         assert seen[0] == 3
@@ -377,7 +387,7 @@ class TestLowerBoundStart:
             choose_distance(
                 assume(9.99e-3),
                 lambda d: seen.append(d) or 1e9 * (1e12 * d),
-                d_max=21, volume_floor=1e9 * 3e12,
+                d_max=21, floor_at=lambda d: 1e9 * (1e12 * d),
             )
         assert str(info.value) == "no odd distance <= 21 meets failure budget 0.05"
         assert seen == []
@@ -390,10 +400,27 @@ class TestLowerBoundStart:
         with pytest.raises(BudgetInfeasibleError) as info:
             choose_distance(
                 assume(p), lambda d: seen.append(d) or floor,
-                d_max=100000001, volume_floor=floor,
+                d_max=100000001, floor_at=lambda d: floor,
             )
         assert str(info.value) == "no odd distance <= 100000001 meets failure budget 0.05"
         assert seen == []
+
+    def test_floor_that_outgrows_the_budget_reads_no_candidate(self):
+        # The floor at 3 alone first fits near d = 2e6, within a relative
+        # 1e-12 of p*; the floor read again there fits nowhere up to d_max.
+        seen, floors = [], []
+
+        def floor_at(d):
+            floors.append(d)
+            return 0.05 / 0.3 * (1 + 1e-6) * d
+
+        with pytest.raises(BudgetInfeasibleError) as info:
+            choose_distance(
+                assume(0.00999999999999), lambda d: seen.append(d) or floor_at(d),
+                d_max=100000001, floor_at=floor_at,
+            )
+        assert str(info.value) == "no odd distance <= 100000001 meets failure budget 0.05"
+        assert seen == [] and len(floors) == 2 and 3 < floors[1] < 100000001
 
 
 class TestGateTimings:
