@@ -2,7 +2,7 @@
 
 Covers Clifford-only circuits, general circuits fed by a magic-state
 factory fleet, the Pauli-based-computation (PBC) slowdown ratio, and the
-reaction-limited (time-optimal) batching plan.
+reaction-limited (time-optimal) batching plan, each run timed by qec.run_cost.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .qec import (
     fast_block_routing,
     patch_physical_qubits,
     require_valid_distance,
-    run_time,
+    run_cost,
 )
 
 
@@ -72,14 +72,6 @@ class CostBreakdown(NamedTuple):
     volume_patch_rounds: float
 
 
-def _gate_times(
-    d: int, assume: PhysicalAssumptions, k_storage: float = 0.0
-) -> tuple[float, float]:
-    """tau_c and tau_nc of the general_cost equations, at distance d."""
-    tau_c = CNOT_TIMESTEPS * d * assume.t_se
-    return tau_c, assume.tau_r if k_storage > 0 else 2 * tau_c + assume.tau_r
-
-
 def _cost(
     profile: CircuitProfile,
     fleet: FactoryFleet | None,
@@ -89,18 +81,21 @@ def _cost(
     """The general_cost equations; ``fleet`` None drops every non-Clifford term."""
     q = patch_physical_qubits(d)
     r = profile.routing_patches()
-    tau_c, tau_nc = _gate_times(d, assume, profile.k_storage)
     extra = 2 * (profile.m_layers - 1) * profile.p_clifford
-    gate_time = profile.n_clifford * tau_c / (profile.m_layers * profile.p_clifford)
-    magic_time, factory_qubits = 0.0, 0
+    depth = CNOT_TIMESTEPS * profile.n_clifford / (profile.m_layers * profile.p_clifford)
+    reactions = supply = magic_time = 0.0
+    factory_qubits = 0
     if fleet is not None:
-        storage = profile.k_storage * (tau_c / assume.tau_r) * profile.p_non_clifford
-        extra = max(extra, storage)
-        gate_time += profile.n_non_clifford * tau_nc / profile.p_non_clifford
+        tau_c_over_tau_r = CNOT_TIMESTEPS * d * assume.t_se / assume.tau_r
+        extra = max(extra, profile.k_storage * tau_c_over_tau_r * profile.p_non_clifford)
+        reactions = profile.n_non_clifford / profile.p_non_clifford
+        depth += 0.0 if profile.k_storage else 2 * CNOT_TIMESTEPS * reactions
         magic_time = fleet.supply_time(profile.n_non_clifford, assume.t_se)
+        supply = fleet.supply_time(profile.n_non_clifford, 1.0)
         factory_qubits = fleet.physical_qubits
     patches = profile.q_data + r + extra
-    time, bottleneck = run_time(gate_time, magic_time)
+    run = patches, depth, d, reactions, assume.t_se, assume.tau_r
+    volume, time, bottleneck = run_cost(*run, supply)
     return CostBreakdown(
         space_physical=q * patches + factory_qubits,
         space_by_role={
@@ -110,10 +105,10 @@ def _cost(
             "factories": float(factory_qubits),
         },
         time_seconds=time,
-        gate_time_seconds=gate_time,
+        gate_time_seconds=run_cost(*run)[1],
         magic_time_seconds=magic_time,
         bottleneck=bottleneck,
-        volume_patch_rounds=patches * time / assume.t_se,
+        volume_patch_rounds=volume,
     )
 
 
@@ -142,11 +137,11 @@ def general_cost(
     S = q(d) * [Q + R + max(2(M-1) P_c, k (tau_c/tau_r) P_nc)] + fleet qubits
     T = max(N_c tau_c / (M P_c) + N_nc tau_nc / P_nc, fleet.supply_time(N_nc))
 
-    tau_nc is tau_r when the computation is reaction-limited (k > 0) and
-    2 tau_c + tau_r for teleported non-Cliffords otherwise. The second term is
-    the fleet's time to supply the N_nc magic states; qec.run_time takes the
-    max and names the bottleneck. Without non-Cliffords this is clifford_cost,
-    and the fleet is neither checked nor counted.
+    tau_c is 2 timesteps of d SE rounds; tau_nc is tau_r if reaction-limited
+    (k > 0), else 2 tau_c + tau_r. T, the bottleneck and the volume are one
+    qec.run_cost call, with N_nc / P_nc reaction delays and the fleet's supply
+    rounds; the gate time is its seconds with no supply. Without non-Cliffords
+    this is clifford_cost, and the fleet is neither checked nor counted.
     """
     return _cost(profile, None if profile.n_non_clifford == 0 else fleet, d, assume)
 
@@ -158,17 +153,19 @@ def pbc_ratio(
 ) -> float:
     """Run-time ratio T_PBC / T of compiling the circuit to serial PBC.
 
-    ratio = P_nc / (1 + C*), C* = (N_c tau_c / P_c) / (N_nc tau_nc / P_nc).
-    A ratio above 1 means PBC is slower than Clifford+T execution.
+    ratio = P_nc / (1 + C*), C* = (N_c tau_c / P_c) / (N_nc tau_nc / P_nc), each
+    arm timed by qec.run_cost. Above 1, PBC is slower than Clifford+T execution.
     """
     if profile.n_non_clifford == 0:
         raise UndefinedRatioError("PBC ratio is undefined without non-Clifford gates")
     if profile.m_layers != 1 or profile.k_storage != 0:
         raise ValueError("pbc_ratio assumes M=1 and k=0")
     require_valid_distance(d)
-    tau_c, tau_nc = _gate_times(d, assume)
-    c_star = (profile.n_clifford * tau_c / profile.p_clifford) / (
-        profile.n_non_clifford * tau_nc / profile.p_non_clifford
+    clocks = assume.t_se, assume.tau_r
+    reactions = profile.n_non_clifford / profile.p_non_clifford
+    clifford_depth = CNOT_TIMESTEPS * profile.n_clifford / profile.p_clifford
+    c_star = run_cost(0.0, clifford_depth, d, 0.0, *clocks)[1] / (
+        run_cost(0.0, 2 * CNOT_TIMESTEPS * reactions, d, reactions, *clocks)[1]
     )
     return profile.p_non_clifford / (1 + c_star)
 
@@ -194,8 +191,10 @@ def reaction_limited_plan(
     ceil(n / G_opt) * T_prep, at modules_qubits logical qubits per module.
     """
     for name, value in (("t_prep", t_prep), ("tau_r", tau_r), ("n_gates", n_gates)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be {'finite' if value == math.inf else 'positive'}")
+    if t_prep / tau_r == math.inf:
+        raise ValueError("tau_r must be large enough that t_prep / tau_r is finite")
     g_opt = max(1, math.ceil(t_prep / tau_r))
     time = math.ceil(n_gates / g_opt) * t_prep
     return ReactionPlan(
@@ -212,7 +211,7 @@ def sequential_baseline(
     Each gate costs 1.5 d SE rounds of surgery plus one reaction delay and
     runs on 2 logical qubits (the data patch and one magic-state patch).
     """
-    if not n_gates > 0:
-        raise ValueError("n_gates must be positive")
+    if not 0 < n_gates < math.inf:
+        raise ValueError(f"n_gates must be {'finite' if n_gates == math.inf else 'positive'}")
     require_valid_distance(d)
-    return n_gates * (1.5 * d * assume.t_se + assume.tau_r), 2
+    return run_cost(2, 1.5 * n_gates, d, n_gates, assume.t_se, assume.tau_r)[1], 2

@@ -25,6 +25,7 @@ from .fermi_hubbard import (
     compile_scheme,
     instance_inputs,
     layout_at,
+    scheme_record,
     too_extreme,
 )
 from .qec import (
@@ -86,28 +87,29 @@ class ResourceEstimate(NamedTuple):
 
 def _fitter(
     depth: float, reactions: float, provisioned: Callable[[int], tuple[float, int, int, float]],
-    data_aux_patches: float, routing_patches: float, e_qec: float, d_max: int, scheme: str,
-    t_count: float, ledger: ErrorBudget | None = None, summary: CompilationSummary | None = None,
+    data_aux_patches: float, routing_patches: float, floor_patches: float, e_qec: float,
+    d_max: int, scheme: str, t_count: float, ledger: ErrorBudget | None = None,
+    summary: CompilationSummary | None = None,
 ) -> Callable[[PhysicalAssumptions, tuple[str, ...]], ResourceEstimate]:
     """The fit of a gate schedule, as a function of ``assume`` and the warnings
     it reports: the smallest distance meeting the failure budget, and the
     totals there.
 
     At d, provisioned(d) gives the protected patches, at least data_aux_patches
-    + routing_patches, the factory count and qubits, and the SE rounds the
-    factories take to make the T states; qec.run_cost gives the patch-rounds,
-    seconds and bottleneck of those patches over depth timesteps of d rounds
-    plus reactions reaction delays, against that supply. The search's floor
-    at d, the base patches over run_cost's gate rounds, is under every volume
-    at d or beyond. Patches beyond data/aux and routing count as routing.
-    Totals that leave the float range raise OverflowError.
+    + routing_patches and at least floor_patches, the factory count and qubits,
+    and the SE rounds the factories take to make the T states; qec.run_cost
+    gives the patch-rounds, seconds and bottleneck of those patches over depth
+    timesteps of d rounds plus reactions reaction delays, against that supply.
+    The search's floor at d, floor_patches over run_cost's gate rounds, is
+    under every volume at d or beyond. Patches beyond data/aux and routing
+    count as routing. Totals that leave the float range raise OverflowError.
 
     Only t_se and tau_r enter a volume or a total; p, p_star and prefactor_a
     only choose d. So each clock pair gets a _Rows table over d, each row
     made at its first read, with provisioned(d) read once per d for them all;
     a fit builds its estimate from the row at the d it picks.
     """
-    base, layouts, tables = data_aux_patches + routing_patches, {}, {}
+    layouts, tables = {}, {}
 
     def fit(assume: PhysicalAssumptions, warnings: tuple[str, ...]) -> ResourceEstimate:
         clocks = assume.t_se, assume.tau_r
@@ -117,7 +119,7 @@ def _fitter(
             rows.of = (provisioned, layouts, depth, reactions, *clocks,
                        data_aux_patches, routing_patches)
             table = tables[clocks] = (
-                rows, lambda d: rows[d][0], lambda d: base * (depth * d + rounds)
+                rows, lambda d: rows[d][0], lambda d: floor_patches * (depth * d + rounds)
             )
         rows, volume_at, floor_at = table
         d = choose_distance(assume, volume_at, e_qec, d_max, floor_at)
@@ -225,6 +227,7 @@ def _plan(
     # (its last two fields).
     ledger = ErrorBudget(*budget[:4], options.e_qec, options.t_gate_budget)
     data_aux = summary.data_patches + summary.aux_patches
+    floor = scheme_record(summary.scheme).floor(summary, options.f_r)
 
     def fitter(factory: FactorySpec) -> Callable[..., ResourceEstimate]:
         def provisioned(d: int) -> tuple[float, int, int, float]:
@@ -233,8 +236,8 @@ def _plan(
 
         return _fitter(
             summary.timestep_depth, summary.reaction_depth, provisioned, data_aux,
-            summary.routing_patches, options.e_qec, options.d_max, summary.scheme, t_count,
-            ledger, summary,
+            summary.routing_patches, floor, options.e_qec, options.d_max, summary.scheme,
+            t_count, ledger, summary,
         )
 
     fitted = fitter(spec)
@@ -295,7 +298,8 @@ def simple_estimate(
         patches = ROUTING_FACTOR * q_logical
         return _fitter(
             gate_count, 0.0, lambda d: (patches, 0, 0, 0.0), data_aux_patches=q_logical,
-            routing_patches=0, e_qec=e_qec, d_max=d_max, scheme="simple", t_count=gate_count,
+            routing_patches=0, floor_patches=patches, e_qec=e_qec, d_max=d_max,
+            scheme="simple", t_count=gate_count,
         )(assume, ())
     except ArithmeticError as exc:
         inputs = {"q_logical": q_logical, "gate_count": gate_count,

@@ -210,14 +210,16 @@ class Scheme(NamedTuple):
     """A compilation scheme: its rotation load at the algorithmic budget, computed
     once before sigma is chosen; its own summary fields at sigma, given the load's
     steps or queries (both get the resolved HWP register m); its fleet and, all the
-    distance search reads, its protected patches at distance d; and the knobs the
-    report echoes from the resolved run config."""
+    distance search reads, its protected patches at distance d; the knobs the
+    report echoes from the resolved run config; and, for the search's floor, a
+    patch count at f_r that no distance's patches fall below."""
 
     load: Callable[[FHInstance, float, int, LogBase], Load]
     compile: Callable[[FHInstance, int, float, int], dict[str, float]]
     fleet: Callable[[CompilationSummary, FactorySpec, int], FactoryFleet]
     patches: Callable[[CompilationSummary, FactorySpec, int, float], float] = _base_patches
     report_flags: Callable[[RunConfig], dict[str, Any]] = lambda _: {}
+    floor: Callable[[CompilationSummary, float], float] = _base_patches
 
 
 def _hwp_m(inst: FHInstance, m: int | None) -> int:
@@ -364,6 +366,11 @@ def _shared_patches(
     return _base_patches(summary) + f_r * summary.l_side**2 * shared
 
 
+def _shared_floor(summary: CompilationSummary, f_r: float) -> float:
+    """_shared_patches at its least: no factory's ceiling falls below 1."""
+    return _base_patches(summary) + f_r * summary.l_side**2
+
+
 def _factory_blocks(summary: CompilationSummary, spec: FactorySpec, d: int) -> FactoryFleet:
     """Factories per four data patches, each block owed a state every 3d rounds."""
     per_block = provision(spec, 1, 3 * d).count
@@ -389,7 +396,8 @@ REGISTRY: dict[str, Scheme] = {
     "plaq_serial": Scheme(_serial_load, _serial, _dedicated_fleet, report_flags=_hwp_flags),
     "plaq_L": Scheme(_plaquette_load, _row_parallel, _dedicated_fleet),
     "plaq_L2": Scheme(
-        _plaquette_load, _full_parallel, _unit_cell_fleet, _shared_patches, _f_r_flags
+        _plaquette_load, _full_parallel, _unit_cell_fleet, _shared_patches, _f_r_flags,
+        _shared_floor,
     ),
     "qsp": Scheme(_qsp_load, _qsp, _factory_blocks),
 }

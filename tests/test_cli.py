@@ -246,6 +246,27 @@ class TestEstimateCommand:
         assert (code, out) == (3, "") and len(seen) <= 2
         assert err == f"error: no odd distance <= {d_max} meets failure budget 0.05\n"
 
+    def test_near_threshold_plaq_l2_floor_counts_its_factory_area(
+        self, bundled_config, capsys, monkeypatch
+    ):
+        # plaq_L2's volume stays a factor 1 + f_r L^2 / base above the base
+        # patches' floor; a floor without the factories' least area would
+        # read every odd d between the two first fits, 436 225 candidates here.
+        real, seen = estimator_module.choose_distance, []
+
+        def counting(assume, volume_at, *args, **kwargs):
+            return real(assume, lambda d: seen.append(d) or volume_at(d), *args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "choose_distance", counting)
+        code, out, err = run(
+            capsys, "estimate", bundled_config, "--no-sensitivity",
+            "--set", "physical.p=0.009999999",
+            "--set", "physical.prefactor_a=2.238721138568347e-17",
+            "--set", "qec.d_max=100000000001",
+        )
+        assert (code, err) == (0, "") and len(seen) <= 40
+        assert json.loads(out)["estimates"][0]["code_distance"] == 312254239
+
     def test_tiny_round_time_keeps_the_supply_time(self, bundled_config, capsys):
         # The fleet's rate per second overflows at t_se=1e-320; its time does not.
         tiny = ["--set", "physical.t_se=1e-320", "--set", "physical.tau_r=1e-320"]

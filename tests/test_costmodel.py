@@ -204,6 +204,27 @@ class TestOneEquationBody:
     def test_no_non_clifford_is_clifford_cost_for_any_fleet(self, prof, fleet, d, a):
         assert general_cost(prof, fleet, d, a) == clifford_cost(prof, d, a)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**4),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+        st.none() | st.integers(min_value=0, max_value=10**4),
+        distances,
+        st.floats(min_value=1e-7, max_value=1e-5),
+    )
+    def test_volume_is_whole_patch_rounds_at_equal_clocks(self, q, n_c, n_nc, routing, d, t):
+        # At t_se == tau_r a reaction delay is one SE round, so integer counts
+        # at unit parallelism, with a fleet that keeps pace, make an integer
+        # volume (below 2**53, exact) bit for bit.
+        prof = CircuitProfile(
+            q_data=q, n_clifford=n_c, n_non_clifford=n_nc, p_clifford=1,
+            p_non_clifford=1, routing=routing,
+        )
+        cost = general_cost(prof, big_fleet(), d, assume(t_se=t, tau_r=t))
+        assert cost.bottleneck == GATE_LIMITED
+        assert cost.volume_patch_rounds.is_integer()
+
     def test_presets_are_patch_counts(self):
         assert fast_block_routing(50) == 50 + 20 + 1
         assert ratio_routing(0.5, 100) == 50
@@ -300,6 +321,20 @@ class TestReactionLimited:
     def test_baseline_refuses_nan(self):
         with pytest.raises(ValueError, match="^n_gates must be positive$"):
             sequential_baseline(math.nan, 15, PhysicalAssumptions(p=1e-3))
+
+    @pytest.mark.parametrize("field", ["t_prep", "tau_r", "n_gates"])
+    def test_plan_refuses_infinity(self, field):
+        args = dict(t_prep=75e-6, tau_r=5e-6, n_gates=30)
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            reaction_limited_plan(**{**args, field: math.inf})
+
+    def test_plan_refuses_a_reaction_time_whose_batch_leaves_the_float_range(self):
+        with pytest.raises(ValueError, match="^tau_r must be large enough that "):
+            reaction_limited_plan(75e-6, 1e-320, 30)
+
+    def test_baseline_refuses_infinity(self):
+        with pytest.raises(ValueError, match="^n_gates must be finite$"):
+            sequential_baseline(math.inf, 15, PhysicalAssumptions(p=1e-3))
 
 
 class TestFastBlock:

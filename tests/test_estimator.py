@@ -81,6 +81,19 @@ class TestSimpleEstimate:
         est = simple_estimate(100, 1e5, assume())
         assert est.physical_qubits_by_role["factories"] == 0
 
+    def test_near_threshold_search_reads_only_its_fit(self, monkeypatch):
+        # The floor is the estimate's own patches, so no odd d between the
+        # floor's first fit and the volume's is read; a floor of the data
+        # patches alone, 1/1.5 of them, read 42 890 candidates here.
+        real, seen = estimator_module.choose_distance, []
+
+        def counting(assume, volume_at, *args):
+            return real(assume, lambda d: seen.append(d) or volume_at(d), *args)
+
+        monkeypatch.setattr(estimator_module, "choose_distance", counting)
+        est = simple_estimate(1000, 1e9, assume(0.0099999, prefactor_a=1e-12), d_max=10**9)
+        assert (est.d, seen) == (3705275, [3705275])
+
 
 class TestEstimateOptions:
     @pytest.mark.parametrize(

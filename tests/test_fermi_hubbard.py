@@ -384,6 +384,22 @@ class TestSchemePatches:
         patches = REGISTRY["plaq_L2"].patches(summary, spec, d, f_r)
         assert patches == _fraction_shared_patches(summary, spec, d, f_r)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        l_side=st.integers(min_value=1, max_value=40).map(lambda k: 2 * k),
+        spec=st.sampled_from(_specs()),
+        f_r=st.floats(min_value=0, max_value=1),
+    )
+    def test_floor_is_under_the_patches_at_every_distance(self, scheme, l_side, spec, f_r):
+        # The distance search skips on the floor, so no layout may fall below it.
+        inst = FHInstance(l_side=l_side, t_hop=1.0, u_onsite=8.0, t_evol=300,
+                          eps_total=0.01)
+        summary, _ = compile_scheme(scheme, inst)
+        floor = scheme_record(scheme).floor(summary, f_r)
+        for d in range(3, 62, 2):
+            assert floor <= layout_at(summary, spec, d, f_r).protected_patches, d
+
 
 class TestFleetCeilings:
     """provision and the qsp factory blocks take their ceilings in integers;

@@ -4,9 +4,13 @@ Each case runs ``ftqcost.cli.main`` in-process and compares the written
 file with ``tests/data/golden/<case>.json``. The goldens pin every number
 of the four-scheme comparison, the per-scheme sensitivity bands, the
 non-default ``m`` and ``log_base`` paths and the table-1 rows; refresh them
-only for an intentional, documented change of output. A 16-point sweep
-(2 p x 4 schemes x 2 L), without and with cultivation, is pinned the same
-way in each of its output formats.
+only for an intentional, documented change of output. Two comparisons run at
+clock pairs other than t_se = tau_r = 1e-6, where the reaction delay's
+tau_r / t_se SE rounds differ from one, and one with a custom factory whose
+tau_f_rounds is not binary-exact. A 16-point sweep (2 p x 4 schemes x 2 L),
+without and with cultivation, is pinned the same way in each of its output
+formats, and an 8-point CSV sweep over both clocks and two schemes, with a
+custom factory, pins magic-limited rows.
 """
 
 from importlib import resources
@@ -29,6 +33,13 @@ TABLE1_ROWS = (
 )
 
 
+def _custom_factory(tau_f_rounds):
+    return (
+        "factory.name=custom", "factory.q_f=30000", f"factory.tau_f_rounds={tau_f_rounds}",
+        "factory.n_out=4", "factory.out_infidelity=1e-14",
+    )
+
+
 def _report(*overrides):
     args = [BUNDLED, "--format", "json"]
     for item in overrides:
@@ -42,6 +53,13 @@ CASES = {
         "compare",
         *_report("physical.p=1e-4", "factory.name=15to1x20to4-p4"),
     ],
+    "compare_tse1e-7_taur1e-5": [
+        "compare", *_report("physical.t_se=1e-7", "physical.tau_r=1e-5"),
+    ],
+    "compare_tse1e-4_taur1e-3": [
+        "compare", *_report("physical.t_se=1e-4", "physical.tau_r=1e-3"),
+    ],
+    "compare_custom_factory": ["compare", *_report(*_custom_factory(97.3))],
     **{
         f"estimate_{s}": ["estimate", *_report(f"algorithm.scheme={s}")]
         for s in SCHEME_NAMES
@@ -79,6 +97,15 @@ SWEEP_CASES = {
     for cultivation, suffix in (("false", ""), ("true", "_cultivation"))
     for fmt, ext in (("csv", "csv"), ("json", "json"), ("table", "txt"))
 }
+# At t_se = 1e-4 both plaq_L2 rows are magic-limited; tau_f_rounds = 1000.3
+# takes factories.batch_ratio's Fraction snap.
+SWEEP_CASES["sweep_clocks.csv"] = [
+    "sweep", BUNDLED, "--format", "csv",
+    "--set", "physical.t_se=1e-7,1e-4",
+    "--set", "physical.tau_r=1e-5,1e-3",
+    "--set", "algorithm.scheme=plaq_L2,qsp",
+    *(item for value in _custom_factory(1000.3) for item in ("--set", value)),
+]
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
