@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Sequence
 
 from . import report as reporting
@@ -36,6 +37,7 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ftqcost",

@@ -24,12 +24,12 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from functools import partial
+from functools import cache, partial
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, get_args
 
 from .errors import ConfigError
-from .estimator import EstimateOptions, _Memo
+from .estimator import EstimateOptions
 from .factories import FactorySpec, cultivation_variant, factory_by_name
 from .fermi_hubbard import SCHEMES, FHInstance, LogBase
 from .qec import PhysicalAssumptions
@@ -491,20 +491,19 @@ def sweep_configs(sections: Sections) -> Iterator[RunConfig]:
             }
     resolve = _resolver(cast)
 
-    def made(key: tuple[str, Any]) -> tuple:
-        """An input by (target, the raws that feed it at a point, or None)."""
-        target, raws = key
+    @cache
+    def inputs(target: str, raws: Any) -> tuple:
+        """An input by its target and the raws that feed it at a point, None if none do."""
         fed = at.get(target, ())
         raws = raws if len(fed) > 1 else (raws,)
         return _input(cast.values, target, [casts[i][raw] for i, raw in zip(fed, raws)])
 
-    inputs = _Memo(made)
     # Per input: its target and the getter of its raws at a point, None if none feed it.
     keys = [(target, itemgetter(*at[target]) if target in at else None) for target in _TARGETS]
     spec_key = keys[-1][1]
 
     def point(raws: tuple[str, ...]) -> RunConfig:
-        inputs_at = [inputs[target, key and key(raws)] for target, key in keys]
+        inputs_at = [inputs(target, key and key(raws)) for target, key in keys]
         return resolve(inputs_at, spec_key and spec_key(raws))
 
     return map(point, itertools.product(*(values for _, _, values in ranged)))

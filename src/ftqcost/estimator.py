@@ -10,7 +10,8 @@ multi-scheme comparison, and the estimates of a grid of points.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, NamedTuple
+from functools import cache
+from typing import Callable, NamedTuple
 
 from . import checked
 from .errors import BudgetInfeasibleError
@@ -181,13 +182,15 @@ def point_estimator() -> Callable[..., ResourceEstimate]:
     inst, hwp_m, log_base) is compiled once and each distinct (inst, scheme,
     spec, options) planned once. A call passing the records of the call before
     it, as a grid's consecutive points do, pays for its fit alone."""
-    compiled = _Memo(lambda key: compile_scheme(key[0], key[1], m=key[2], log_base=key[3]))
+    compiled = cache(compile_scheme)
 
-    def planned(key: tuple) -> Callable[[FHInstance, PhysicalAssumptions], ResourceEstimate]:
-        inst, scheme, spec, options = key
-        return _plan(compiled[scheme, inst, options.hwp_m, options.log_base], spec, options)
+    @cache
+    def plans(
+        inst: FHInstance, scheme: str, spec: FactorySpec, options: EstimateOptions
+    ) -> Callable[..., ResourceEstimate]:
+        return _plan(compiled(scheme, inst, options.hwp_m, options.log_base), spec, options)
 
-    plans, last, plan = _Memo(planned), (None,) * 4, None
+    last, plan = (None,) * 4, None
 
     def fit(
         inst: FHInstance, scheme: str, assume: PhysicalAssumptions, spec: FactorySpec,
@@ -196,7 +199,7 @@ def point_estimator() -> Callable[..., ResourceEstimate]:
         nonlocal last, plan
         if not (inst is last[0] and scheme is last[1] and spec is last[2] and options is last[3]):
             last = inst, scheme, spec, options
-            plan = plans[last]
+            plan = plans(*last)
         return plan(inst, assume)
 
     return fit
@@ -267,17 +270,6 @@ def _plan(
     return fit
 
 
-class _Memo(dict):
-    """``make(key)`` by key, each made once, at its first lookup."""
-
-    def __init__(self, make: Callable[[Any], Any]) -> None:
-        self.make = make
-
-    def __missing__(self, key: Any) -> Any:
-        value = self[key] = self.make(key)
-        return value
-
-
 def simple_estimate(
     q_logical: int,
     gate_count: float,
@@ -315,7 +307,7 @@ class SensitivityBand(NamedTuple):
     high: ResourceEstimate
 
 
-_PERTURBED_FIELDS = (
+PERTURBED_FIELDS = (
     "factory.q_f", "factory.tau_f_rounds", "physical.p_star", "physical.prefactor_a"
 )
 """The config fields _perturbed moves, by dotted path, for the report."""

@@ -22,8 +22,8 @@ except ImportError:
 
 from .config import RunConfig
 from .estimator import (
+    PERTURBED_FIELDS,
     SENSITIVITY_FRACTION,
-    _PERTURBED_FIELDS,
     ResourceEstimate,
     SensitivityBand,
     compare,
@@ -93,7 +93,7 @@ def _band_payload(band: SensitivityBand, nominal: dict[str, Any]) -> dict[str, A
         "nominal": nominal,
         "low": estimate_payload(band.low),
         "high": estimate_payload(band.high),
-        "perturbed_fields": list(_PERTURBED_FIELDS),
+        "perturbed_fields": list(PERTURBED_FIELDS),
         "perturbation_fraction": SENSITIVITY_FRACTION,
     }
 

@@ -4,7 +4,11 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +44,7 @@ from ftqcost.report import (
 )
 
 BUNDLED = resources.files("ftqcost.data").joinpath("fh_L30_L2parallel.cfg")
+SRC = Path(config_module.__file__).resolve().parent.parent
 CUSTOM_FACTORY = "factory.name=custom factory.q_f=100 factory.out_infidelity=1e-20 "
 # Every entry of the field table, by dotted path.
 FIELDS = {
@@ -59,6 +64,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def counted(monkeypatch, module, *names):
+    """The argument tuples of every call to each of ``module``'s ``names``,
+    by name, from here to the end of the test."""
+    calls = {}
+    for name in names:
+        def counting(*args, original=getattr(module, name), seen=calls.setdefault(name, []),
+                     **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def as_reingested(report):
@@ -1009,16 +1028,8 @@ class TestSweepCommand:
     def test_plans_and_rows_counted_once(self, bundled_config, monkeypatch, capsys):
         # A 3 p x 2 scheme x 2 L grid has 4 plans: each checks its T budget
         # once and lays out each distance it chooses once; every row is built.
-        calls = {"layout_at": [], "t_budget_check": [], "csv_row": []}
-        for module, name in (
-            (estimator_module, "layout_at"), (estimator_module, "t_budget_check"),
-            (report_module, "csv_row"),
-        ):
-            def counting(*args, original=getattr(module, name), seen=calls[name], **kwargs):
-                seen.append(args)
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counting)
+        calls = counted(monkeypatch, estimator_module, "layout_at", "t_budget_check")
+        calls.update(counted(monkeypatch, report_module, "csv_row"))
         code, out, _ = run(
             capsys, "sweep", bundled_config,
             "--set", "physical.p=1e-3,9.5e-4,9e-4",
@@ -1031,19 +1042,65 @@ class TestSweepCommand:
         layouts = [(summary, d) for summary, _, d in calls["layout_at"]]
         assert len(set(layouts)) == len(layouts) < 3 * 2 * 2
 
+    def test_plans_recurring_out_of_order_are_planned_once(
+        self, bundled_config, monkeypatch, capsys
+    ):
+        # p varies slowest, so the two E plans alternate over the 4 points:
+        # each is planned, its T budget checked, once, on one compilation.
+        calls = counted(monkeypatch, estimator_module, "compile_scheme", "t_budget_check")
+        code, out, _ = run(
+            capsys, "sweep", bundled_config,
+            "--set", "physical.p=1e-3,9e-4", "--set", "qec.E=0.05,0.01",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 2 * 2
+        assert len(calls["t_budget_check"]) == 2
+        assert len(calls["compile_scheme"]) == 1
+
+    def test_a_plan_per_point_compiles_once_per_instance(
+        self, bundled_config, monkeypatch, capsys
+    ):
+        # Every point of the L x E grid has its own plan; the two plans of
+        # each L share one compilation.
+        calls = counted(monkeypatch, estimator_module, "compile_scheme", "t_budget_check")
+        code, out, _ = run(
+            capsys, "sweep", bundled_config,
+            "--set", "algorithm.L=10,12", "--set", "qec.E=0.05,0.01",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 2 * 2
+        assert len(calls["t_budget_check"]) == 2 * 2
+        assert [inst.l_side for _, inst, *_ in calls["compile_scheme"]] == [10, 12]
+
+    def test_one_plan_over_two_clock_pairs_lays_out_each_distance_once(
+        self, bundled_config, monkeypatch, capsys
+    ):
+        # One plan serves the p x t_se grid; its two clock pairs share the
+        # layouts over d. Only the physical input varies, so it is built once
+        # per point and every other input once per call.
+        calls = counted(monkeypatch, estimator_module, "layout_at", "t_budget_check")
+        calls.update(counted(monkeypatch, config_module, "_input"))
+        code, out, _ = run(
+            capsys, "sweep", bundled_config,
+            "--set", "physical.p=1e-3,9e-4", "--set", "physical.t_se=1e-6,2e-6",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 2 * 2
+        assert len(calls["t_budget_check"]) == 1
+        layouts = [(summary, spec, d) for summary, spec, d in calls["layout_at"]]
+        assert len(set(layouts)) == len(layouts) > 0
+        targets = [target for _, target, *_ in calls["_input"]]
+        assert sorted(targets) == sorted([*config_module._TARGETS, *["assume"] * 3])
+
     @pytest.mark.parametrize("kind", ["band", "comparison"])
     def test_report_plans_counted_once(self, bundled_config, monkeypatch, kind):
         # A band report compiles its scheme and checks its T budget once; a
         # comparison compiles and checks each scheme once. Each plan (one
         # compilation on one fleet: a band's nominal and perturbed fleets are
         # three) lays out each distance it reaches once.
-        calls = {"compile_scheme": [], "t_budget_check": [], "layout_at": []}
-        for name, seen in calls.items():
-            def counting(*args, original=getattr(estimator_module, name), seen=seen, **kwargs):
-                seen.append(args)
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(estimator_module, name, counting)
+        calls = counted(
+            monkeypatch, estimator_module, "compile_scheme", "t_budget_check", "layout_at"
+        )
         config = build_config(read_sections(bundled_config))
         if kind == "band":
             schemes, fleets = [config.scheme], 3
@@ -1177,6 +1234,38 @@ class TestOutputPath:
         )
         assert (code, out) == (0, "")
         assert target.read_text()
+
+    def test_sweep_writes_csv_to_stdout_whatever_the_config_says(
+        self, bundled_config, tmp_path, capsys
+    ):
+        # The bundled config asks for JSON; a sweep reads neither output key.
+        target = tmp_path / "x"
+        code, out, _ = run(capsys, "sweep", bundled_config, "--set", f"output.path={target}")
+        assert code == 0
+        assert out.startswith("scheme,p,factory")
+        assert not target.exists()
+
+
+class TestMainInProcess:
+    def test_calls_in_a_row_print_what_fresh_calls_print(self, bundled_config, capsys):
+        # main() builds its parser once per process: no call's --set list or
+        # --format reaches the next.
+        argvs = [
+            ["sweep", bundled_config, "--set", "physical.p=1e-3,5e-4"],
+            ["estimate", bundled_config, "--format", "table"],
+            ["sweep", bundled_config, "--set", "algorithm.L=6,10", "--set", "qec.E=0.05,0.01"],
+        ]
+        in_a_row = [run(capsys, *argv) for argv in argvs]
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        fresh = []
+        for argv in argvs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ftqcost.cli", *argv], capture_output=True,
+                text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert in_a_row == fresh
+        assert [len(out.splitlines()) for _, out, _ in in_a_row[::2]] == [1 + 2, 1 + 2 * 2]
 
 
 class TestRoundTrip:

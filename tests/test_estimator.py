@@ -9,8 +9,8 @@ import ftqcost.estimator as estimator_module
 from ftqcost.config import build_config, read_sections
 from ftqcost.errors import BudgetInfeasibleError, EstimatorError
 from ftqcost.estimator import (
+    PERTURBED_FIELDS,
     SENSITIVITY_FRACTION,
-    _PERTURBED_FIELDS,
     EstimateOptions,
     SensitivityBand,
     _perturbed,
@@ -367,7 +367,7 @@ class TestSensitivity:
             for name, value in before._asdict().items()
             if after._asdict()[name] != value
         }
-        assert changed == set(_PERTURBED_FIELDS)
+        assert changed == set(PERTURBED_FIELDS)
 
     def test_favorable_threshold_never_increases_distance(self):
         inst = bench_instance()

@@ -1,6 +1,7 @@
 """The import graph: each entry point loads only the ftqcost modules it runs,
 and the lazy package still offers every public name."""
 
+import ast
 import json
 import os
 import subprocess
@@ -210,3 +211,17 @@ def test_benchmark_tracer_sees_every_report_layer_call(monkeypatch, tmp_path):
         "report.build_comparison", "estimator.estimate", "estimator.sensitivity",
         "estimator.compare",
     } - fired
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A name one module uses from another is part of that module's surface,
+    so it is public there."""
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted((SRC / "ftqcost").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
