@@ -16,7 +16,6 @@ from .factories import FactoryFleet
 from .qec import (
     CNOT_TIMESTEPS,
     PhysicalAssumptions,
-    fast_block_patches,
     fast_block_routing,
     patch_physical_qubits,
     require_valid_distance,

@@ -138,8 +138,8 @@ def _fitter(
 
 class _Rows(dict):
     """The rows by d at one clock pair, each from one provisioned(d) read: the
-    stretched patch-rounds, and the totals there or the OverflowError they
-    raise, which a fit raises only at the d it picks."""
+    patch-rounds, and the totals there or the OverflowError they raise,
+    which a fit raises only at the d it picks."""
 
     __slots__ = ("of",)
 
@@ -174,49 +174,42 @@ def estimate(
 ) -> ResourceEstimate:
     """Full pipeline for one Fermi-Hubbard instance and scheme."""
     compiled = compile_scheme(scheme, inst, m=options.hwp_m, log_base=options.log_base)
-    return _plan(compiled, spec, options)(inst, assume)
+    return _plan(inst, compiled, spec, options)(assume)
 
 
 def point_estimator() -> Callable[..., ResourceEstimate]:
     """``estimate``, sharing work across its calls: each distinct (scheme,
     inst, hwp_m, log_base) is compiled once and each distinct (inst, scheme,
-    spec, options) planned once. A call passing the records of the call before
-    it, as a grid's consecutive points do, pays for its fit alone."""
+    spec, options) planned once, found by value."""
     compiled = cache(compile_scheme)
 
     @cache
     def plans(
         inst: FHInstance, scheme: str, spec: FactorySpec, options: EstimateOptions
     ) -> Callable[..., ResourceEstimate]:
-        return _plan(compiled(scheme, inst, options.hwp_m, options.log_base), spec, options)
-
-    last, plan = (None,) * 4, None
+        return _plan(inst, compiled(scheme, inst, options.hwp_m, options.log_base), spec, options)
 
     def fit(
         inst: FHInstance, scheme: str, assume: PhysicalAssumptions, spec: FactorySpec,
         options: EstimateOptions,
     ) -> ResourceEstimate:
-        nonlocal last, plan
-        if not (inst is last[0] and scheme is last[1] and spec is last[2] and options is last[3]):
-            last = inst, scheme, spec, options
-            plan = plans(*last)
-        return plan(inst, assume)
+        return plans(inst, scheme, spec, options)(assume)
 
     return fit
 
 
 def _plan(
-    compiled: tuple[CompilationSummary, ErrorBudget], spec: FactorySpec,
+    inst: FHInstance, compiled: tuple[CompilationSummary, ErrorBudget], spec: FactorySpec,
     options: EstimateOptions,
 ) -> Callable[..., ResourceEstimate]:
-    """The fit of a compiled scheme, as a function of ``inst`` and ``assume``.
+    """The fit of a compiled scheme of ``inst``, as a function of ``assume``.
 
     What reads no PhysicalAssumptions field is settled here, once: the
     T-budget warning, the ledger, and the layout and supply rounds at each d
     a search reaches. _fitter tabulates the rows over d per clock pair; a
     fit adds the factory's valid_p warning. A band's fit passes its perturbed
-    ``factory``, laid out for that fit alone, and the nominal fit's
-    ``warnings``: neither they nor the ledger read a field the band perturbs.
+    ``factory``, laid out for that fit alone; neither the T-budget warning
+    nor the ledger reads a field the band perturbs.
     """
     summary, budget = compiled
     t_count = summary.t_count_total
@@ -245,18 +238,14 @@ def _plan(
 
     fitted = fitter(spec)
 
-    def fit(
-        inst: FHInstance, assume: PhysicalAssumptions, factory: FactorySpec = spec,
-        warnings: tuple[str, ...] | None = None,
-    ) -> ResourceEstimate:
-        if warnings is None:
-            warnings = t_warnings
-            if not math.isclose(factory.valid_p, assume.p, rel_tol=0.5):
-                warnings = (
-                    f"factory {factory.name} characterized at p={factory.valid_p}, "
-                    f"estimating at p={assume.p}",
-                    *warnings,
-                )
+    def fit(assume: PhysicalAssumptions, factory: FactorySpec = spec) -> ResourceEstimate:
+        warnings = t_warnings
+        if not math.isclose(factory.valid_p, assume.p, rel_tol=0.5):
+            warnings = (
+                f"factory {factory.name} characterized at p={factory.valid_p}, "
+                f"estimating at p={assume.p}",
+                *warnings,
+            )
         try:
             return (fitted if factory is spec else fitter(factory))(assume, warnings)
         except ArithmeticError as exc:
@@ -348,14 +337,14 @@ def sensitivity(
     fraction: float = SENSITIVITY_FRACTION,
 ) -> SensitivityBand:
     """Nominal and +/-fraction estimates. The perturbed constants enter
-    neither the compilation nor the warnings nor the ledger, so the scheme is
-    compiled and planned once, and fitted three times, each perturbed fit on
-    its own fleet and with the nominal fit's warnings."""
+    neither the compilation nor the T-budget warning nor the ledger, so the
+    scheme is compiled and planned once, and fitted three times, each
+    perturbed fit on its own fleet and with its own valid_p warning."""
     compiled = compile_scheme(scheme, inst, m=options.hwp_m, log_base=options.log_base)
-    fit = _plan(compiled, spec, options)
-    nominal = fit(inst, assume)
-    adverse = fit(inst, *_perturbed(assume, spec, fraction), nominal.warnings)
-    favorable = fit(inst, *_perturbed(assume, spec, -fraction), nominal.warnings)
+    fit = _plan(inst, compiled, spec, options)
+    nominal = fit(assume)
+    adverse = fit(*_perturbed(assume, spec, fraction))
+    favorable = fit(*_perturbed(assume, spec, -fraction))
     return SensitivityBand(nominal=nominal, low=favorable, high=adverse)
 
 

@@ -162,7 +162,12 @@ def provision(spec: FactorySpec, required_rate, rounds: int = 1) -> FactoryFleet
     Fraction at all. The ceiling is taken in integers from the numerators
     and denominators.
     """
-    rate = required_rate if type(required_rate) is int else _as_fraction(required_rate)
+    if type(required_rate) is int:
+        rate = required_rate
+    elif isinstance(required_rate, float) and not math.isfinite(required_rate):
+        raise ValueError("required_rate must be finite")
+    else:
+        rate = _as_fraction(required_rate)
     if rate < 0:
         raise ValueError("required_rate must be nonnegative")
     if not (type(rounds) is int and rounds >= 1):

@@ -108,8 +108,8 @@ def estimate_config(config: RunConfig) -> ResourceEstimate:
 def estimate_configs(configs: Iterable[RunConfig]) -> Iterator[tuple[RunConfig, ResourceEstimate]]:
     """Each config with its nominal estimate, in order, as each is reached: a
     config is built, then estimated, before the next is built. One
-    point_estimator serves them all: a config holding the records of the one
-    before it, as a sweep's consecutive points do, costs its fit alone."""
+    point_estimator serves them all, so configs with equal records share
+    their compilation and plan."""
     fit = point_estimator()
     for c in configs:
         yield c, fit(c.inst, c.scheme, c.assume, c.effective_spec, c.options)

@@ -8,7 +8,6 @@ from ftqcost import qec
 from ftqcost.costmodel import (
     CircuitProfile,
     clifford_cost,
-    fast_block_patches,
     fast_block_routing,
     general_cost,
     pbc_ratio,
@@ -18,7 +17,7 @@ from ftqcost.costmodel import (
 )
 from ftqcost.errors import MagicStarvedError, UndefinedRatioError
 from ftqcost.factories import FactoryFleet, factory_by_name, provision
-from ftqcost.qec import GATE_LIMITED, MAGIC_LIMITED, PhysicalAssumptions
+from ftqcost.qec import GATE_LIMITED, MAGIC_LIMITED, PhysicalAssumptions, fast_block_patches
 
 
 def assume(**kw):

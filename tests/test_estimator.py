@@ -269,6 +269,11 @@ MAGIC_LIMITED_BAND = dict(l_side=34, log_p=-3.41, eps_total=0.553, cultivation=F
                           t_se=5.4e-7, tau_r=2.9e-7, t_gate_budget=5.4e-4)
 """A band whose plaq_L2 fits are magic-limited and past their T budget."""
 
+VALID_P_MISMATCH_BAND = dict(l_side=4, log_p=-4.9, eps_total=0.01, cultivation=False,
+                             t_se=1e-6, tau_r=1e-6, t_gate_budget=0.05)
+"""A band at p of about 1.26e-5 on the p4 design (valid_p 1e-4): each of its
+three fits carries the valid_p warning."""
+
 
 class TestSensitivity:
     def test_zero_perturbation_is_identity(self):
@@ -303,6 +308,7 @@ class TestSensitivity:
         t_gate_budget=st.floats(min_value=-4, max_value=0).map(lambda e: 10**e),
     )
     @example(**MAGIC_LIMITED_BAND)
+    @example(**VALID_P_MISMATCH_BAND)
     def test_band_is_three_independent_estimates(
         self, scheme, l_side, log_p, eps_total, cultivation, t_se, tau_r, t_gate_budget
     ):
@@ -470,6 +476,26 @@ class TestPointEstimator:
         first.physical_qubits_by_role.clear()
         assert second.physical_qubits_by_role == roles
         assert fit(inst, "plaq_L2", assume(1e-3), spec, options).physical_qubits_by_role == roles
+
+    def test_equal_records_that_are_other_objects_share_a_plan(self, monkeypatch):
+        # Each point's instance, factory and options are built afresh, and all
+        # are kept alive, so no two share an id; a plan is found by value.
+        real, checks = estimator_module.t_budget_check, []
+
+        def counting(*args, **kwargs):
+            checks.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "t_budget_check", counting)
+        points = [
+            (FHInstance(6, 1.0, 8.0, 10.0, 0.01), "plaq_L", assume(p),
+             factory_by_name("15to1x15to1-p3")._replace(), EstimateOptions(f_r=0.5))
+            for p in (1e-3, 1.1e-3, 1.2e-3)
+        ]
+        fit = point_estimator()
+        fits = [fit(*point) for point in points]
+        assert len(checks) == 1
+        assert fits == [estimate(*point) for point in points]
 
 
 class TestCompare:

@@ -87,9 +87,10 @@ class TestProvision:
         lo, hi = sorted([r1, r2])
         assert provision(f1(), lo).count <= provision(f1(), hi).count
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            provision(f1(), -1)
+    @pytest.mark.parametrize("rate", [-1, math.nan, math.inf, -math.inf])
+    def test_negative_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="required_rate"):
+            provision(f1(), rate)
 
 
 class TestSupplyTime:

@@ -225,3 +225,20 @@ def test_no_module_imports_another_modules_private_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """Every name a module imports is read somewhere in that module."""
+    unused = []
+    for path in sorted((SRC / "ftqcost").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno} {alias.asname or alias.name.split('.')[0]}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in used
+        ]
+    assert unused == []
