@@ -404,8 +404,10 @@ def _resolver(cast: _Cast) -> Callable[[list[tuple], Any], RunConfig]:
             assume is not None and "physical.p" in parsed and "physical.p" not in assume_bad
         ):
             if not custom and name == "custom":
-                # Default to the built-in design characterized nearest to p. With
-                # no valid p the design is unknown, and p's problem is filed.
+                # Default to 15to1x20to4-p4 at p <= 3e-4 and to 15to1x15to1-p3 above
+                # it: a fixed cut, a little below the log-midpoint 3.16e-4 of the
+                # designs' valid_p. With no valid p the design is unknown, and
+                # p's problem is filed.
                 name = "15to1x20to4-p4" if assume.p <= 3e-4 else "15to1x15to1-p3"
             key = spec_raws, name, fields["cultivation"]
             if key not in designs:

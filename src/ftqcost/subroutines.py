@@ -7,6 +7,7 @@ terms only; lg denotes log base 2 throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Literal, NamedTuple
 
@@ -112,8 +113,13 @@ def qroam_cost(n_entries: int, b_bits: int, lam: int) -> SubroutineCost:
         raise ValueError("b_bits must be at least 1")
     if not (1 <= lam <= n_entries):
         raise ValueError("blocking factor lam must lie in [1, N]")
-    t = 8 * math.ceil(n_entries / lam) + 32 * b_bits * lam
+    t = _t_count(n_entries, b_bits, lam)
     return SubroutineCost(t, T_GATE, t, b_bits, b_bits * lam)
+
+
+def _t_count(n_entries: int, b_bits: int, lam: int) -> int:
+    """QROAM T count 8*ceil(N/lam) + 32*b*lam, exact in integer arithmetic."""
+    return 8 * -(-n_entries // lam) + 32 * b_bits * lam
 
 
 _BRUTE_FORCE_LIMIT = 2**20
@@ -123,7 +129,9 @@ def qroam_optimal(n_entries: int, b_bits: int) -> tuple[int, SubroutineCost]:
     """Integer blocking factor minimizing the QROAM T count.
 
     Exhaustive over lam in [1, N] for N up to 2^20; above that, a local
-    search seeded at the continuous optimum sqrt(N / 4b).
+    search seeded at the continuous optimum sqrt(N / 4b). Candidates are
+    scored by the integer T count, ties go to the smallest lam, and the
+    count is exact for any int N.
     """
     if not n_entries >= 1:
         raise ValueError("n_entries must be at least 1")
@@ -136,7 +144,7 @@ def qroam_optimal(n_entries: int, b_bits: int) -> tuple[int, SubroutineCost]:
         lo = max(1, math.floor(seed) - 2)
         hi = min(n_entries, math.ceil(seed) + 2)
         candidates = range(lo, hi + 1)
-    best_lam = min(candidates, key=lambda lam: qroam_cost(n_entries, b_bits, lam).count)
+    best_lam = min(candidates, key=functools.partial(_t_count, n_entries, b_bits))
     return best_lam, qroam_cost(n_entries, b_bits, best_lam)
 
 

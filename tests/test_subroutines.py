@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftqcost import subroutines
 from ftqcost.subroutines import (
     ShuttleParams,
     SubroutineCost,
@@ -132,6 +133,34 @@ class TestQroam:
         _, best = qroam_optimal(n, b)
         for lam in range(1, n + 1):
             assert best.count <= qroam_cost(n, b, lam).count
+
+    @given(st.integers(min_value=1, max_value=2**12), st.integers(min_value=1, max_value=64))
+    @settings(deadline=None)
+    def test_optimal_is_smallest_minimizing_lambda(self, n, b):
+        counts = [8 * -(-n // lam) + 32 * b * lam for lam in range(1, n + 1)]
+        lam, cost = qroam_optimal(n, b)
+        assert (lam, cost.count) == (counts.index(min(counts)) + 1, min(counts))
+
+    def test_count_exact_past_2_53(self):
+        count = qroam_cost(2**60 + 1, 1, 2).count
+        assert type(count) is int
+        assert count == 8 * (2**59 + 1) + 64
+
+    def test_optimal_count_exact_past_2_53(self):
+        n = 2**60 + 1
+        lam, cost = qroam_optimal(n, 1)
+        assert cost.count == 8 * -(-n // lam) + 32 * lam
+
+    def test_one_record_per_lookup(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return SubroutineCost(*args)
+
+        monkeypatch.setattr(subroutines, "SubroutineCost", counted)
+        qroam_optimal(4096, 8)
+        assert len(built) == 1
 
     @pytest.mark.parametrize(
         "lookup, args, name",
